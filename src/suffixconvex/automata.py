@@ -198,46 +198,89 @@ def _renumber(d: Dfa) -> Dfa:
 
 
 def _hopcroft(n: int, rows: dict[str, Transformation], finals: frozenset[int]) -> list[frozenset[int]]:
-    """Partition {0,..,n-1} into equivalence classes (Hopcroft refinement)."""
+    """Partition {0,..,n-1} into classes of equivalent states.
+
+    Hopcroft's algorithm ("An n log n algorithm for minimizing states in a
+    finite automaton", 1971) on the refinable partition of Valmari and
+    Lehtinen ("Efficient minimization of DFAs with partial transition
+    functions", STACS 2008).  Starting from finals / non-finals, a worklist
+    of (block, letter) splitters is drained: the preimage of a splitter's
+    block under its letter is grouped by the block each state sits in, and
+    only those blocks are split, at a cost of the states moved.  A split
+    block queues its smaller half for every letter, or both halves for a
+    letter it was already queued for.  Each state therefore lies in
+    O(log n) processed splitters per letter, and with k letters the whole
+    refinement takes O(k·n log n) time.
+    """
     final_block = frozenset(finals)
-    other_block = frozenset(range(n)) - final_block
-    partition = {b for b in (final_block, other_block) if b}
-    if len(partition) <= 1:
-        return list(partition)
+    blocks = [b for b in (final_block, frozenset(range(n)) - final_block) if b]
+    if len(blocks) <= 1:
+        return blocks
 
-    pre: dict[str, list[list[int]]] = {}
-    for letter, t in rows.items():
+    pre: list[list[list[int]]] = []
+    for t in rows.values():
         table: list[list[int]] = [[] for _ in range(n)]
-        for p in range(n):
-            table[t(p)].append(p)
-        pre[letter] = table
+        for p, q in enumerate(t.image):
+            table[q].append(p)
+        pre.append(table)
 
-    worklist = {min(partition, key=len)}
-    while worklist:
-        splitter = worklist.pop()
-        for letter in rows:
-            table = pre[letter]
-            moved = set()
-            for q in splitter:
-                moved.update(table[q])
-            if not moved:
+    # Block b holds elems[first[b]:end[b]]; while a splitter is processed,
+    # the block's states in the preimage are gathered in elems[first[b]:mid[b]].
+    elems = [*blocks[0], *blocks[1]]
+    loc = [0] * n
+    for i, q in enumerate(elems):
+        loc[q] = i
+    block_of = [0] * n
+    for q in blocks[1]:
+        block_of[q] = 1
+    cut = len(blocks[0])
+    first, end, mid = [0, cut], [cut, n], [0, cut]
+
+    # splitter (block b, letter c) is coded b * k + c
+    k = len(pre)
+    smaller = 0 if cut <= n - cut else 1
+    waiting = [smaller * k + c for c in range(k)]
+    queued = [False] * (2 * k)
+    for code in waiting:
+        queued[code] = True
+
+    while waiting:
+        code = waiting.pop()
+        queued[code] = False
+        b, c = divmod(code, k)
+        table = pre[c]
+        touched = []
+        for q in elems[first[b]:end[b]]:
+            for p in table[q]:
+                y = block_of[p]
+                j = mid[y]
+                if j == first[y]:
+                    touched.append(y)
+                i = loc[p]
+                other = elems[j]
+                elems[j], elems[i] = p, other
+                loc[p], loc[other] = j, i
+                mid[y] = j + 1
+        for y in touched:
+            f, m, e = first[y], mid[y], end[y]
+            mid[y] = f
+            if m == e:
                 continue
-            for block in list(partition):
-                inter = block & moved
-                if not inter or len(inter) == len(block):
-                    continue
-                rest = block - inter
-                inter, rest = frozenset(inter), frozenset(rest)
-                partition.remove(block)
-                partition.add(inter)
-                partition.add(rest)
-                if block in worklist:
-                    worklist.remove(block)
-                    worklist.add(inter)
-                    worklist.add(rest)
-                else:
-                    worklist.add(inter if len(inter) <= len(rest) else rest)
-    return list(partition)
+            # the gathered states become a new block; y keeps the rest
+            new = len(first)
+            first.append(f)
+            end.append(m)
+            mid.append(f)
+            first[y] = mid[y] = m
+            for i in range(f, m):
+                block_of[elems[i]] = new
+            queued.extend([False] * k)
+            half = new if m - f <= e - m else y
+            for a in range(k):
+                code = (new if queued[y * k + a] else half) * k + a
+                queued[code] = True
+                waiting.append(code)
+    return [frozenset(elems[first[b]:end[b]]) for b in range(len(first))]
 
 
 def minimize(d: Dfa) -> Dfa:

@@ -29,6 +29,11 @@ def _require(cond: bool, where: str, message: str) -> None:
         raise DocumentError(f"{where}: {message}")
 
 
+def _is_int(value) -> bool:
+    """A JSON integer; true and false load as bool, a subclass of int."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def read_dfa(text: str) -> Dfa:
     """Parse and validate a DFA document; inverse of write_dfa."""
     try:
@@ -41,7 +46,7 @@ def read_dfa(text: str) -> Dfa:
         _require(key in doc, "document", f"missing field {key!r}")
 
     n = doc["states"]
-    _require(isinstance(n, int) and n >= 1, "states", "must be a positive integer")
+    _require(_is_int(n) and n >= 1, "states", "must be a positive integer")
 
     alphabet = doc["alphabet"]
     _require(
@@ -67,7 +72,7 @@ def read_dfa(text: str) -> Dfa:
         _require(len(row) == n, where, f"has length {len(row)}, expected {n}")
         for q, target in enumerate(row):
             _require(
-                isinstance(target, int) and 0 <= target < n,
+                _is_int(target) and 0 <= target < n,
                 f"{where}[{q}]",
                 f"state {target!r} outside 0..{n - 1}",
             )
@@ -75,14 +80,14 @@ def read_dfa(text: str) -> Dfa:
 
     initial = doc["initial"]
     _require(
-        isinstance(initial, int) and 0 <= initial < n,
+        _is_int(initial) and 0 <= initial < n,
         "initial",
         f"state {initial!r} outside 0..{n - 1}",
     )
 
     finals = doc["finals"]
     _require(
-        isinstance(finals, list) and all(isinstance(q, int) and 0 <= q < n for q in finals),
+        isinstance(finals, list) and all(_is_int(q) and 0 <= q < n for q in finals),
         "finals",
         f"must be a list of states in 0..{n - 1}",
     )

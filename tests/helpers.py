@@ -11,6 +11,7 @@ import itertools
 from random import Random
 
 from suffixconvex.automata import Dfa, accepts
+from suffixconvex.transformations import Transformation
 
 
 def random_dfa(rng: Random, max_n: int = 6, max_letters: int = 3) -> Dfa:
@@ -55,6 +56,53 @@ def quotient_count_oracle(d: Dfa) -> int:
         if new_block == block:
             return len(renumber)
         block = new_block
+
+
+def naive_partition(n: int, rows: dict[str, Transformation], finals: frozenset[int]) -> list[frozenset[int]]:
+    """Partition {0,..,n-1} into equivalence classes by quadratic refinement.
+
+    Each splitter is intersected with every block of the partition, so the
+    cost grows quadratically in n; the reference for ``automata._hopcroft``.
+    """
+    final_block = frozenset(finals)
+    other_block = frozenset(range(n)) - final_block
+    partition = {b for b in (final_block, other_block) if b}
+    if len(partition) <= 1:
+        return list(partition)
+
+    pre: dict[str, list[list[int]]] = {}
+    for letter, t in rows.items():
+        table: list[list[int]] = [[] for _ in range(n)]
+        for p in range(n):
+            table[t(p)].append(p)
+        pre[letter] = table
+
+    worklist = {min(partition, key=len)}
+    while worklist:
+        splitter = worklist.pop()
+        for letter in rows:
+            table = pre[letter]
+            moved = set()
+            for q in splitter:
+                moved.update(table[q])
+            if not moved:
+                continue
+            for block in list(partition):
+                inter = block & moved
+                if not inter or len(inter) == len(block):
+                    continue
+                rest = block - inter
+                inter, rest = frozenset(inter), frozenset(rest)
+                partition.remove(block)
+                partition.add(inter)
+                partition.add(rest)
+                if block in worklist:
+                    worklist.remove(block)
+                    worklist.add(inter)
+                    worklist.add(rest)
+                else:
+                    worklist.add(inter if len(inter) <= len(rest) else rest)
+    return list(partition)
 
 
 def words_upto(alphabet, max_len: int):

@@ -2,6 +2,7 @@ import pytest
 from helpers import (
     dfa_corpus,
     language_upto,
+    naive_partition,
     quotient_count_oracle,
     reachable_oracle,
     singleton_word_dfa,
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from suffixconvex.automata import (
     Dfa,
     Nfa,
+    _hopcroft,
     accepts,
     apply_word,
     complete_over,
@@ -21,7 +23,7 @@ from suffixconvex.automata import (
     occurring_letters,
 )
 from suffixconvex.errors import InputError
-from suffixconvex.operations import boolean_restricted, reverse
+from suffixconvex.operations import boolean_restricted, concat, reverse
 from suffixconvex.witnesses import make_dialect, make_witness
 
 
@@ -156,6 +158,46 @@ def test_minimize_idempotent_and_equivalent_on_corpus():
         assert minimize(m) == m
         assert equivalent(d, m)
         assert m.n == quotient_count_oracle(d)
+
+
+def test_hopcroft_matches_naive_partition_on_corpus():
+    corpus = dfa_corpus(seed=31, count=1200, max_n=10)
+    for d in corpus:
+        blocks = _hopcroft(d.n, d.delta, d.finals)
+        expected = naive_partition(d.n, d.delta, d.finals)
+        assert len(blocks) == len(set(blocks))
+        assert set(blocks) == set(expected)
+        assert minimize(d).n == quotient_count_oracle(d)
+    assert max(d.n for d in corpus) == 10
+
+
+@pytest.mark.parametrize(
+    "d",
+    [
+        Dfa(1, ("a",), {"a": (0,)}, 0, frozenset()),
+        Dfa(1, ("a", "b"), {"a": (0,), "b": (0,)}, 0, frozenset({0})),
+        Dfa(4, ("a", "b"), {"a": (1, 2, 3, 0), "b": (0, 0, 1, 2)}, 0, frozenset(range(4))),
+        Dfa(4, ("a", "b"), {"a": (1, 2, 3, 0), "b": (0, 0, 1, 2)}, 0, frozenset()),
+        Dfa(4, ("a", "b"), {"a": (0, 1, 2, 3), "b": (1, 2, 3, 3)}, 0, frozenset({3})),
+        Dfa(3, ("a",), {"a": (0, 1, 2)}, 0, frozenset({1})),
+        Dfa(3, (), {}, 0, frozenset({1})),
+    ],
+    ids=["one-state", "one-state-final", "all-final", "none-final", "identity-letter",
+         "identity-only", "no-letters"],
+)
+def test_hopcroft_edge_cases(d):
+    blocks = _hopcroft(d.n, d.delta, d.finals)
+    assert set(blocks) == set(naive_partition(d.n, d.delta, d.finals))
+    assert sorted(q for block in blocks for q in block) == list(range(d.n))
+    assert minimize(d).n == quotient_count_oracle(d)
+
+
+@pytest.mark.parametrize("n,expected", [(8, 7 * 2**8 + 2**7), (10, 9 * 2**10 + 2**9)])
+def test_minimize_regular_product_beyond_default_caps(n, expected):
+    # (m-1) 2^n + 2^(n-1) at m = n; 9728 states at n = 10 is out of reach
+    # of quadratic refinement
+    w = make_witness("regular", n)
+    assert complexity(concat(w, w)) == expected
 
 
 def test_equivalent_examples():

@@ -73,6 +73,24 @@ def test_read_rejects_bad_documents(mutation, fragment):
     assert fragment in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "field,value,fragment",
+    [
+        ("states", True, "states:"),
+        ("transitions", {"a": [False]}, "transitions['a'][0]:"),
+        ("initial", False, "initial:"),
+        ("finals", [False], "finals:"),
+    ],
+)
+def test_read_rejects_booleans_as_integers(field, value, fragment):
+    doc = {"states": 1, "alphabet": ["a"], "transitions": {"a": [0]}, "initial": 0, "finals": [0]}
+    read_dfa(json.dumps(doc))
+    doc[field] = value
+    with pytest.raises(DocumentError) as err:
+        read_dfa(json.dumps(doc))
+    assert str(err.value).startswith(fragment)
+
+
 def test_read_rejects_non_json():
     with pytest.raises(DocumentError):
         read_dfa("not json at all {")
