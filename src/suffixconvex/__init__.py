@@ -52,7 +52,6 @@ from .transformations import (
     format_notation,
     parse_notation,
     send_to,
-    shift_range,
 )
 from .verify import ComplexityReport, run_verification
 from .witnesses import FAMILIES, expected, make_dialect, make_witness

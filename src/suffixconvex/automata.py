@@ -59,9 +59,6 @@ class Dfa:
             raise InputError(f"letter {letter!r} not in alphabet {list(self.alphabet)}") from None
         return t(q)
 
-    def transform(self, letter: str) -> Transformation:
-        return self.delta[letter]
-
 
 @dataclass(frozen=True)
 class Nfa:

@@ -193,17 +193,3 @@ def classify(d: Dfa) -> ClassReport:
             tag: word for tag, (ok, word) in results.items() if not ok and word is not None
         },
     )
-
-
-def brute_force_language(d: Dfa, max_len: int) -> set[Word]:
-    """All accepted words of length at most max_len, by trie walk."""
-    out: set[Word] = set()
-    stack = [(d.initial, ())]
-    while stack:
-        state, word = stack.pop()
-        if state in d.finals:
-            out.add(word)
-        if len(word) < max_len:
-            for letter in d.alphabet:
-                stack.append((d.delta[letter](state), word + (letter,)))
-    return out

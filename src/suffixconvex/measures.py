@@ -1,10 +1,20 @@
 """Semigroup enumeration, quotient complexities, and atoms.
 
-Atom non-emptiness and complexity both run on the image-pair automaton:
-the quotient of the atom A_S by a word w is determined by the pair
-(Sw, S'w) where S' is the complement of S, a pair is accepting when Sw
-lies inside the final states and S'w avoids them, and a pair whose
-components overlap can never accept again and is pruned to a sink.
+The transition semigroup is closed over transformations packed as bytes,
+so composing with a letter is one ``bytes.translate``; this bounds the
+DFA at 256 states.
+
+Atom A_S is non-empty exactly when S = {q : qw is final} for some word w.
+Those sets are the subsets reached by the subset construction on the
+reversed DFA from the final states (Brzozowski and Tamm, "Theory of
+atomata", 2014), so atoms are enumerated by one breadth-first search in
+time proportional to their number.
+
+Atom complexity runs on the image-pair automaton: the quotient of A_S by
+a word w is determined by the pair (Sw, S'w) where S' is the complement
+of S, a pair is accepting when Sw lies inside the final states and S'w
+avoids them, and a pair whose components overlap can never accept again
+and is pruned to a sink.
 """
 
 from __future__ import annotations
@@ -19,6 +29,7 @@ from .transformations import Transformation
 
 DEFAULT_SEMIGROUP_CAP = 2_000_000
 DEFAULT_ATOM_STATE_LIMIT = 12
+SEMIGROUP_STATE_BOUND = 256
 
 AtomKey = frozenset
 
@@ -38,12 +49,20 @@ def transition_semigroup(d: Dfa, cap: int = DEFAULT_SEMIGROUP_CAP) -> SemigroupS
 
     Breadth-first over words by length then alphabet order; stops early,
     flagging truncation, once cap distinct elements have been found and
-    more exist.
+    more exist.  Elements are stored as bytes, so d may have at most
+    SEMIGROUP_STATE_BOUND states; a larger d raises LimitError.
     """
+    if d.n > SEMIGROUP_STATE_BOUND:
+        raise LimitError(
+            f"semigroup enumeration over {d.n} states exceeds the bound of "
+            f"{SEMIGROUP_STATE_BOUND} states (elements are packed one byte per state)"
+        )
     generators = {letter: d.delta[letter] for letter in d.alphabet}
-    gen_images = [d.delta[letter].image for letter in d.alphabet]
-    seen: set[tuple[int, ...]] = set()
-    queue: deque[tuple[int, ...]] = deque()
+    gen_images = [bytes(d.delta[letter].image) for letter in d.alphabet]
+    # translate(table) maps each state q of an element to gen(q)
+    tables = [image + bytes(256 - d.n) for image in gen_images]
+    seen: set[bytes] = set()
+    queue: deque[bytes] = deque()
     truncated = False
     for image in gen_images:
         if image not in seen:
@@ -51,8 +70,8 @@ def transition_semigroup(d: Dfa, cap: int = DEFAULT_SEMIGROUP_CAP) -> SemigroupS
             queue.append(image)
     while queue and not truncated:
         current = queue.popleft()
-        for gen in gen_images:
-            composed = tuple(gen[q] for q in current)
+        for table in tables:
+            composed = current.translate(table)
             if composed in seen:
                 continue
             if len(seen) >= cap:
@@ -102,65 +121,36 @@ class _PairSpace:
         return x <= self.finals and not (y & self.finals)
 
 
-def _atom_reaches_accepting(space: _PairSpace, start, memo: dict) -> bool:
-    """Whether the pair automaton reaches an accepting pair from start.
-
-    memo carries answers across starts: a fully explored closure with no
-    accepting pair condemns every pair in it, while a successful search
-    only vouches for the discovery chain of the pair it hit.
-    """
-    known = memo.get(start)
-    if known is not None:
-        return known
-    if space.accepting(start):
-        memo[start] = True
-        return True
-    parent = {start: None}
-    queue = deque([start])
-    found = None
-    while queue and found is None:
-        pair = queue.popleft()
-        if memo.get(pair) is False:
-            continue
-        if memo.get(pair) is True:
-            found = pair
-            break
-        for letter in space.m.alphabet:
-            nx = space.image(pair[0], letter)
-            ny = space.image(pair[1], letter)
-            if nx & ny:
-                continue  # overlap can never accept again
-            nxt = (nx, ny)
-            if nxt in parent:
-                continue
-            parent[nxt] = pair
-            if space.accepting(nxt) or memo.get(nxt) is True:
-                found = nxt
-                break
-            queue.append(nxt)
-    if found is None:
-        for pair in parent:
-            memo[pair] = False
-        return False
-    while found is not None:
-        memo[found] = True
-        found = parent[found]
-    return True
-
-
 def atoms(d: Dfa, limit: int = DEFAULT_ATOM_STATE_LIMIT) -> frozenset[AtomKey]:
-    """The subsets S of the minimal DFA's states whose atom is non-empty."""
+    """The subsets S of the minimal DFA's states whose atom is non-empty.
+
+    Breadth-first from S = F over the reversed transitions: the set for
+    the word aw is {q : q.a in S}, where S is the set for w.
+    """
     m = minimize(d)
     if m.n > limit:
         raise LimitError(f"atom enumeration over {m.n} states exceeds the limit {limit}")
-    space = _PairSpace(m)
-    memo: dict = {}
-    found = []
-    for bits in range(2**m.n):
-        s = frozenset(q for q in range(m.n) if bits >> q & 1)
-        if _atom_reaches_accepting(space, (s, space.full - s), memo):
-            found.append(s)
-    return frozenset(found)
+    # preimages[letter][q]: bitmask of the states p with p.letter = q
+    preimages = []
+    for letter in m.alphabet:
+        pre = [0] * m.n
+        for p, q in enumerate(m.delta[letter].image):
+            pre[q] |= 1 << p
+        preimages.append(pre)
+    start = sum(1 << q for q in m.finals)
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        mask = queue.popleft()
+        members = [q for q in range(m.n) if mask >> q & 1]
+        for pre in preimages:
+            nxt = 0
+            for q in members:
+                nxt |= pre[q]
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return frozenset(frozenset(q for q in range(m.n) if mask >> q & 1) for mask in seen)
 
 
 def atom_automaton(d: Dfa, key) -> Dfa:

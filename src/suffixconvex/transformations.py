@@ -1,8 +1,8 @@
 """Total transformations of {0,..,n-1} and their parenthesized notation.
 
 Every witness automaton in this package is generated from a handful of
-atom kinds: k-cycles ``(q0,q1,...)``, collapses ``(P->q)``, range shifts,
-and the identity.  Atoms compose left to right: ``compose_many([s, t])``
+atom kinds: k-cycles ``(q0,q1,...)``, collapses ``(P->q)``, and the
+identity.  Atoms compose left to right: ``compose_many([s, t])``
 maps ``q`` to ``t(s(q))``.
 """
 
@@ -41,9 +41,6 @@ class Transformation:
             raise InputError(f"cannot compose maps of sizes {self.n} and {other.n}")
         return Transformation(tuple(other.image[r] for r in self.image))
 
-    def apply_set(self, states: Iterable[int]) -> frozenset[int]:
-        return frozenset(self.image[q] for q in states)
-
     def is_identity(self) -> bool:
         return all(r == q for q, r in enumerate(self.image))
 
@@ -78,26 +75,6 @@ def send_to(n: int, sources: Iterable[int], target: int) -> Transformation:
         if not 0 <= p < n:
             raise InputError(f"source {p} outside 0..{n - 1}")
         image[p] = target
-    return Transformation(tuple(image))
-
-
-def shift_range(n: int, i: int, j: int, direction: str) -> Transformation:
-    """Shift the closed range i..j by one step up or down, identity outside."""
-    if not 0 <= i <= j <= n - 1:
-        raise InputError(f"range {i}..{j} invalid for n={n}")
-    if direction == "up":
-        if j + 1 > n - 1:
-            raise InputError(f"shifting {i}..{j} up exits 0..{n - 1}")
-        delta = 1
-    elif direction == "down":
-        if i - 1 < 0:
-            raise InputError(f"shifting {i}..{j} down exits 0..{n - 1}")
-        delta = -1
-    else:
-        raise InputError(f"direction must be 'up' or 'down', got {direction!r}")
-    image = list(range(n))
-    for q in range(i, j + 1):
-        image[q] = q + delta
     return Transformation(tuple(image))
 
 

@@ -8,9 +8,10 @@ language checks walk words directly.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from random import Random
 
-from suffixconvex.automata import Dfa, accepts
+from suffixconvex.automata import Dfa, accepts, minimize
 from suffixconvex.transformations import Transformation
 
 
@@ -105,6 +106,85 @@ def naive_partition(n: int, rows: dict[str, Transformation], finals: frozenset[i
     return list(partition)
 
 
+def naive_semigroup(d: Dfa, cap: int) -> tuple[int, bool]:
+    """(size, truncated) of the transition semigroup, closed over tuples.
+
+    Same breadth-first order and cap rule as
+    ``measures.transition_semigroup``, composing element by element in a
+    generator; the reference for its byte-packed closure.
+    """
+    gen_images = [d.delta[letter].image for letter in d.alphabet]
+    seen: set[tuple[int, ...]] = set()
+    queue: deque[tuple[int, ...]] = deque()
+    truncated = False
+    for image in gen_images:
+        if image not in seen:
+            seen.add(image)
+            queue.append(image)
+    while queue and not truncated:
+        current = queue.popleft()
+        for gen in gen_images:
+            composed = tuple(gen[q] for q in current)
+            if composed in seen:
+                continue
+            if len(seen) >= cap:
+                truncated = True
+                break
+            seen.add(composed)
+            queue.append(composed)
+    return len(seen), truncated
+
+
+def naive_atoms(d: Dfa) -> frozenset[frozenset[int]]:
+    """Non-empty atom keys by a plain per-subset search of the pair space.
+
+    For every subset S of the minimal DFA's states, searches the image
+    pairs reachable from (S, complement of S) for one with Sw inside the
+    finals and the complement's image outside them; no shared caches.
+    The reference for ``measures.atoms``.
+    """
+    m = minimize(d)
+    full = frozenset(range(m.n))
+    found = set()
+    for bits in range(2**m.n):
+        s = frozenset(q for q in range(m.n) if bits >> q & 1)
+        start = (s, full - s)
+        seen = {start}
+        queue = [start]
+        hit = False
+        while queue and not hit:
+            x, y = queue.pop()
+            if x <= m.finals and not (y & m.finals):
+                hit = True
+                break
+            for letter in m.alphabet:
+                nx = frozenset(m.delta[letter](q) for q in x)
+                ny = frozenset(m.delta[letter](q) for q in y)
+                if nx & ny:
+                    continue
+                pair = (nx, ny)
+                if pair not in seen:
+                    seen.add(pair)
+                    queue.append(pair)
+        if hit:
+            found.add(s)
+    return frozenset(found)
+
+
+def brute_force_language(d: Dfa, max_len: int) -> set[tuple[str, ...]]:
+    """All accepted words of length at most max_len, by trie walk."""
+    out: set[tuple[str, ...]] = set()
+    stack = [(d.initial, ())]
+    while stack:
+        state, word = stack.pop()
+        if state in d.finals:
+            out.add(word)
+        if len(word) < max_len:
+            for letter in d.alphabet:
+                stack.append((d.delta[letter](state), word + (letter,)))
+    return out
+
+
 def words_upto(alphabet, max_len: int):
     for length in range(max_len + 1):
         yield from itertools.product(alphabet, repeat=length)
@@ -117,6 +197,11 @@ def language_upto(d: Dfa, max_len: int) -> set[tuple[str, ...]]:
 def same_language_upto(d1: Dfa, d2: Dfa, max_len: int) -> bool:
     assert set(d1.alphabet) == set(d2.alphabet)
     return all(accepts(d1, w) == accepts(d2, w) for w in words_upto(d1.alphabet, max_len))
+
+
+def cycle_dfa(n: int) -> Dfa:
+    """One letter cycling through n states, state 0 final: minimal with n states."""
+    return Dfa(n, ("a",), {"a": tuple((q + 1) % n for q in range(n))}, 0, frozenset({0}))
 
 
 def singleton_word_dfa(word: str, alphabet: tuple[str, ...]) -> Dfa:

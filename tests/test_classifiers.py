@@ -1,10 +1,9 @@
 from random import Random
 
-from helpers import dfa_corpus, finite_language_dfa, language_upto, random_dfa
+from helpers import brute_force_language, dfa_corpus, finite_language_dfa, language_upto, random_dfa
 
 from suffixconvex.automata import Dfa, accepts, equivalent, minimize
 from suffixconvex.classifiers import (
-    brute_force_language,
     classify,
     is_left_ideal,
     is_suffix_closed,

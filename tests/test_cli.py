@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from helpers import cycle_dfa
 
 from suffixconvex.cli import main
 from suffixconvex.serialization import read_dfa, write_dfa
@@ -101,6 +102,14 @@ def test_measure_semigroup_cap(capsys, tmp_path):
     f = _write(tmp_path, "w.json", make_witness("left-ideal", 5))
     code, out, _ = run_cli(capsys, "measure", "semigroup", f, "--cap", "50")
     assert json.loads(out) == {"semigroup_size": 50, "truncated": True}
+
+
+def test_measure_semigroup_over_state_bound_exits_2(capsys, tmp_path):
+    # minimal with 257 states, one more than a byte-packed element can hold
+    f = _write(tmp_path, "cycle.json", cycle_dfa(257))
+    code, out, err = run_cli(capsys, "measure", "semigroup", f)
+    assert code == 2 and out == ""
+    assert "bound of 256 states" in err
 
 
 def test_classify_output(capsys, tmp_path):

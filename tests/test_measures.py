@@ -3,11 +3,13 @@ from dataclasses import replace
 from random import Random
 
 import pytest
-from helpers import dfa_corpus
+from helpers import cycle_dfa, dfa_corpus, naive_atoms, naive_semigroup
 
 from suffixconvex.automata import Dfa, complexity, equivalent, minimize
 from suffixconvex.errors import InputError, LimitError
 from suffixconvex.measures import (
+    DEFAULT_SEMIGROUP_CAP,
+    SEMIGROUP_STATE_BOUND,
     atom_automaton,
     atom_complexity,
     atom_formula,
@@ -32,6 +34,23 @@ def test_transition_semigroup_cap():
     summary = transition_semigroup(make_witness("left-ideal", 5), cap=100)
     assert summary.truncated
     assert summary.size == 100
+
+
+def test_transition_semigroup_matches_naive_closure_on_corpus():
+    for d in dfa_corpus(seed=107, count=500, max_n=7):
+        for cap in (1, 5, 50, 300, DEFAULT_SEMIGROUP_CAP):
+            summary = transition_semigroup(d, cap)
+            assert (summary.size, summary.truncated) == naive_semigroup(d, cap)
+
+
+def test_transition_semigroup_state_bound():
+    at_bound = cycle_dfa(SEMIGROUP_STATE_BOUND)
+    assert transition_semigroup(at_bound).size == SEMIGROUP_STATE_BOUND
+    over = cycle_dfa(SEMIGROUP_STATE_BOUND + 1)
+    with pytest.raises(LimitError, match="bound of 256 states"):
+        transition_semigroup(over)
+    with pytest.raises(LimitError, match="bound of 256 states"):
+        syntactic_semigroup_size(over, cap=1)
 
 
 def test_syntactic_semigroup_sizes():
@@ -87,6 +106,11 @@ def test_atoms_counts():
     assert len(atoms(make_dialect("suffix-free-5", 4, ("a", None, "c", None, "e")))) == 5
     sigma_star = Dfa(1, ("a",), {"a": (0,)}, 0, frozenset({0}))
     assert atoms(sigma_star) == frozenset({frozenset({0})})
+
+
+def test_atoms_of_left_ideal_reversal_dialect_at_n12():
+    d = make_dialect("left-ideal", 12, ("a", None, "c", "d", "e"))
+    assert len(atoms(d)) == 2**11 + 1
 
 
 def test_atoms_limit():
@@ -152,41 +176,11 @@ def test_atom_complexity_matches_formula_on_witnesses():
                 assert measured == formula
 
 
-def _naive_atoms(d):
-    # plain per-subset BFS, no shared caches: the oracle for atoms()
-    m = minimize(d)
-    full = frozenset(range(m.n))
-    found = set()
-    for bits in range(2**m.n):
-        s = frozenset(q for q in range(m.n) if bits >> q & 1)
-        start = (s, full - s)
-        seen = {start}
-        queue = [start]
-        hit = False
-        while queue and not hit:
-            x, y = queue.pop()
-            if x <= m.finals and not (y & m.finals):
-                hit = True
-                break
-            for letter in m.alphabet:
-                nx = frozenset(m.delta[letter](q) for q in x)
-                ny = frozenset(m.delta[letter](q) for q in y)
-                if nx & ny:
-                    continue
-                pair = (nx, ny)
-                if pair not in seen:
-                    seen.add(pair)
-                    queue.append(pair)
-        if hit:
-            found.add(s)
-    return frozenset(found)
-
-
 def test_atoms_match_naive_enumeration_on_corpus():
-    for d in dfa_corpus(seed=101, count=30, max_n=4):
+    for d in dfa_corpus(seed=101, count=30, max_n=7):
         m = minimize(d)
         keys = atoms(m)
-        assert keys == _naive_atoms(m)
+        assert keys == naive_atoms(m)
         for bits in range(2**m.n):
             s = frozenset(q for q in range(m.n) if bits >> q & 1)
             if s in keys:

@@ -10,7 +10,6 @@ from suffixconvex.transformations import (
     identity,
     parse_notation,
     send_to,
-    shift_range,
 )
 
 
@@ -43,18 +42,6 @@ def test_send_to_images():
         send_to(4, {4}, 0)
     with pytest.raises(InputError):
         send_to(4, {0}, 7)
-
-
-def test_shift_range():
-    assert shift_range(5, 1, 3, "up").image == (0, 2, 3, 4, 4)
-    assert shift_range(5, 2, 2, "down").image == (0, 1, 1, 3, 4)
-    assert shift_range(5, 1, 3, "up")(0) == 0
-    with pytest.raises(InputError):
-        shift_range(5, 1, 4, "up")
-    with pytest.raises(InputError):
-        shift_range(5, 0, 2, "down")
-    with pytest.raises(InputError):
-        shift_range(5, 3, 1, "up")
 
 
 def test_compose_two_transpositions():
