@@ -97,30 +97,6 @@ def quotient_complexities(d: Dfa) -> tuple[int, ...]:
     return tuple(minimize(replace(m, initial=q)).n for q in range(m.n))
 
 
-class _PairSpace:
-    """Shared image computations over a fixed minimal DFA."""
-
-    def __init__(self, m: Dfa):
-        self.m = m
-        self.full = frozenset(range(m.n))
-        self.finals = m.finals
-        self.tables = {letter: m.delta[letter].image for letter in m.alphabet}
-        self._images: dict[tuple[frozenset, str], frozenset] = {}
-
-    def image(self, states: frozenset, letter: str) -> frozenset:
-        key = (states, letter)
-        cached = self._images.get(key)
-        if cached is None:
-            table = self.tables[letter]
-            cached = frozenset(table[q] for q in states)
-            self._images[key] = cached
-        return cached
-
-    def accepting(self, pair) -> bool:
-        x, y = pair
-        return x <= self.finals and not (y & self.finals)
-
-
 def atoms(d: Dfa, limit: int = DEFAULT_ATOM_STATE_LIMIT) -> frozenset[AtomKey]:
     """The subsets S of the minimal DFA's states whose atom is non-empty.
 
@@ -156,40 +132,51 @@ def atoms(d: Dfa, limit: int = DEFAULT_ATOM_STATE_LIMIT) -> frozenset[AtomKey]:
 def atom_automaton(d: Dfa, key) -> Dfa:
     """DFA recognizing the atom A_S over the minimal DFA of L(d).
 
-    States are the image pairs reachable from (S, complement of S);
-    overlapping pairs collapse into one sink.  Rejects empty atoms.
+    States are the image pairs reachable from (S, complement of S), held
+    as bitmasks; overlapping pairs collapse into one sink.  Rejects empty
+    atoms.
     """
     m = minimize(d)
     s = frozenset(key)
     if not s <= frozenset(range(m.n)):
         raise InputError(f"atom key {sorted(s)} outside the minimal DFA's states")
-    space = _PairSpace(m)
-    start = (s, space.full - s)
+    # bits[letter][q]: the bitmask of q.letter
+    bits = [[1 << q for q in m.delta[letter].image] for letter in m.alphabet]
+    x = sum(1 << q for q in s)
+    start = (x, (1 << m.n) - 1 - x)
     index = {start: 0}
     order = [start]
-    rows: dict[str, list] = {letter: [] for letter in m.alphabet}
+    rows: list[list[int]] = [[] for _ in m.alphabet]
     pos = 0
     while pos < len(order):
         pair = order[pos]
         pos += 1
         if pair is None:  # sink
-            for letter in m.alphabet:
-                rows[letter].append(index[None])
+            for row in rows:
+                row.append(index[None])
             continue
-        for letter in m.alphabet:
-            nx = space.image(pair[0], letter)
-            ny = space.image(pair[1], letter)
-            nxt = (nx, ny) if not (nx & ny) else None
+        xs = [q for q in range(m.n) if pair[0] >> q & 1]
+        ys = [q for q in range(m.n) if pair[1] >> q & 1]
+        for letter_bits, row in zip(bits, rows):
+            nx = ny = 0
+            for q in xs:
+                nx |= letter_bits[q]
+            for q in ys:
+                ny |= letter_bits[q]
+            nxt = (nx, ny) if not nx & ny else None
             if nxt not in index:
                 index[nxt] = len(order)
                 order.append(nxt)
-            rows[letter].append(index[nxt])
+            row.append(index[nxt])
+    # a pair accepts when Sw lies inside the finals and S'w avoids them
+    final_mask = sum(1 << q for q in m.finals)
     finals = frozenset(
-        i for i, pair in enumerate(order) if pair is not None and space.accepting(pair)
+        i for i, pair in enumerate(order)
+        if pair is not None and not pair[0] & ~final_mask and not pair[1] & final_mask
     )
     if not finals:
         raise InputError(f"atom for key {sorted(s)} is empty")
-    delta = {letter: Transformation(tuple(rows[letter])) for letter in m.alphabet}
+    delta = {letter: Transformation(tuple(row)) for letter, row in zip(m.alphabet, rows)}
     return Dfa(len(order), m.alphabet, delta, 0, finals)
 
 

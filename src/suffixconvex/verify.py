@@ -1,10 +1,13 @@
 """Verification harness: measure every claimed complexity value and
 compare against the closed forms.
 
-Each case names the exact dialect pair its claim calls for; measurements
-go through the language operations and measures modules, expectations
-come only from the formula tables.  Rows a claim explicitly excludes are
-reported as SKIP with the mathematical reason.
+The claims live in one table, ``witnesses.CLAIMS``: each record names
+its formula, the exact dialect pair it calls for, the sizes to measure,
+and the rows it excludes.  The harness walks that table, measures each
+row through the language operations and measures modules, and takes the
+expectation only from the record's formula.  Excluded rows are reported
+as SKIP with the record's reason, rows beyond a record's range as SKIP
+without being attempted.
 """
 
 from __future__ import annotations
@@ -30,16 +33,11 @@ from .operations import (
     reverse,
     star,
 )
-from .witnesses import CLASS_OF, FAMILIES, MIN_N, expected, make_dialect, make_witness
+from .witnesses import CLAIMS, CLASS_OF, FAMILIES, MIN_N, Claim, make_dialect, make_witness
 
 PASS = "PASS"
 FAIL = "FAIL"
 SKIP = "SKIP"
-
-BOOLEAN_TAGS = ("union", "symdiff", "difference", "intersection")
-SCALAR_TAGS = ("semigroup", "reverse", "atoms-count", "star")
-ALL_TAGS = SCALAR_TAGS + ("atom", "product") + BOOLEAN_TAGS
-
 
 @dataclass(frozen=True)
 class ReportEntry:
@@ -68,223 +66,6 @@ class ComplexityReport:
         return self.failed == 0
 
 
-@dataclass(frozen=True)
-class _Group:
-    family: str
-    tag: str
-    mode: str | None = None
-    dialect1: tuple | None = None  # None means the full witness
-    dialect2: tuple | None = None
-    n_range: tuple[int, int] = (4, 6)
-    m_range: tuple[int, int] | None = None
-    skip_all: str = ""
-    skip_pairs: tuple = ()
-    skip_pairs_reason: str = ""
-    skip_below_n: int = 0
-    skip_below_reason: str = ""
-    pair_dialect2: tuple = ()  # ((m, n), dialect) overrides
-
-    def names(self) -> set[str]:
-        if self.tag == "atom":
-            return {"atom", "atom-complexity", "atom-complexities"}
-        if self.mode is None:
-            return {self.tag}
-        return {self.tag, f"{self.tag}-{self.mode}"}
-
-    def dialect2_at(self, m: int, n: int) -> tuple | None:
-        for pair, dialect in self.pair_dialect2:
-            if pair == (m, n):
-                return dialect
-        return self.dialect2
-
-
-def _bool_groups(family, mode, d1, d2, n_range=(4, 6), m_range=(4, 6), **kw):
-    return [
-        _Group(family, op, mode, d1, d2, n_range=n_range, m_range=m_range, **kw)
-        for op in BOOLEAN_TAGS
-    ]
-
-
-def _case_groups() -> list[_Group]:
-    groups: list[_Group] = []
-
-    # regular baseline: the bounds below are met by the witness itself
-    # (reverse, star, semigroup) and the two-letter permuted pair (booleans)
-    groups += [
-        _Group("regular", "semigroup", n_range=(3, 6)),
-        _Group("regular", "reverse", n_range=(3, 6)),
-        _Group("regular", "star", n_range=(3, 6)),
-    ]
-    groups += _bool_groups(
-        "regular", "restricted", ("a", "b"), ("b", "a"), n_range=(3, 5), m_range=(3, 5)
-    )
-
-    ideal_rev = {"left-ideal": ("a", None, "c", "d", "e"), "left-ideal-alt": ("a", None, None, "d", "e")}
-    ideal_star = {"left-ideal": ("a", None, None, None, "e"), "left-ideal-alt": ("a", None, None, "d", "e")}
-    for family in ("left-ideal", "left-ideal-alt"):
-        groups += [
-            _Group(family, "semigroup", n_range=(4, 7)),
-            _Group(family, "reverse", dialect1=ideal_rev[family], n_range=(4, 8)),
-            _Group(family, "atoms-count", dialect1=ideal_rev[family], n_range=(4, 8)),
-            _Group(family, "atom", n_range=(4, 6)),
-            _Group(family, "star", dialect1=ideal_star[family], n_range=(4, 8)),
-        ]
-    groups += [
-        _Group(
-            "left-ideal", "product", "restricted",
-            ("a", None, None, None, "e"), ("a", None, None, None, "e"),
-            n_range=(4, 6), m_range=(4, 6),
-        ),
-        _Group(
-            "left-ideal", "product", "unrestricted",
-            ("a", "b", None, "d", "e"), ("a", "d", None, "c", "e"),
-            n_range=(4, 6), m_range=(4, 6),
-        ),
-    ]
-    groups += _bool_groups(
-        "left-ideal", "restricted", ("a", None, "c", None, "e"), ("a", None, "e", None, "c")
-    )
-    # no five-letter second dialect reaches these bounds; the six-letter
-    # pattern shared with the other two ideal streams meets them at every
-    # 4 <= m,n <= 6
-    groups += _bool_groups(
-        "left-ideal", "unrestricted", ("a", "b", "c", "d", "e"), ("a", "e", "f", "d", "b")
-    )
-
-    no_product = "the stream meets no product bound"
-    for mode in ("restricted", "unrestricted"):
-        groups.append(
-            _Group(
-                "left-ideal-alt", "product", mode,
-                n_range=(4, 6), m_range=(4, 6), skip_all=no_product,
-            )
-        )
-    groups += _bool_groups(
-        "left-ideal-alt", "restricted", ("a", "b", None, "d", "e"), ("a", "e", None, "d", "b")
-    )
-    groups += _bool_groups(
-        "left-ideal-alt", "unrestricted", ("a", "b", "c", "d", "e"), ("a", "e", "f", "d", "b")
-    )
-
-    sc_rev = ("a", None, None, "d", "e")
-    groups += [
-        _Group("suffix-closed", "semigroup", n_range=(4, 7)),
-        _Group("suffix-closed", "reverse", dialect1=sc_rev, n_range=(4, 8)),
-        _Group("suffix-closed", "atoms-count", dialect1=sc_rev, n_range=(4, 8)),
-        _Group("suffix-closed", "atom", n_range=(4, 6)),
-        _Group("suffix-closed", "star", dialect1=sc_rev, n_range=(4, 8)),
-        _Group(
-            "suffix-closed", "product", "restricted",
-            ("a", "b", None, "d", "e"), ("a", "e", None, "d", "b"),
-            n_range=(4, 6), m_range=(4, 6),
-        ),
-        _Group(
-            "suffix-closed", "product", "unrestricted",
-            ("a", "b", "c", "d", "e"), ("a", "e", "f", "d", "b"),
-            n_range=(4, 6), m_range=(4, 6),
-        ),
-    ]
-    groups += _bool_groups(
-        "suffix-closed", "restricted", ("a", "b", None, "d", "e"), ("a", "e", None, "d", "b")
-    )
-    groups += _bool_groups(
-        "suffix-closed", "unrestricted", ("a", "b", "c", "d", "e"), ("a", "e", "f", "d", "b")
-    )
-
-    groups += [
-        _Group(
-            "suffix-free-5", "semigroup", n_range=(4, 7),
-            skip_below_n=6, skip_below_reason="the semigroup bound applies from n=6",
-        ),
-        _Group("suffix-free-5", "reverse", dialect1=("a", None, "c", None, "e"), n_range=(4, 8)),
-        _Group("suffix-free-5", "atoms-count", dialect1=("a", None, "c", None, "e"), n_range=(4, 8)),
-        _Group("suffix-free-5", "atom", n_range=(4, 6)),
-    ]
-    # at (4,4) the letter-swapped operand equals the first one (a and b
-    # carry one transformation there), so the second dialect brings in
-    # the c transformation instead
-    sf5_44 = (((4, 4), ("b", None, "a", "d", "e")),)
-    for mode in ("restricted", "unrestricted"):
-        groups += _bool_groups(
-            "suffix-free-5", mode, ("a", "b", None, "d", "e"), ("b", "a", None, "d", "e"),
-            pair_dialect2=sf5_44,
-        )
-
-    groups.append(_Group("suffix-free-3", "star", n_range=(4, 8)))
-    for mode in ("restricted", "unrestricted"):
-        groups.append(
-            _Group(
-                "suffix-free-3", "product", mode,
-                None, ("c", "a", "b"), n_range=(4, 6), m_range=(4, 6),
-            )
-        )
-        groups += _bool_groups(
-            "suffix-free-3", mode, None, ("b", "a", "c"),
-            skip_pairs=((4, 4),),
-            skip_pairs_reason="the three-letter boolean pair excludes (m,n)=(4,4)",
-        )
-    return groups
-
-
-_VERIFY_GROUPS = _case_groups()
-
-
-def _identity_map(family: str, n: int) -> tuple[str, ...]:
-    return make_witness(family, n).alphabet
-
-
-def _operand(family: str, n: int, dialect: tuple | None):
-    if dialect is None:
-        return make_witness(family, n)
-    return make_dialect(family, n, dialect)
-
-
-def _dialect_labels(group: _Group, m: int | None, n: int, binary: bool) -> tuple[str, ...]:
-    def label(dialect, size):
-        if dialect is None:
-            return format_letter_map(_identity_map(group.family, size))
-        return format_letter_map(dialect)
-
-    if binary and m is not None:
-        return (label(group.dialect1, m), label(group.dialect2_at(m, n), n))
-    return (label(group.dialect1, n),)
-
-
-class _Measurer:
-    """Dispatches one (group, m, n) row to the measuring pipeline."""
-
-    def __init__(self, semigroup_cap: int):
-        self.semigroup_cap = semigroup_cap
-        self._semigroup_cache: dict[frozenset, tuple[int, bool]] = {}
-
-    def semigroup(self, family: str, n: int) -> tuple[int, bool]:
-        witness = make_witness(family, n)
-        key = frozenset(t.image for t in witness.delta.values())
-        if key not in self._semigroup_cache:
-            summary = syntactic_semigroup_size(witness, self.semigroup_cap)
-            self._semigroup_cache[key] = (summary.size, summary.truncated)
-        return self._semigroup_cache[key]
-
-    def scalar(self, group: _Group, n: int) -> int:
-        operand = _operand(group.family, n, group.dialect1)
-        if group.tag == "reverse":
-            return complexity(reverse(operand))
-        if group.tag == "atoms-count":
-            return len(atoms(operand))
-        if group.tag == "star":
-            return complexity(star(operand))
-        raise InputError(f"no scalar measurement for {group.tag!r}")
-
-    def binary(self, group: _Group, m: int, n: int) -> int:
-        d1 = _operand(group.family, m, group.dialect1)
-        d2 = _operand(group.family, n, group.dialect2_at(m, n))
-        if group.tag == "product":
-            return complexity(concat(d1, d2))
-        if group.mode == "restricted":
-            return complexity(boolean_restricted(d1, d2, group.tag))
-        return complexity(boolean_unrestricted(d1, d2, group.tag))
-
-
 def witness_atom_items(family: str, n: int) -> list[tuple[frozenset, int, int]]:
     """(definition key, measured complexity, formula value) per non-empty
     atom of the family's witness.
@@ -304,17 +85,20 @@ def witness_atom_items(family: str, n: int) -> list[tuple[frozenset, int, int]]:
     return items
 
 
+def _names(claim: Claim) -> set[str]:
+    if claim.tag == "atom":
+        return {"atom", "atom-complexity", "atom-complexities"}
+    return {claim.tag, claim.quantity}
+
+
 def _normalize_quantities(quantities) -> set[str] | None:
     if not quantities:
         return None
-    known = set(ALL_TAGS) | {"atom-complexity", "atom-complexities"}
-    known |= {f"{tag}-{mode}" for tag in ("product",) + BOOLEAN_TAGS for mode in ("restricted", "unrestricted")}
-    selected = set()
+    known = set().union(*map(_names, CLAIMS))
     for q in quantities:
         if q not in known:
             raise InputError(f"unknown quantity {q!r}")
-        selected.add(q)
-    return selected
+    return set(quantities)
 
 
 def run_verification(
@@ -324,26 +108,26 @@ def run_verification(
     m_range: tuple[int, int] | None = None,
     semigroup_cap: int = DEFAULT_SEMIGROUP_CAP,
 ) -> ComplexityReport:
-    """Measure the selected cases and compare against the formula table.
+    """Measure the selected claims and compare against their formulas.
 
-    Defaults run every case at its configured resource range; requested
-    values beyond a case's range are reported as SKIP rather than
-    attempted.
+    Defaults run every claim at its configured resource range; requested
+    values beyond a claim's range are reported as SKIP rather than
+    attempted.  Claims without a range are never measured.
     """
     if families:
         for f in families:
             if f not in FAMILIES:
                 raise InputError(f"unknown family {f!r}")
     selected_q = _normalize_quantities(quantities)
-    measurer = _Measurer(semigroup_cap)
+    semigroups: dict[frozenset, tuple[int, bool]] = {}
     entries: list[ReportEntry] = []
 
-    for group in _VERIFY_GROUPS:
-        if families and group.family not in families:
+    for claim in CLAIMS:
+        if claim.rows is None or (families and claim.family not in families):
             continue
-        if selected_q is not None and not (group.names() & selected_q):
+        if selected_q is not None and not (_names(claim) & selected_q):
             continue
-        entries.extend(_run_group(group, measurer, n_range, m_range))
+        entries.extend(_run_claim(claim, n_range, m_range, semigroup_cap, semigroups))
 
     entries.sort(
         key=lambda e: (
@@ -360,74 +144,89 @@ def run_verification(
     return ComplexityReport(tuple(entries), passed, failed, skipped, __version__)
 
 
-def _rows(requested: tuple[int, int] | None, group_range: tuple[int, int], family: str):
-    lo, hi = requested if requested else group_range
+def _sizes(requested: tuple[int, int] | None, claim_range: tuple[int, int], family: str):
+    lo, hi = requested if requested else claim_range
     for value in range(max(lo, MIN_N[family]), hi + 1):
-        yield value, (value > group_range[1])
+        yield value, (value > claim_range[1])
 
 
-def _run_group(group, measurer, n_range, m_range) -> list[ReportEntry]:
+def _operand(family: str, n: int, dialect: tuple | None):
+    if dialect is None:
+        return make_witness(family, n)
+    return make_dialect(family, n, dialect)
+
+
+def _label(family: str, n: int, dialect: tuple | None) -> str:
+    return format_letter_map(make_witness(family, n).alphabet if dialect is None else dialect)
+
+
+def _semigroup(family: str, n: int, cap: int, cache: dict) -> tuple[int, bool]:
+    # streams that share their letters share the semigroup
+    witness = make_witness(family, n)
+    key = frozenset(t.image for t in witness.delta.values())
+    if key not in cache:
+        summary = syntactic_semigroup_size(witness, cap)
+        cache[key] = (summary.size, summary.truncated)
+    return cache[key]
+
+
+_UNARY = {
+    "reverse": lambda d: complexity(reverse(d)),
+    "atoms-count": lambda d: len(atoms(d)),
+    "star": lambda d: complexity(star(d)),
+}
+
+
+def _measure(claim: Claim, m: int | None, n: int, semigroup_cap: int, semigroups: dict) -> list:
+    """(quantity, expected, measured, status, reason) for each entry of
+    one row the claim includes."""
+    if claim.tag == "atom":
+        return [
+            ("atom({" + ",".join(str(q) for q in sorted(key)) + "})",
+             formula_v, measured_v, PASS if measured_v == formula_v else FAIL, "")
+            for key, measured_v, formula_v in witness_atom_items(claim.family, n)
+        ]
+    if claim.tag == "semigroup":
+        measured_v, truncated = _semigroup(claim.family, n, semigroup_cap, semigroups)
+        if truncated:
+            reason = "semigroup enumeration truncated at the cap"
+            return [(claim.tag, None, measured_v, SKIP, reason)]
+    elif claim.mode is None:
+        measured_v = _UNARY[claim.tag](_operand(claim.family, n, claim.dialect1))
+    else:
+        d1 = _operand(claim.family, m, claim.dialect1)
+        d2 = _operand(claim.family, n, claim.dialect2_at(m, n))
+        if claim.tag == "product":
+            measured_v = complexity(concat(d1, d2))
+        elif claim.mode == "restricted":
+            measured_v = complexity(boolean_restricted(d1, d2, claim.tag))
+        else:
+            measured_v = complexity(boolean_unrestricted(d1, d2, claim.tag))
+    expected_v = claim.formula(m, n)
+    return [(claim.tag, expected_v, measured_v, PASS if measured_v == expected_v else FAIL, "")]
+
+
+def _run_claim(claim, n_range, m_range, semigroup_cap, semigroups) -> list[ReportEntry]:
+    family = claim.family
+    binary = claim.mode is not None
     entries = []
-    binary = group.m_range is not None
-    quantity_key = f"{group.tag}-{group.mode}" if group.mode else group.tag
-
-    def make_entry(m, n, expected_v, measured_v, status, reason="", quantity=None, dialects=None):
-        return ReportEntry(
-            family=group.family,
-            quantity=quantity or group.tag,
-            mode=group.mode,
-            dialects=dialects if dialects is not None else _dialect_labels(group, m, n, binary),
-            m=m,
-            n=n,
-            expected=expected_v,
-            measured=measured_v,
-            status=status,
-            reason=reason,
-        )
-
-    for n, beyond_n in _rows(n_range, group.n_range, group.family):
-        ms = [(None, False)] if not binary else list(_rows(m_range, group.m_range, group.family))
+    for n, beyond_n in _sizes(n_range, claim.rows, family):
+        ms = list(_sizes(m_range, claim.rows, family)) if binary else [(None, False)]
         for m, beyond_m in ms:
-            if group.skip_all:
-                entries.append(make_entry(m, n, None, None, SKIP, group.skip_all))
-                continue
-            if beyond_n or beyond_m:
-                entries.append(make_entry(m, n, None, None, SKIP, "beyond the configured resource range"))
-                continue
-            if group.skip_below_n and n < group.skip_below_n:
-                entries.append(make_entry(m, n, None, None, SKIP, group.skip_below_reason))
-                continue
-            if binary and (m, n) in group.skip_pairs:
-                entries.append(make_entry(m, n, None, None, SKIP, group.skip_pairs_reason))
-                continue
-
-            if group.tag == "atom":
-                label = format_letter_map(_identity_map(group.family, n))
-                for key, measured_v, formula_v in witness_atom_items(group.family, n):
-                    quantity = "atom({" + ",".join(str(q) for q in sorted(key)) + "})"
-                    status = PASS if measured_v == formula_v else FAIL
-                    entries.append(
-                        make_entry(None, n, formula_v, measured_v, status,
-                                   quantity=quantity, dialects=(label,))
-                    )
-                continue
-
-            if group.tag == "semigroup":
-                measured_v, truncated = measurer.semigroup(group.family, n)
-                if truncated:
-                    entries.append(
-                        make_entry(m, n, None, measured_v, SKIP,
-                                   "semigroup enumeration truncated at the cap")
-                    )
-                    continue
-            elif binary:
-                measured_v = measurer.binary(group, m, n)
+            if binary:
+                d2 = claim.dialect2_at(m, n)
+                dialects = (_label(family, m, claim.dialect1), _label(family, n, d2))
             else:
-                measured_v = measurer.scalar(group, n)
-
-            expected_v = expected(group.family, quantity_key, m, n)
-            status = PASS if measured_v == expected_v else FAIL
-            entries.append(make_entry(m, n, expected_v, measured_v, status))
+                dialects = (_label(family, n, claim.dialect1),)
+            reason = claim.exclude(m, n)
+            if not reason and (beyond_n or beyond_m):
+                reason = "beyond the configured resource range"
+            if reason:
+                results = [(claim.tag, None, None, SKIP, reason)]
+            else:
+                results = _measure(claim, m, n, semigroup_cap, semigroups)
+            for quantity, *rest in results:
+                entries.append(ReportEntry(family, quantity, claim.mode, dialects, m, n, *rest))
     return entries
 
 

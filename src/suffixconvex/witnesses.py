@@ -1,16 +1,23 @@
-"""Witness DFA streams and the closed-form complexity values they meet.
+"""Witness DFA streams and the table of claims they meet.
 
 Each family tag names one stream of minimal DFAs, one automaton per
-state count n.  ``expected`` is a pure table of formulas; it never
-measures anything, so the verification harness can compare it against
-independently measured values.
+state count n.  ``CLAIMS`` is the paper's table of results, one record
+per (family, quantity, mode): the closed-form formula, the dialect pair
+of the witness stream that meets it, the range of sizes the
+verification harness measures, and the rule for rows the claim
+excludes.  ``expected`` reads a formula from that table; it never
+measures anything, so the harness can compare it against independently
+measured values.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Callable
+
 from .automata import Dfa
 from .errors import InputError
-from .operations import LetterMap, apply_dialect
+from .operations import BOOL_OPS, LetterMap, apply_dialect, parse_letter_map
 from .transformations import Transformation, compose_many, cycle, send_to
 
 FAMILIES = (
@@ -64,15 +71,19 @@ def _ideal_letters(n: int) -> dict[str, Transformation]:
     }
 
 
-def _suffix_free_5_letters(n: int) -> dict[str, Transformation]:
+def _suffix_free_5(n: int) -> Dfa:
+    """The five-letter suffix-free automaton; at n=4 its a and b carry
+    the same transformation."""
     to_last = send_to(n, [0], n - 1)
-    return {
+    delta = {
         "a": compose_many([to_last, cycle(n, list(range(1, n - 1)))]),
         "b": compose_many([to_last, cycle(n, [1, 2])]),
         "c": compose_many([to_last, send_to(n, [n - 2], 1)]),
         "d": send_to(n, [0, 1], n - 1),
         "e": compose_many([send_to(n, range(1, n), n - 1), send_to(n, [0], 1)]),
     }
+    finals = frozenset(q for q in range(1, n - 1) if q % 2 == 1)
+    return Dfa(n, ("a", "b", "c", "d", "e"), delta, 0, finals)
 
 
 def _maybe_cycle(n: int, states: list[int]) -> list[Transformation]:
@@ -102,13 +113,9 @@ def make_witness(family: str, n: int) -> Dfa:
         return Dfa(n, ("a", "b", "c", "d", "e"), delta, 0, finals)
 
     if family == "suffix-free-5":
-        delta = _suffix_free_5_letters(n)
-        finals = frozenset(q for q in range(1, n - 1) if q % 2 == 1)
-        if n == 4:
-            # a and b coincide at n=4, so the witness drops a
-            alphabet = ("b", "c", "d", "e")
-            return Dfa(n, alphabet, {l: delta[l] for l in alphabet}, 0, finals)
-        return Dfa(n, ("a", "b", "c", "d", "e"), delta, 0, finals)
+        # a and b coincide at n=4, so the witness drops a
+        d = _suffix_free_5(n)
+        return apply_dialect(d, (None, "b", "c", "d", "e")) if n == 4 else d
 
     if family == "suffix-free-n":
         to_last = send_to(n, [0], n - 1)
@@ -157,128 +164,197 @@ def make_dialect(family: str, n: int, pi: LetterMap) -> Dfa:
     _check_family(family, n)
     pi = tuple(pi)
     if family == "suffix-free-5" and n == 4 and len(pi) == 5:
-        delta = _suffix_free_5_letters(n)
-        finals = frozenset(q for q in range(1, n - 1) if q % 2 == 1)
-        base = Dfa(n, ("a", "b", "c", "d", "e"), delta, 0, finals)
-        return apply_dialect(base, pi)
+        return apply_dialect(_suffix_free_5(n), pi)
     return apply_dialect(make_witness(family, n), pi)
 
 
-def _binary(m: int | None, quantity: str) -> int:
-    if m is None:
-        raise InputError(f"quantity {quantity!r} needs both m and n")
-    return m
+def _includes_every_row(m: int | None, n: int) -> str:
+    return ""
+
+
+@dataclass(frozen=True)
+class Claim:
+    """One claimed bound and the witness rows that meet it.
+
+    ``formula(m, n)`` is the claimed complexity; m is None unless the
+    claim has a mode (the binary quantities).  The harness measures
+    ``dialect1`` of the family's witness at n, or for a binary claim
+    ``dialect1`` at m against ``dialect2_at(m, n)`` at n, for every size
+    in ``rows``; a claim without rows is stated but never measured.
+    ``exclude(m, n)`` names why the claim leaves a row out, or is "".
+    Atom claims carry no formula: per-atom bounds are
+    measures.atom_formula.
+    """
+
+    family: str
+    tag: str
+    mode: str | None = None
+    formula: Callable[[int | None, int], int] | None = None
+    dialect1: tuple | None = None  # None means the full witness
+    dialect2: tuple | None = None
+    rows: tuple[int, int] | None = None  # n, and m for a binary claim
+    exclude: Callable[[int | None, int], str] = _includes_every_row
+    dialect2_overrides: tuple = ()  # ((m, n), dialect) pairs
+
+    @property
+    def quantity(self) -> str:
+        return f"{self.tag}-{self.mode}" if self.mode else self.tag
+
+    def dialect2_at(self, m: int, n: int) -> tuple | None:
+        return dict(self.dialect2_overrides).get((m, n), self.dialect2)
+
+
+def _booleans(family, mode, formulas, dialect1, dialect2, rows=(4, 6), **kw) -> tuple:
+    """The four boolean claims of one mode; formulas follow BOOL_OPS."""
+    return tuple(
+        Claim(family, op, mode, formula, dialect1, dialect2, rows, **kw)
+        for op, formula in zip(BOOL_OPS, formulas)
+    )
+
+
+def _ideal(family, reverse_dialect, star_dialect, star_formula) -> tuple:
+    """The unary claims shared by the left-ideal and suffix-closed streams."""
+    reverse = lambda m, n: 2 ** (n - 1) + 1
+    return (
+        Claim(family, "semigroup", formula=lambda m, n: n ** (n - 1) + n - 1, rows=(4, 7)),
+        Claim(family, "reverse", formula=reverse, dialect1=reverse_dialect, rows=(4, 8)),
+        Claim(family, "atoms-count", formula=reverse, dialect1=reverse_dialect, rows=(4, 8)),
+        Claim(family, "atom", rows=(4, 6)),
+        Claim(family, "star", formula=star_formula, dialect1=star_dialect, rows=(4, 8)),
+    )
+
+
+def _no_product_bound(m: int | None, n: int) -> str:
+    return "the stream meets no product bound"
+
+
+def _semigroup_from_6(m: int | None, n: int) -> str:
+    return "the semigroup bound applies from n=6" if n < 6 else ""
+
+
+def _boolean_pair_from_44(m: int | None, n: int) -> str:
+    return "the three-letter boolean pair excludes (m,n)=(4,4)" if (m, n) == (4, 4) else ""
+
+
+_MN = lambda m, n: m * n
+_RESTRICTED = (_MN, _MN, _MN, _MN)
+_UNION_UNRESTRICTED = lambda m, n: (m + 1) * (n + 1)
+_UNRESTRICTED = (_UNION_UNRESTRICTED, _UNION_UNRESTRICTED, lambda m, n: m * n + m, _MN)
+# restricted and unrestricted coincide: suffix-free languages always
+# have an empty quotient
+_SF_UNION = lambda m, n: m * n - (m + n - 2)
+_SUFFIX_FREE = (
+    _SF_UNION,
+    _SF_UNION,
+    lambda m, n: m * n - (m + 2 * n - 4),
+    lambda m, n: m * n - 2 * (m + n - 3),
+)
+_SF_REVERSE = lambda m, n: 2 ** (n - 2) + 1
+_SF3_PRODUCT = lambda m, n: (m - 1) * 2 ** (n - 2) + 1
+
+_d = parse_letter_map
+# no five-letter second dialect reaches the unrestricted boolean bounds
+# of the ideal streams; this six-letter pattern meets them at every
+# 4 <= m,n <= 6
+_SIX_LETTER_PAIR = (_d("a,b,c,d,e"), _d("a,e,f,d,b"))
+_SWAPPED_PAIR = (_d("a,b,-,d,e"), _d("a,e,-,d,b"))
+# at (4,4) the letter-swapped operand equals the first one (a and b
+# carry one transformation there), so the second dialect brings in the
+# c transformation instead
+_SF5_PAIR = (_d("a,b,-,d,e"), _d("b,a,-,d,e"))
+_SF5_AT_44 = (((4, 4), _d("b,-,a,d,e")),)
+_SF5_REVERSE = _d("a,-,c,-,e")
+_SF3_PAIR = (None, _d("b,a,c"))
+
+CLAIMS: tuple[Claim, ...] = (
+    # the witness itself meets the unary bounds and the two-letter
+    # permuted pair the restricted booleans; the product and unrestricted
+    # boolean bounds have no rows
+    Claim("regular", "semigroup", formula=lambda m, n: n**n, rows=(3, 6)),
+    Claim("regular", "reverse", formula=lambda m, n: 2**n, rows=(3, 6)),
+    Claim("regular", "star", formula=lambda m, n: 2 ** (n - 1) + 2 ** (n - 2), rows=(3, 6)),
+    Claim("regular", "product", "restricted", lambda m, n: (m - 1) * 2**n + 2 ** (n - 1)),
+    Claim("regular", "product", "unrestricted", lambda m, n: m * 2**n + 2 ** (n - 1)),
+    *_booleans("regular", "restricted", _RESTRICTED, _d("a,b"), _d("b,a"), rows=(3, 5)),
+    *_booleans("regular", "unrestricted", _UNRESTRICTED, None, None, rows=None),
+
+    *_ideal("left-ideal", _d("a,-,c,d,e"), _d("a,-,-,-,e"), lambda m, n: n + 1),
+    Claim(
+        "left-ideal", "product", "restricted", lambda m, n: m + n - 1,
+        _d("a,-,-,-,e"), _d("a,-,-,-,e"), rows=(4, 6),
+    ),
+    Claim(
+        "left-ideal", "product", "unrestricted", lambda m, n: m * n + m + n,
+        _d("a,b,-,d,e"), _d("a,d,-,c,e"), rows=(4, 6),
+    ),
+    *_booleans("left-ideal", "restricted", _RESTRICTED, _d("a,-,c,-,e"), _d("a,-,e,-,c")),
+    *_booleans("left-ideal", "unrestricted", _UNRESTRICTED, *_SIX_LETTER_PAIR),
+
+    *_ideal("left-ideal-alt", _d("a,-,-,d,e"), _d("a,-,-,d,e"), lambda m, n: n + 1),
+    Claim("left-ideal-alt", "product", "restricted", rows=(4, 6), exclude=_no_product_bound),
+    Claim("left-ideal-alt", "product", "unrestricted", rows=(4, 6), exclude=_no_product_bound),
+    *_booleans("left-ideal-alt", "restricted", _RESTRICTED, *_SWAPPED_PAIR),
+    *_booleans("left-ideal-alt", "unrestricted", _UNRESTRICTED, *_SIX_LETTER_PAIR),
+
+    *_ideal("suffix-closed", _d("a,-,-,d,e"), _d("a,-,-,d,e"), lambda m, n: n),
+    Claim(
+        "suffix-closed", "product", "restricted", lambda m, n: m * n - n + 1,
+        *_SWAPPED_PAIR, rows=(4, 6),
+    ),
+    Claim(
+        "suffix-closed", "product", "unrestricted", lambda m, n: m * n + m + 1,
+        *_SIX_LETTER_PAIR, rows=(4, 6),
+    ),
+    *_booleans("suffix-closed", "restricted", _RESTRICTED, *_SWAPPED_PAIR),
+    *_booleans("suffix-closed", "unrestricted", _UNRESTRICTED, *_SIX_LETTER_PAIR),
+
+    Claim(
+        "suffix-free-5", "semigroup", formula=lambda m, n: (n - 1) ** (n - 2) + n - 2,
+        rows=(4, 7), exclude=_semigroup_from_6,
+    ),
+    Claim("suffix-free-5", "reverse", formula=_SF_REVERSE, dialect1=_SF5_REVERSE, rows=(4, 8)),
+    Claim("suffix-free-5", "atoms-count", formula=_SF_REVERSE, dialect1=_SF5_REVERSE, rows=(4, 8)),
+    Claim("suffix-free-5", "atom", rows=(4, 6)),
+    *_booleans(
+        "suffix-free-5", "restricted", _SUFFIX_FREE, *_SF5_PAIR, dialect2_overrides=_SF5_AT_44
+    ),
+    *_booleans(
+        "suffix-free-5", "unrestricted", _SUFFIX_FREE, *_SF5_PAIR, dialect2_overrides=_SF5_AT_44
+    ),
+
+    Claim("suffix-free-3", "star", formula=lambda m, n: 2 ** (n - 2) + 1, rows=(4, 8)),
+    Claim("suffix-free-3", "product", "restricted", _SF3_PRODUCT, None, _d("c,a,b"), rows=(4, 6)),
+    Claim("suffix-free-3", "product", "unrestricted", _SF3_PRODUCT, None, _d("c,a,b"), rows=(4, 6)),
+    *_booleans(
+        "suffix-free-3", "restricted", _SUFFIX_FREE, *_SF3_PAIR, exclude=_boolean_pair_from_44
+    ),
+    *_booleans(
+        "suffix-free-3", "unrestricted", _SUFFIX_FREE, *_SF3_PAIR, exclude=_boolean_pair_from_44
+    ),
+)
+
+# atom claims carry no formula; per-atom bounds are measures.atom_formula
+_FORMULA_CLAIMS = {(c.family, c.quantity): c for c in CLAIMS if c.tag != "atom"}
 
 
 def expected(family: str, quantity: str, m: int | None, n: int) -> int:
     """Closed-form value claimed for (family, quantity, m, n).
 
-    Quantity strings: "semigroup", "reverse", "atoms-count", "star",
-    "product-restricted", "product-unrestricted", and the boolean tags
-    "union", "symdiff", "difference", "intersection" suffixed with
-    "-restricted" or "-unrestricted".  Pairs with no claimed bound are
-    rejected.  Per-atom expectations live in measures.atom_formula.
+    Quantity strings are the ``Claim.quantity`` of a record in CLAIMS:
+    "semigroup", "reverse", "atoms-count", "star", and "product" or a
+    boolean operation suffixed with "-restricted" or "-unrestricted".
+    Pairs with no claimed bound, and rows a claim excludes, are rejected.
     """
     _check_family(family, n)
-    table = _EXPECTED.get(family)
-    if table is None or quantity not in table:
+    claim = _FORMULA_CLAIMS.get((family, quantity))
+    if claim is None:
         raise InputError(f"no claimed bound for quantity {quantity!r} in family {family!r}")
-    if quantity in _BINARY_QUANTITIES:
-        m = _binary(m, quantity)
+    if claim.mode is not None:
+        if m is None:
+            raise InputError(f"quantity {quantity!r} needs both m and n")
         if m < MIN_N[family]:
             raise InputError(f"family {family!r} needs m >= {MIN_N[family]}, got {m}")
-        if family == "suffix-free-3" and quantity in _BOOLEAN_QUANTITIES and (m, n) == (4, 4):
-            raise InputError("the three-letter suffix-free boolean pair excludes (m,n)=(4,4)")
-    if family == "suffix-free-5" and quantity == "semigroup" and n < 6:
-        raise InputError("the suffix-free semigroup bound applies from n=6")
-    return table[quantity](m, n)
-
-
-_BOOLEAN_QUANTITIES = frozenset(
-    f"{op}-{mode}"
-    for op in ("union", "symdiff", "difference", "intersection")
-    for mode in ("restricted", "unrestricted")
-)
-_BINARY_QUANTITIES = _BOOLEAN_QUANTITIES | {"product-restricted", "product-unrestricted"}
-
-
-def _boolean_table(restricted, union_u, diff_u, inter_u):
-    table = {}
-    for op in ("union", "symdiff", "difference", "intersection"):
-        table[f"{op}-restricted"] = restricted
-    table["union-unrestricted"] = union_u
-    table["symdiff-unrestricted"] = union_u
-    table["difference-unrestricted"] = diff_u
-    table["intersection-unrestricted"] = inter_u
-    return table
-
-
-_IDEAL_TABLE = {
-    "semigroup": lambda m, n: n ** (n - 1) + n - 1,
-    "reverse": lambda m, n: 2 ** (n - 1) + 1,
-    "atoms-count": lambda m, n: 2 ** (n - 1) + 1,
-    "star": lambda m, n: n + 1,
-    **_boolean_table(
-        lambda m, n: m * n,
-        lambda m, n: (m + 1) * (n + 1),
-        lambda m, n: m * n + m,
-        lambda m, n: m * n,
-    ),
-}
-
-# restricted and unrestricted coincide: suffix-free languages always
-# have an empty quotient
-_SF_UNION = lambda m, n: m * n - (m + n - 2)
-_SF_DIFF = lambda m, n: m * n - (m + 2 * n - 4)
-_SF_INTER = lambda m, n: m * n - 2 * (m + n - 3)
-_SUFFIX_FREE_BOOLEANS = {
-    f"{op}-{mode}": formula
-    for op, formula in (
-        ("union", _SF_UNION),
-        ("symdiff", _SF_UNION),
-        ("difference", _SF_DIFF),
-        ("intersection", _SF_INTER),
-    )
-    for mode in ("restricted", "unrestricted")
-}
-
-_EXPECTED: dict[str, dict] = {
-    "regular": {
-        "semigroup": lambda m, n: n**n,
-        "reverse": lambda m, n: 2**n,
-        "star": lambda m, n: 2 ** (n - 1) + 2 ** (n - 2),
-        "product-restricted": lambda m, n: (m - 1) * 2**n + 2 ** (n - 1),
-        "product-unrestricted": lambda m, n: m * 2**n + 2 ** (n - 1),
-        **_boolean_table(
-            lambda m, n: m * n,
-            lambda m, n: (m + 1) * (n + 1),
-            lambda m, n: m * n + m,
-            lambda m, n: m * n,
-        ),
-    },
-    "left-ideal": {
-        **_IDEAL_TABLE,
-        "product-restricted": lambda m, n: m + n - 1,
-        "product-unrestricted": lambda m, n: m * n + m + n,
-    },
-    # the alternative left-ideal stream meets no product bound
-    "left-ideal-alt": dict(_IDEAL_TABLE),
-    "suffix-closed": {
-        **_IDEAL_TABLE,
-        "star": lambda m, n: n,
-        "product-restricted": lambda m, n: m * n - n + 1,
-        "product-unrestricted": lambda m, n: m * n + m + 1,
-    },
-    "suffix-free-5": {
-        "semigroup": lambda m, n: (n - 1) ** (n - 2) + n - 2,
-        "reverse": lambda m, n: 2 ** (n - 2) + 1,
-        "atoms-count": lambda m, n: 2 ** (n - 2) + 1,
-        **_SUFFIX_FREE_BOOLEANS,
-    },
-    "suffix-free-3": {
-        "star": lambda m, n: 2 ** (n - 2) + 1,
-        "product-restricted": lambda m, n: (m - 1) * 2 ** (n - 2) + 1,
-        "product-unrestricted": lambda m, n: (m - 1) * 2 ** (n - 2) + 1,
-        **_SUFFIX_FREE_BOOLEANS,
-    },
-}
+    reason = claim.exclude(m, n)
+    if reason:
+        raise InputError(reason)
+    return claim.formula(m, n)

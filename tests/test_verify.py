@@ -9,6 +9,7 @@ from suffixconvex.verify import (
     run_verification,
     witness_atom_items,
 )
+from suffixconvex.witnesses import CLAIMS, expected
 
 
 def test_family_and_quantity_selection():
@@ -104,3 +105,24 @@ def test_every_table_cell_has_a_report_entry(default_report):
             ]
             assert hits, (column, quantity, mode)
             assert all(e.status in ("PASS", "SKIP") for e in hits)
+
+
+def test_each_claim_is_stated_once():
+    keys = [(c.family, c.quantity) for c in CLAIMS]
+    assert len(keys) == len(set(keys))
+
+
+def test_exclusion_skips_carry_the_reason_expected_raises(default_report):
+    # every default SKIP row is a claim's exclusion: none is beyond its
+    # claim's range and none is a truncated semigroup
+    claims = {(c.family, c.tag, c.mode): c for c in CLAIMS}
+    skips = [e for e in default_report.entries if e.status == "SKIP"]
+    assert skips
+    for e in skips:
+        lo, hi = claims[(e.family, e.quantity, e.mode)].rows
+        assert lo <= e.n <= hi and (e.m is None or lo <= e.m <= hi)
+        assert e.measured is None
+        quantity = f"{e.quantity}-{e.mode}" if e.mode else e.quantity
+        with pytest.raises(InputError) as raised:
+            expected(e.family, quantity, e.m, e.n)
+        assert str(raised.value) == e.reason

@@ -174,6 +174,17 @@ def test_expected_rejections():
         expected("left-ideal", "semigroup", None, 3)
 
 
+def test_regular_witness_pair_meets_restricted_product_bound():
+    # the regular product claims have no harness rows; the restricted one
+    # is met by the witness against itself
+    from suffixconvex.operations import concat
+
+    for m in range(3, 7):
+        for n in range(3, 7):
+            product = concat(make_witness("regular", m), make_witness("regular", n))
+            assert complexity(product) == expected("regular", "product-restricted", m, n)
+
+
 def test_two_letter_star_family_meets_star_bound_empirically():
     # frozen from measurements; the claim's dialects are not spelled out
     assert complexity(star(make_witness("suffix-free-2star", 6))) == 17
