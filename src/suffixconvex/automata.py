@@ -6,6 +6,11 @@ transformation of the state set.  Operations that renumber states
 (determinize, minimize) always use breadth-first discovery order from
 the initial state, scanning letters in alphabet order, so results are
 reproducible bit for bit.
+
+The kernels (reachability, subset construction, minimization) work on
+plain ints: they index the ``image`` tuples of the transformations
+directly, hold subsets as int bitmasks, and build one validated ``Dfa``
+per result.
 """
 
 from __future__ import annotations
@@ -98,44 +103,45 @@ def accepts(d: Dfa, word: Iterable[str]) -> bool:
 
 def reachable_states(d: Dfa) -> list[int]:
     """States reachable from the initial state, in BFS discovery order."""
+    images = [d.delta[letter].image for letter in d.alphabet]
     order = [d.initial]
-    seen = {d.initial}
-    queue = deque(order)
-    while queue:
-        p = queue.popleft()
-        for letter in d.alphabet:
-            q = d.delta[letter](p)
-            if q not in seen:
-                seen.add(q)
+    seen = [False] * d.n
+    seen[d.initial] = True
+    for p in order:  # the list grows while it is read: a FIFO queue
+        for image in images:
+            q = image[p]
+            if not seen[q]:
+                seen[q] = True
                 order.append(q)
-                queue.append(q)
     return order
 
 
 def coreachable_states(d: Dfa) -> frozenset[int]:
     """States from which some final state can be reached."""
     pre: list[list[int]] = [[] for _ in range(d.n)]
-    for letter in d.alphabet:
-        t = d.delta[letter]
-        for p in range(d.n):
-            pre[t(p)].append(p)
+    for t in d.delta.values():
+        for p, q in enumerate(t.image):
+            pre[q].append(p)
     seen = set(d.finals)
-    queue = deque(seen)
-    while queue:
-        q = queue.popleft()
-        for p in pre[q]:
+    stack = list(seen)
+    while stack:
+        for p in pre[stack.pop()]:
             if p not in seen:
                 seen.add(p)
-                queue.append(p)
+                stack.append(p)
     return frozenset(seen)
 
 
 def determinize(m: Nfa) -> Dfa:
     """Subset construction with epsilon closure.
 
-    States are the reachable closed subsets, numbered by BFS discovery
-    order with letters scanned in alphabet order; the empty subset, when
-    reachable, becomes an ordinary sink state.
+    Subsets are int bitmasks, bit p standing for state p.  Each state's
+    epsilon closure and each (letter, state) closed step are computed
+    once; the closure of a union is the union of the closures, so a
+    subset's successor is the union of its members' closed steps.  States
+    are the reachable closed subsets, numbered by BFS discovery order with
+    letters scanned in alphabet order; the empty subset, when reachable,
+    becomes an ordinary sink state.
     """
     eps: list[list[int]] = [[] for _ in range(m.n)]
     moves: dict[str, list[list[int]]] = {l: [[] for _ in range(m.n)] for l in m.alphabet}
@@ -145,57 +151,63 @@ def determinize(m: Nfa) -> Dfa:
         else:
             moves[letter][p].append(q)
 
-    def closure(states: Iterable[int]) -> frozenset[int]:
-        result = set(states)
-        stack = list(result)
+    closure: list[int] = []
+    for p in range(m.n):
+        mask = 1 << p
+        stack = [p]
         while stack:
-            p = stack.pop()
-            for q in eps[p]:
-                if q not in result:
-                    result.add(q)
+            for q in eps[stack.pop()]:
+                if not mask >> q & 1:
+                    mask |= 1 << q
                     stack.append(q)
-        return frozenset(result)
+        closure.append(mask)
+    steps: list[list[int]] = []
+    for letter in m.alphabet:
+        row = []
+        for targets in moves[letter]:
+            mask = 0
+            for q in targets:
+                mask |= closure[q]
+            row.append(mask)
+        steps.append(row)
 
-    start = closure(m.initials)
-    index: dict[frozenset[int], int] = {start: 0}
-    order: list[frozenset[int]] = [start]
-    rows: dict[str, list[int]] = {l: [] for l in m.alphabet}
-    queue = deque([start])
-    while queue:
-        subset = queue.popleft()
-        for letter in m.alphabet:
-            move = set()
-            table = moves[letter]
-            for p in subset:
-                move.update(table[p])
-            target = closure(move)
-            if target not in index:
-                index[target] = len(order)
+    start = 0
+    for p in m.initials:
+        start |= closure[p]
+    index = {start: 0}
+    order = [start]
+    rows: list[list[int]] = [[] for _ in m.alphabet]
+    for subset in order:  # the list grows while it is read: a FIFO queue
+        members = []
+        rest = subset
+        while rest:
+            low = rest & -rest
+            members.append(low.bit_length() - 1)
+            rest ^= low
+        for step, row in zip(steps, rows):
+            target = 0
+            for p in members:
+                target |= step[p]
+            j = index.get(target)
+            if j is None:
+                j = index[target] = len(order)
                 order.append(target)
-                queue.append(target)
-            rows[letter].append(index[target])
+            row.append(j)
 
-    delta = {l: Transformation(tuple(rows[l])) for l in m.alphabet}
-    finals = frozenset(i for i, subset in enumerate(order) if subset & m.finals)
-    return Dfa(len(order), m.alphabet, delta, 0, finals)
-
-
-def _renumber(d: Dfa) -> Dfa:
-    """Relabel states in BFS discovery order; requires all states reachable."""
-    order = reachable_states(d)
-    if len(order) != d.n:
-        raise InputError("renumbering requires every state to be reachable")
-    new_of = {old: new for new, old in enumerate(order)}
-    delta = {
-        letter: Transformation(tuple(new_of[d.delta[letter](old)] for old in order))
-        for letter in d.alphabet
-    }
-    finals = frozenset(new_of[q] for q in d.finals if q in new_of)
-    return Dfa(d.n, d.alphabet, delta, 0, finals)
+    final_mask = 0
+    for q in m.finals:
+        final_mask |= 1 << q
+    finals = frozenset(i for i, subset in enumerate(order) if subset & final_mask)
+    return Dfa(len(order), m.alphabet, dict(zip(m.alphabet, rows)), 0, finals)
 
 
-def _hopcroft(n: int, rows: dict[str, Transformation], finals: frozenset[int]) -> list[frozenset[int]]:
+def _hopcroft(
+    n: int, rows: Sequence[Sequence[int]], finals: frozenset[int]
+) -> list[frozenset[int]]:
     """Partition {0,..,n-1} into classes of equivalent states.
+
+    rows holds one image sequence per letter: rows[c][p] is the state
+    letter c takes p to.
 
     Hopcroft's algorithm ("An n log n algorithm for minimizing states in a
     finite automaton", 1971) on the refinable partition of Valmari and
@@ -215,9 +227,9 @@ def _hopcroft(n: int, rows: dict[str, Transformation], finals: frozenset[int]) -
         return blocks
 
     pre: list[list[list[int]]] = []
-    for t in rows.values():
+    for image in rows:
         table: list[list[int]] = [[] for _ in range(n)]
-        for p, q in enumerate(t.image):
+        for p, q in enumerate(image):
             table[q].append(p)
         pre.append(table)
 
@@ -283,36 +295,49 @@ def _hopcroft(n: int, rows: dict[str, Transformation], finals: frozenset[int]) -
 def minimize(d: Dfa) -> Dfa:
     """The minimal complete DFA of L(d), canonically renumbered.
 
-    Unreachable states are dropped, equivalent states merged; the result
-    is idempotent under repeated minimization.
+    Unreachable states are dropped, equivalent states merged, and the
+    classes numbered by BFS discovery order from the initial class with
+    letters scanned in alphabet order; the result is idempotent under
+    repeated minimization.
     """
-    order = reachable_states(d)
-    sub_of = {old: i for i, old in enumerate(order)}
+    # one walk numbers the reachable states in BFS order and reads their rows
+    images = [d.delta[letter].image for letter in d.alphabet]
+    sub_of = [-1] * d.n
+    sub_of[d.initial] = 0
+    order = [d.initial]
+    rows: list[list[int]] = [[] for _ in images]
+    for p in order:  # the list grows while it is read: a FIFO queue
+        for image, row in zip(images, rows):
+            q = image[p]
+            i = sub_of[q]
+            if i < 0:
+                i = sub_of[q] = len(order)
+                order.append(q)
+            row.append(i)
     n = len(order)
-    rows = {
-        letter: Transformation(tuple(sub_of[d.delta[letter](old)] for old in order))
-        for letter in d.alphabet
-    }
-    finals = frozenset(sub_of[q] for q in d.finals if q in sub_of)
+    finals = frozenset(sub_of[q] for q in d.finals if sub_of[q] >= 0)
 
     blocks = _hopcroft(n, rows, finals)
     block_of = [0] * n
-    for i, block in enumerate(blocks):
+    for b, block in enumerate(blocks):
         for q in block:
-            block_of[q] = i
-    reps = [min(block) for block in blocks]
-    delta = {
-        letter: Transformation(tuple(block_of[rows[letter](rep)] for rep in reps))
-        for letter in d.alphabet
-    }
-    quotient = Dfa(
-        len(blocks),
-        d.alphabet,
-        delta,
-        block_of[sub_of[d.initial]],
-        frozenset(i for i, block in enumerate(blocks) if block <= finals and block),
-    )
-    return _renumber(quotient)
+            block_of[q] = b
+    # number the blocks by BFS over block transitions from the initial block
+    number = [-1] * len(blocks)
+    number[block_of[0]] = 0
+    visit = [block_of[0]]
+    out: list[list[int]] = [[] for _ in rows]
+    for b in visit:
+        rep = min(blocks[b])
+        for row, out_row in zip(rows, out):
+            c = block_of[row[rep]]
+            j = number[c]
+            if j < 0:
+                j = number[c] = len(visit)
+                visit.append(c)
+            out_row.append(j)
+    quotient_finals = frozenset(number[block_of[q]] for q in finals)
+    return Dfa(len(blocks), d.alphabet, dict(zip(d.alphabet, out)), 0, quotient_finals)
 
 
 def complete_over(d: Dfa, sigma: Sequence[str]) -> Dfa:
@@ -368,12 +393,10 @@ def equivalent(d1: Dfa, d2: Dfa) -> bool:
 
 def occurring_letters(d: Dfa) -> frozenset[str]:
     """Letters appearing in at least one accepted word."""
-    reach = set(reachable_states(d))
+    reach = reachable_states(d)
     core = coreachable_states(d)
     return frozenset(
-        letter
-        for letter in d.alphabet
-        if any(p in reach and d.delta[letter](p) in core for p in range(d.n))
+        letter for letter in d.alphabet if any(d.delta[letter].image[p] in core for p in reach)
     )
 
 

@@ -9,12 +9,10 @@ the raw constructions.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Sequence
 
 from .automata import Dfa, Nfa, complete_over, determinize, union_alphabet
 from .errors import InputError
-from .transformations import Transformation
 
 BOOL_OPS = ("union", "symdiff", "difference", "intersection")
 
@@ -67,28 +65,32 @@ def apply_dialect(d: Dfa, pi: LetterMap) -> Dfa:
 
 
 def _product(d1: Dfa, d2: Dfa, op: str) -> Dfa:
-    """Reachable part of the direct product; alphabets must agree as sets."""
+    """Reachable part of the direct product; alphabets must agree as sets.
+
+    The pair (p, q) is coded as the int p * d2.n + q.
+    """
     decide = _TRUTH[op]
     sigma = d1.alphabet
-    start = (d1.initial, d2.initial)
+    n2 = d2.n
+    images = [(d1.delta[l].image, d2.delta[l].image) for l in sigma]
+    start = d1.initial * n2 + d2.initial
     index = {start: 0}
     order = [start]
-    rows: dict[str, list[int]] = {l: [] for l in sigma}
-    queue = deque([start])
-    while queue:
-        p, q = queue.popleft()
-        for letter in sigma:
-            pair = (d1.delta[letter](p), d2.delta[letter](q))
-            if pair not in index:
-                index[pair] = len(order)
-                order.append(pair)
-                queue.append(pair)
-            rows[letter].append(index[pair])
-    delta = {l: Transformation(tuple(rows[l])) for l in sigma}
+    rows: list[list[int]] = [[] for _ in sigma]
+    for code in order:  # the list grows while it is read: a FIFO queue
+        p, q = divmod(code, n2)
+        for (image1, image2), row in zip(images, rows):
+            target = image1[p] * n2 + image2[q]
+            j = index.get(target)
+            if j is None:
+                j = index[target] = len(order)
+                order.append(target)
+            row.append(j)
     finals = frozenset(
-        i for i, (p, q) in enumerate(order) if decide(p in d1.finals, q in d2.finals)
+        i for i, code in enumerate(order)
+        if decide(code // n2 in d1.finals, code % n2 in d2.finals)
     )
-    return Dfa(len(order), sigma, delta, 0, finals)
+    return Dfa(len(order), sigma, dict(zip(sigma, rows)), 0, finals)
 
 
 def boolean_restricted(d1: Dfa, d2: Dfa, op: str) -> Dfa:

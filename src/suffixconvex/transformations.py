@@ -23,8 +23,11 @@ class Transformation:
     image: tuple[int, ...]
 
     def __post_init__(self):
-        n = len(self.image)
-        for q, r in enumerate(self.image):
+        image = self.image
+        n = len(image)
+        if image and 0 <= min(image) and max(image) < n:
+            return
+        for q, r in enumerate(image):
             if not 0 <= r < n:
                 raise InputError(f"image[{q}] = {r} outside 0..{n - 1}")
 

@@ -2,7 +2,9 @@
 
 Oracles here deliberately avoid the library's own algorithms: reachability
 is a plain DFS, the quotient count comes from signature refinement, and
-language checks walk words directly.
+language checks walk words directly.  The ``naive_*`` functions are the
+slower routines the library's kernels replaced, kept as references for
+differential tests.
 """
 
 from __future__ import annotations
@@ -11,7 +13,11 @@ import itertools
 from collections import deque
 from random import Random
 
-from suffixconvex.automata import Dfa, accepts, minimize
+from typing import Iterable
+
+from suffixconvex.automata import EPSILON, Dfa, Nfa, accepts, minimize
+from suffixconvex.errors import InputError
+from suffixconvex.operations import _TRUTH
 from suffixconvex.transformations import Transformation
 
 
@@ -27,6 +33,35 @@ def random_dfa(rng: Random, max_n: int = 6, max_letters: int = 3) -> Dfa:
 def dfa_corpus(seed: int, count: int, max_n: int = 6, max_letters: int = 3) -> list[Dfa]:
     rng = Random(seed)
     return [random_dfa(rng, max_n, max_letters) for _ in range(count)]
+
+
+def random_dfa_any_start(rng: Random, max_n: int = 10, max_letters: int = 3) -> Dfa:
+    """A random DFA with 0..max_letters letters and a random initial state,
+    so unreachable states are common."""
+    n = rng.randint(1, max_n)
+    alphabet = tuple("abc"[: rng.randint(0, max_letters)])
+    delta = {l: tuple(rng.randrange(n) for _ in range(n)) for l in alphabet}
+    finals = frozenset(q for q in range(n) if rng.random() < 0.4)
+    return Dfa(n, alphabet, delta, rng.randrange(n), finals)
+
+
+def random_nfa(rng: Random, max_n: int = 8, max_letters: int = 3) -> Nfa:
+    """A random epsilon-NFA: sparse moves (some states have none), random
+    epsilon moves plus, half the time, one epsilon cycle, and an initial
+    set that is empty one time in five."""
+    n = rng.randint(1, max_n)
+    alphabet = tuple("abc"[: rng.randint(0, max_letters)])
+    transitions = set()
+    for _ in range(rng.randint(0, 2 * n)):
+        transitions.add((rng.randrange(n), rng.choice(alphabet + (EPSILON,)), rng.randrange(n)))
+    if rng.random() < 0.5:
+        ring = rng.sample(range(n), rng.randint(1, n))
+        transitions.update((p, EPSILON, q) for p, q in zip(ring, ring[1:] + ring[:1]))
+    initials = frozenset() if rng.random() < 0.2 else frozenset(
+        q for q in range(n) if rng.random() < 0.3
+    )
+    finals = frozenset(q for q in range(n) if rng.random() < 0.3)
+    return Nfa(n, alphabet, frozenset(transitions), initials, finals)
 
 
 def reachable_oracle(d: Dfa) -> set[int]:
@@ -104,6 +139,155 @@ def naive_partition(n: int, rows: dict[str, Transformation], finals: frozenset[i
                 else:
                     worklist.add(inter if len(inter) <= len(rest) else rest)
     return list(partition)
+
+
+def naive_reachable_states(d: Dfa) -> list[int]:
+    """States reachable from the initial state, in BFS discovery order.
+
+    A deque BFS stepping through ``Transformation.__call__``; the reference
+    for ``automata.reachable_states``.
+    """
+    order = [d.initial]
+    seen = {d.initial}
+    queue = deque(order)
+    while queue:
+        p = queue.popleft()
+        for letter in d.alphabet:
+            q = d.delta[letter](p)
+            if q not in seen:
+                seen.add(q)
+                order.append(q)
+                queue.append(q)
+    return order
+
+
+def _renumber(d: Dfa) -> Dfa:
+    """Relabel states in BFS discovery order; requires all states reachable."""
+    order = naive_reachable_states(d)
+    if len(order) != d.n:
+        raise InputError("renumbering requires every state to be reachable")
+    new_of = {old: new for new, old in enumerate(order)}
+    delta = {
+        letter: Transformation(tuple(new_of[d.delta[letter](old)] for old in order))
+        for letter in d.alphabet
+    }
+    finals = frozenset(new_of[q] for q in d.finals if q in new_of)
+    return Dfa(d.n, d.alphabet, delta, 0, finals)
+
+
+def naive_minimize(d: Dfa) -> Dfa:
+    """The minimal DFA of L(d) built through two intermediate DFAs.
+
+    Restricts to the reachable states, builds the quotient over
+    ``naive_partition``'s classes, then renumbers it by a second BFS; the
+    reference for ``automata.minimize``, numbering included.
+    """
+    order = naive_reachable_states(d)
+    sub_of = {old: i for i, old in enumerate(order)}
+    n = len(order)
+    rows = {
+        letter: Transformation(tuple(sub_of[d.delta[letter](old)] for old in order))
+        for letter in d.alphabet
+    }
+    finals = frozenset(sub_of[q] for q in d.finals if q in sub_of)
+
+    blocks = naive_partition(n, rows, finals)
+    block_of = [0] * n
+    for i, block in enumerate(blocks):
+        for q in block:
+            block_of[q] = i
+    reps = [min(block) for block in blocks]
+    delta = {
+        letter: Transformation(tuple(block_of[rows[letter](rep)] for rep in reps))
+        for letter in d.alphabet
+    }
+    quotient = Dfa(
+        len(blocks),
+        d.alphabet,
+        delta,
+        block_of[sub_of[d.initial]],
+        frozenset(i for i, block in enumerate(blocks) if block <= finals and block),
+    )
+    return _renumber(quotient)
+
+
+def naive_determinize(m: Nfa) -> Dfa:
+    """Subset construction over frozensets, closing each subset afresh.
+
+    States are the reachable closed subsets, numbered by BFS discovery
+    order with letters scanned in alphabet order; the reference for
+    ``automata.determinize``.
+    """
+    eps: list[list[int]] = [[] for _ in range(m.n)]
+    moves: dict[str, list[list[int]]] = {l: [[] for _ in range(m.n)] for l in m.alphabet}
+    for p, letter, q in m.transitions:
+        if letter is EPSILON:
+            eps[p].append(q)
+        else:
+            moves[letter][p].append(q)
+
+    def closure(states: Iterable[int]) -> frozenset[int]:
+        result = set(states)
+        stack = list(result)
+        while stack:
+            p = stack.pop()
+            for q in eps[p]:
+                if q not in result:
+                    result.add(q)
+                    stack.append(q)
+        return frozenset(result)
+
+    start = closure(m.initials)
+    index: dict[frozenset[int], int] = {start: 0}
+    order: list[frozenset[int]] = [start]
+    rows: dict[str, list[int]] = {l: [] for l in m.alphabet}
+    queue = deque([start])
+    while queue:
+        subset = queue.popleft()
+        for letter in m.alphabet:
+            move = set()
+            table = moves[letter]
+            for p in subset:
+                move.update(table[p])
+            target = closure(move)
+            if target not in index:
+                index[target] = len(order)
+                order.append(target)
+                queue.append(target)
+            rows[letter].append(index[target])
+
+    delta = {l: Transformation(tuple(rows[l])) for l in m.alphabet}
+    finals = frozenset(i for i, subset in enumerate(order) if subset & m.finals)
+    return Dfa(len(order), m.alphabet, delta, 0, finals)
+
+
+def naive_product(d1: Dfa, d2: Dfa, op: str) -> Dfa:
+    """Reachable part of the direct product over tuple pairs.
+
+    Alphabets must agree as sets; the reference for
+    ``operations._product``.
+    """
+    decide = _TRUTH[op]
+    sigma = d1.alphabet
+    start = (d1.initial, d2.initial)
+    index = {start: 0}
+    order = [start]
+    rows: dict[str, list[int]] = {l: [] for l in sigma}
+    queue = deque([start])
+    while queue:
+        p, q = queue.popleft()
+        for letter in sigma:
+            pair = (d1.delta[letter](p), d2.delta[letter](q))
+            if pair not in index:
+                index[pair] = len(order)
+                order.append(pair)
+                queue.append(pair)
+            rows[letter].append(index[pair])
+    delta = {l: Transformation(tuple(rows[l])) for l in sigma}
+    finals = frozenset(
+        i for i, (p, q) in enumerate(order) if decide(p in d1.finals, q in d2.finals)
+    )
+    return Dfa(len(order), sigma, delta, 0, finals)
 
 
 def naive_semigroup(d: Dfa, cap: int) -> tuple[int, bool]:

@@ -1,15 +1,23 @@
+from random import Random
+
 import pytest
 from helpers import (
     dfa_corpus,
     language_upto,
+    naive_determinize,
+    naive_minimize,
     naive_partition,
+    naive_reachable_states,
     quotient_count_oracle,
+    random_dfa_any_start,
+    random_nfa,
     reachable_oracle,
     singleton_word_dfa,
 )
 from hypothesis import given, settings, strategies as st
 
 from suffixconvex.automata import (
+    EPSILON,
     Dfa,
     Nfa,
     _hopcroft,
@@ -21,6 +29,7 @@ from suffixconvex.automata import (
     equivalent,
     minimize,
     occurring_letters,
+    reachable_states,
 )
 from suffixconvex.errors import InputError
 from suffixconvex.operations import boolean_restricted, concat, reverse
@@ -126,6 +135,44 @@ def test_determinize_subset_labels_consistent():
     assert len(seen) == dfa.n
 
 
+def _has_epsilon_cycle(m: Nfa) -> bool:
+    succ: dict[int, set[int]] = {}
+    for p, letter, q in m.transitions:
+        if letter is EPSILON:
+            succ.setdefault(p, set()).add(q)
+    for start in succ:
+        seen: set[int] = set()
+        stack = [start]
+        while stack:
+            for q in succ.get(stack.pop(), ()):
+                if q == start:
+                    return True
+                if q not in seen:
+                    seen.add(q)
+                    stack.append(q)
+    return False
+
+
+def test_determinize_matches_naive_determinize_on_random_nfas():
+    # same states, same numbering: the Dfa values are equal
+    rng = Random(41)
+    corpus = [random_nfa(rng) for _ in range(1500)]
+    for nfa in corpus:
+        assert determinize(nfa) == naive_determinize(nfa)
+    assert sum(not m.initials for m in corpus) >= 200
+    assert sum(_has_epsilon_cycle(m) for m in corpus) >= 500
+    assert sum(
+        any(all(p != source for source, _, _ in m.transitions) for p in range(m.n))
+        for m in corpus
+    ) >= 500
+
+
+def test_determinize_empty_initial_set_is_a_sink():
+    nfa = Nfa(3, ("a", "b"), frozenset({(0, "a", 1), (1, None, 2)}), frozenset(), frozenset({2}))
+    d = determinize(nfa)
+    assert d == Dfa(1, ("a", "b"), {"a": (0,), "b": (0,)}, 0, frozenset())
+
+
 def test_minimize_leaves_minimal_witness_unchanged():
     w = make_witness("left-ideal", 5)
     assert minimize(w) == w
@@ -143,6 +190,23 @@ def test_minimize_merges_duplicate_sinks():
     m = minimize(d)
     assert m.n == 2
     assert equivalent(d, m)
+
+
+def test_minimize_matches_naive_minimize_on_corpus():
+    # same states, same numbering: the Dfa values are equal
+    rng = Random(43)
+    corpus = [random_dfa_any_start(rng) for _ in range(1500)]
+    for d in corpus:
+        assert minimize(d) == naive_minimize(d)
+    assert {len(d.alphabet) for d in corpus} == {0, 1, 2, 3}
+    assert max(d.n for d in corpus) == 10
+    assert sum(d.initial != 0 for d in corpus) >= 1000
+    assert sum(len(naive_reachable_states(d)) < d.n for d in corpus) >= 500
+
+
+def test_minimize_with_unreachable_only_final_state():
+    d = Dfa(4, ("a", "b"), {"a": (1, 2, 1, 3), "b": (0, 1, 2, 2)}, 2, frozenset({0}))
+    assert minimize(d) == Dfa(1, ("a", "b"), {"a": (0,), "b": (0,)}, 0, frozenset())
 
 
 def test_minimize_direct_product_counts():
@@ -163,7 +227,7 @@ def test_minimize_idempotent_and_equivalent_on_corpus():
 def test_hopcroft_matches_naive_partition_on_corpus():
     corpus = dfa_corpus(seed=31, count=1200, max_n=10)
     for d in corpus:
-        blocks = _hopcroft(d.n, d.delta, d.finals)
+        blocks = _hopcroft(d.n, [t.image for t in d.delta.values()], d.finals)
         expected = naive_partition(d.n, d.delta, d.finals)
         assert len(blocks) == len(set(blocks))
         assert set(blocks) == set(expected)
@@ -186,7 +250,7 @@ def test_hopcroft_matches_naive_partition_on_corpus():
          "identity-only", "no-letters"],
 )
 def test_hopcroft_edge_cases(d):
-    blocks = _hopcroft(d.n, d.delta, d.finals)
+    blocks = _hopcroft(d.n, [t.image for t in d.delta.values()], d.finals)
     assert set(blocks) == set(naive_partition(d.n, d.delta, d.finals))
     assert sorted(q for block in blocks for q in block) == list(range(d.n))
     assert minimize(d).n == quotient_count_oracle(d)
@@ -312,9 +376,11 @@ def test_equivalent_matches_exact_word_oracle():
 
 def test_reachability_matches_oracle():
     for d in dfa_corpus(seed=7, count=40):
-        from suffixconvex.automata import reachable_states
-
         assert set(reachable_states(d)) == reachable_oracle(d)
+    rng = Random(47)
+    for _ in range(300):
+        d = random_dfa_any_start(rng)
+        assert reachable_states(d) == naive_reachable_states(d)
 
 
 def test_language_of_minimized_matches_brute_force():

@@ -1,10 +1,28 @@
-import pytest
-from helpers import dfa_corpus, finite_language_dfa, language_upto, singleton_word_dfa
+from random import Random
 
-from suffixconvex.automata import complexity, determinize, equivalent, minimize
+import pytest
+from helpers import (
+    dfa_corpus,
+    finite_language_dfa,
+    language_upto,
+    naive_product,
+    random_dfa_any_start,
+    singleton_word_dfa,
+)
+
+from suffixconvex.automata import (
+    Dfa,
+    complete_over,
+    complexity,
+    determinize,
+    equivalent,
+    minimize,
+    union_alphabet,
+)
 from suffixconvex.classifiers import _prefixed_nfa, is_left_ideal
 from suffixconvex.errors import InputError
 from suffixconvex.operations import (
+    BOOL_OPS,
     apply_dialect,
     boolean_restricted,
     boolean_unrestricted,
@@ -77,6 +95,41 @@ def test_boolean_unrestricted_examples():
     m1 = make_dialect("left-ideal-alt", 4, ("a", "b", "c", "d", "e"))
     m2 = make_dialect("left-ideal-alt", 4, ("a", "e", "f", "d", "b"))
     assert complexity(boolean_unrestricted(m1, m2, "intersection")) == 16
+
+
+def test_product_matches_naive_product_on_corpus():
+    # same states, same numbering: the Dfa values are equal
+    rng = Random(53)
+    restricted = unrestricted = 0
+    for _ in range(600):
+        d1 = random_dfa_any_start(rng, max_n=8)
+        d2 = random_dfa_any_start(rng, max_n=8)
+        if set(d1.alphabet) == set(d2.alphabet):
+            letters = list(d2.alphabet)
+            rng.shuffle(letters)
+            d2 = complete_over(d2, letters)  # the same letters in another order
+            for op in BOOL_OPS:
+                assert boolean_restricted(d1, d2, op) == naive_product(d1, d2, op)
+            restricted += 1
+        else:
+            sigma = union_alphabet(d1, d2)
+            c1, c2 = complete_over(d1, sigma), complete_over(d2, sigma)
+            for op in BOOL_OPS:
+                assert boolean_unrestricted(d1, d2, op) == naive_product(c1, c2, op)
+            unrestricted += 1
+    assert restricted >= 100 and unrestricted >= 300
+
+
+def test_product_with_a_single_state_operand():
+    d = finite_language_dfa(["a", "ba"], ("a", "b"))
+    everything = Dfa(1, ("b", "a"), {"a": (0,), "b": (0,)}, 0, frozenset({0}))
+    inter = boolean_restricted(d, everything, "intersection")
+    assert inter.n == d.n and equivalent(inter, d)
+    union = boolean_restricted(d, everything, "union")
+    assert union.finals == frozenset(range(union.n))
+    assert equivalent(boolean_restricted(everything, d, "difference"), complement(d))
+    for op in BOOL_OPS:
+        assert boolean_restricted(d, everything, op) == naive_product(d, everything, op)
 
 
 def test_boolean_agrees_with_word_semantics():

@@ -13,6 +13,21 @@ from suffixconvex.transformations import (
 )
 
 
+@pytest.mark.parametrize(
+    "image,message",
+    [
+        ((0, -1, 2, -3), "image[1] = -1 outside 0..3"),
+        ((0, 1, 4, 7), "image[2] = 4 outside 0..3"),
+        ((5, -2, 0), "image[0] = 5 outside 0..2"),
+    ],
+)
+def test_transformation_rejects_out_of_range_entries(image, message):
+    # the message names the first bad index
+    with pytest.raises(InputError) as caught:
+        Transformation(image)
+    assert str(caught.value) == message
+
+
 def test_cycle_images():
     assert cycle(4, [1, 2, 3]).image == (0, 2, 3, 1)
     assert cycle(4, [0, 1]).image == (1, 0, 2, 3)
