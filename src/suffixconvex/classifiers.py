@@ -2,14 +2,36 @@
 
 Each predicate answers at the automaton level and, on failure, returns
 the length-lexicographically smallest counterexample word (letters
-compared in alphabet order), found by BFS over a product construction.
+compared in alphabet order).  All four tests are one breadth-first
+search, ``_first_word``, over tuples of states of at most three DFAs
+derived from d, for the first word w whose acceptance by each automaton
+matches a wanted pattern:
+
+    test           automata searched    wanted pattern          fails on a word of
+    left ideal     (ΣL, L)              accept, reject          ΣL∖L
+    suffix-closed  (Suff(L), L)         accept, reject          Suff(L)∖L
+    suffix-free    (L, Σ⁺L)             accept, accept          L∩Σ⁺L
+    suffix-convex  (Σ⁺L, Suff(L), L)    accept, accept, reject  Σ⁺L∩Suff(L)∖L
+
+A left ideal must also be non-empty: the same search over (L,) for an
+accepted word.  ΣL is built directly as an (n+1)-state DFA, so the
+left-ideal test needs no subset construction; Σ⁺L and Suff(L) are
+determinized, and ``classify`` builds each of them once.
+
+Two identities make these the counterexamples of the definitions:
+
+- {lw : w ∈ L, lw ∉ L} is exactly ΣL∖L, so one search returns the
+  smallest counterexample over all prefixed letters l.
+- Σ*L∖L = Σ⁺L∖L, so the convex test ("z and xyz accepted imply yz
+  accepted": a rejected word with an accepted suffix that is itself a
+  suffix of an accepted word) needs no Σ*L.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Optional
+from operator import getitem
+from typing import Optional, Sequence
 
 from .automata import Dfa, Nfa, coreachable_states, determinize, reachable_states
 
@@ -31,27 +53,38 @@ class ClassReport:
     counterexamples: dict[str, Word]
 
 
-def _shortest_word(alphabet, start, step, hit) -> Optional[Word]:
-    """Length-lex smallest word w with hit(state after w), or None."""
-    if hit(start):
+def _first_word(alphabet, dfas: Sequence[Dfa], want: Sequence[bool]) -> Optional[Word]:
+    """Length-lex smallest word w with (w in L(dfas[i])) == want[i] for
+    every i, or None.
+
+    BFS over tuples of states, one per automaton, scanning letters in
+    alphabet order; parent pointers rebuild the word.
+    """
+    good = [[(q in a.finals) == wanted for q in range(a.n)] for a, wanted in zip(dfas, want)]
+    steps = [(letter, [a.delta[letter].image for a in dfas]) for letter in alphabet]
+    start = tuple(a.initial for a in dfas)
+    if all(map(getitem, good, start)):
         return ()
-    seen = {start}
-    queue = deque([(start, ())])
-    while queue:
-        state, word = queue.popleft()
-        for letter in alphabet:
-            nxt = step(state, letter)
-            if nxt in seen:
+    parent = {start: None}
+    queue = [start]
+    for state in queue:  # the list grows while it is read: a FIFO queue
+        for letter, images in steps:
+            nxt = tuple(map(getitem, images, state))
+            if nxt in parent:
                 continue
-            if hit(nxt):
-                return word + (letter,)
-            seen.add(nxt)
-            queue.append((nxt, word + (letter,)))
+            parent[nxt] = (state, letter)
+            if all(map(getitem, good, nxt)):
+                word = []
+                while (link := parent[nxt]) is not None:
+                    nxt, letter = link
+                    word.append(letter)
+                return tuple(reversed(word))
+            queue.append(nxt)
     return None
 
 
-def _is_empty(d: Dfa) -> bool:
-    return not (set(reachable_states(d)) & d.finals)
+def _moves(d: Dfa) -> set:
+    return {(p, letter, q) for letter in d.alphabet for p, q in enumerate(d.delta[letter].image)}
 
 
 def suffix_language(d: Dfa) -> Dfa:
@@ -61,28 +94,43 @@ def suffix_language(d: Dfa) -> Dfa:
     and co-reachable, determinized.
     """
     useful = frozenset(reachable_states(d)) & coreachable_states(d)
-    transitions = frozenset(
-        (p, letter, d.delta[letter](p)) for letter in d.alphabet for p in range(d.n)
-    )
-    return determinize(Nfa(d.n, d.alphabet, transitions, useful, d.finals))
+    return determinize(Nfa(d.n, d.alphabet, _moves(d), useful, d.finals))
 
 
-def _prefixed_nfa(d: Dfa, allow_empty_prefix: bool) -> Nfa:
-    """NFA for {xw : x nonempty (or any, if allowed), w in L(d)}."""
-    guess = d.n
-    transitions = {
-        (p, letter, d.delta[letter](p)) for letter in d.alphabet for p in range(d.n)
-    }
-    for letter in d.alphabet:
-        transitions.add((guess, letter, guess))
-        transitions.add((guess, letter, d.initial))
-    initials = frozenset({guess, d.initial}) if allow_empty_prefix else frozenset({guess})
-    return Nfa(d.n + 1, d.alphabet, frozenset(transitions), initials, d.finals)
+def _letter_prefixed(d: Dfa) -> Dfa:
+    """DFA for ΣL: a fresh initial state n that every letter takes to d's."""
+    delta = {letter: d.delta[letter].image + (d.initial,) for letter in d.alphabet}
+    return Dfa(d.n + 1, d.alphabet, delta, d.n, d.finals)
 
 
-def _word_key(d: Dfa) -> Callable[[Word], tuple]:
-    index = {letter: i for i, letter in enumerate(d.alphabet)}
-    return lambda word: (len(word), tuple(index[l] for l in word))
+def _prefixed(d: Dfa) -> Dfa:
+    """DFA for Σ⁺L: ΣL with a loop on every letter at its initial state,
+    determinized."""
+    moves = _moves(_letter_prefixed(d)) | {(d.n, letter, d.n) for letter in d.alphabet}
+    return determinize(Nfa(d.n + 1, d.alphabet, moves, {d.n}, d.finals))
+
+
+def _language(d: Dfa) -> Dfa:
+    return d
+
+
+# each test: (the automata searched, built from d) and the wanted pattern
+_TESTS = {
+    "left-ideal": ((_letter_prefixed, _language), (True, False)),
+    "suffix-closed": ((suffix_language, _language), (True, False)),
+    "suffix-free": ((_language, _prefixed), (True, True)),
+    "suffix-convex": ((_prefixed, suffix_language, _language), (True, True, False)),
+}
+
+
+def _run(tag: str, d: Dfa, built: dict) -> tuple[bool, Optional[Word]]:
+    """The test named tag; built caches the derived automata across tests."""
+    builders, want = _TESTS[tag]
+    for build in builders:
+        if build not in built:
+            built[build] = build(d)
+    word = _first_word(d.alphabet, tuple(built[build] for build in builders), want)
+    return (word is None), word
 
 
 def is_left_ideal(d: Dfa) -> tuple[bool, Optional[Word]]:
@@ -91,24 +139,9 @@ def is_left_ideal(d: Dfa) -> tuple[bool, Optional[Word]]:
     The counterexample, if any, is the smallest word of the form lw with
     w accepted and lw rejected.
     """
-    if _is_empty(d):
+    if _first_word(d.alphabet, (d,), (True,)) is None:
         return False, None
-    candidates = []
-    for letter in d.alphabet:
-        start = (d.initial, d.step(d.initial, letter))
-
-        def step(pair, l):
-            return (d.delta[l](pair[0]), d.delta[l](pair[1]))
-
-        def hit(pair):
-            return pair[0] in d.finals and pair[1] not in d.finals
-
-        tail = _shortest_word(d.alphabet, start, step, hit)
-        if tail is not None:
-            candidates.append((letter,) + tail)
-    if not candidates:
-        return True, None
-    return False, min(candidates, key=_word_key(d))
+    return _run("left-ideal", d, {})
 
 
 def is_suffix_closed(d: Dfa) -> tuple[bool, Optional[Word]]:
@@ -117,17 +150,7 @@ def is_suffix_closed(d: Dfa) -> tuple[bool, Optional[Word]]:
     The counterexample is the smallest suffix of an accepted word that
     is itself rejected.
     """
-    suff = suffix_language(d)
-    start = (suff.initial, d.initial)
-
-    def step(pair, letter):
-        return (suff.delta[letter](pair[0]), d.delta[letter](pair[1]))
-
-    def hit(pair):
-        return pair[0] in suff.finals and pair[1] not in d.finals
-
-    word = _shortest_word(d.alphabet, start, step, hit)
-    return (word is None), word
+    return _run("suffix-closed", d, {})
 
 
 def is_suffix_free(d: Dfa) -> tuple[bool, Optional[Word]]:
@@ -136,17 +159,7 @@ def is_suffix_free(d: Dfa) -> tuple[bool, Optional[Word]]:
     The counterexample is the smallest accepted word that also has a
     shorter accepted suffix.
     """
-    padded = determinize(_prefixed_nfa(d, allow_empty_prefix=False))
-    start = (d.initial, padded.initial)
-
-    def step(pair, letter):
-        return (d.delta[letter](pair[0]), padded.delta[letter](pair[1]))
-
-    def hit(pair):
-        return pair[0] in d.finals and pair[1] in padded.finals
-
-    word = _shortest_word(d.alphabet, start, step, hit)
-    return (word is None), word
+    return _run("suffix-free", d, {})
 
 
 def is_suffix_convex(d: Dfa) -> tuple[bool, Optional[Word]]:
@@ -155,41 +168,20 @@ def is_suffix_convex(d: Dfa) -> tuple[bool, Optional[Word]]:
     Equivalent automaton-level test: every word that has an accepted
     suffix and is itself a suffix of an accepted word must be accepted.
     """
-    padded = determinize(_prefixed_nfa(d, allow_empty_prefix=True))
-    suff = suffix_language(d)
-    start = (padded.initial, suff.initial, d.initial)
-
-    def step(triple, letter):
-        return (
-            padded.delta[letter](triple[0]),
-            suff.delta[letter](triple[1]),
-            d.delta[letter](triple[2]),
-        )
-
-    def hit(triple):
-        return (
-            triple[0] in padded.finals
-            and triple[1] in suff.finals
-            and triple[2] not in d.finals
-        )
-
-    word = _shortest_word(d.alphabet, start, step, hit)
-    return (word is None), word
+    return _run("suffix-convex", d, {})
 
 
 def classify(d: Dfa) -> ClassReport:
+    """All four tests, building Σ⁺L and Suff(L) once each."""
+    built: dict = {}
     results = {
-        "left-ideal": is_left_ideal(d),
-        "suffix-closed": is_suffix_closed(d),
-        "suffix-free": is_suffix_free(d),
-        "suffix-convex": is_suffix_convex(d),
+        tag: is_left_ideal(d) if tag == "left-ideal" else _run(tag, d, built)
+        for tag in _TESTS
     }
     return ClassReport(
         is_left_ideal=results["left-ideal"][0],
         is_suffix_closed=results["suffix-closed"][0],
         is_suffix_free=results["suffix-free"][0],
         is_suffix_convex=results["suffix-convex"][0],
-        counterexamples={
-            tag: word for tag, (ok, word) in results.items() if not ok and word is not None
-        },
+        counterexamples={tag: word for tag, (_, word) in results.items() if word is not None},
     )

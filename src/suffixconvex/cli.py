@@ -135,6 +135,16 @@ def _parse_range(text: str) -> tuple[int, int]:
     return bounds
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return value
+
+
 def _cmd_verify(args) -> int:
     report = run_verification(
         families=args.family or None,
@@ -178,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("complexity", "semigroup", "quotients", "atoms", "atom-complexities", "reverse-complexity"),
     )
     p.add_argument("file")
-    p.add_argument("--cap", type=int, default=DEFAULT_SEMIGROUP_CAP)
+    p.add_argument("--cap", type=_positive_int, default=DEFAULT_SEMIGROUP_CAP)
     p.set_defaults(func=_cmd_measure)
 
     p = sub.add_parser("classify", help="report language-class membership")
@@ -196,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", help="state-count range A..B for the first operand")
     p.add_argument("--report", help="also write the output to this file")
     p.add_argument("--format", choices=("table", "structured"), default="table")
-    p.add_argument("--cap", type=int, default=DEFAULT_SEMIGROUP_CAP)
+    p.add_argument("--cap", type=_positive_int, default=DEFAULT_SEMIGROUP_CAP)
     p.set_defaults(func=_cmd_verify)
 
     return parser

@@ -40,7 +40,6 @@ class SemigroupSummary:
     lower bound."""
 
     size: int
-    generators: dict[str, Transformation]
     truncated: bool
 
 
@@ -49,15 +48,17 @@ def transition_semigroup(d: Dfa, cap: int = DEFAULT_SEMIGROUP_CAP) -> SemigroupS
 
     Breadth-first over words by length then alphabet order; stops early,
     flagging truncation, once cap distinct elements have been found and
-    more exist.  Elements are stored as bytes, so d may have at most
-    SEMIGROUP_STATE_BOUND states; a larger d raises LimitError.
+    more exist; cap must be at least 1 (InputError otherwise).  Elements
+    are stored as bytes, so d may have at most SEMIGROUP_STATE_BOUND
+    states; a larger d raises LimitError.
     """
+    if cap < 1:
+        raise InputError(f"semigroup cap must be a positive integer, got {cap}")
     if d.n > SEMIGROUP_STATE_BOUND:
         raise LimitError(
             f"semigroup enumeration over {d.n} states exceeds the bound of "
             f"{SEMIGROUP_STATE_BOUND} states (elements are packed one byte per state)"
         )
-    generators = {letter: d.delta[letter] for letter in d.alphabet}
     gen_images = [bytes(d.delta[letter].image) for letter in d.alphabet]
     # translate(table) maps each state q of an element to gen(q)
     tables = [image + bytes(256 - d.n) for image in gen_images]
@@ -79,7 +80,7 @@ def transition_semigroup(d: Dfa, cap: int = DEFAULT_SEMIGROUP_CAP) -> SemigroupS
                 break
             seen.add(composed)
             queue.append(composed)
-    return SemigroupSummary(len(seen), generators, truncated)
+    return SemigroupSummary(len(seen), truncated)
 
 
 def syntactic_semigroup_size(d: Dfa, cap: int = DEFAULT_SEMIGROUP_CAP) -> SemigroupSummary:

@@ -1,8 +1,24 @@
+import itertools
+from dataclasses import replace
 from random import Random
 
-from helpers import brute_force_language, dfa_corpus, finite_language_dfa, language_upto, random_dfa
+from helpers import (
+    brute_force_language,
+    dfa_corpus,
+    finite_language_dfa,
+    language_upto,
+    naive_classify,
+    naive_is_left_ideal,
+    naive_is_suffix_closed,
+    naive_is_suffix_convex,
+    naive_is_suffix_free,
+    random_dfa,
+    random_dfa_any_start,
+    words_upto,
+)
 
-from suffixconvex.automata import Dfa, accepts, equivalent, minimize
+from suffixconvex import classifiers
+from suffixconvex.automata import Dfa, accepts, determinize, equivalent, minimize
 from suffixconvex.classifiers import (
     classify,
     is_left_ideal,
@@ -12,7 +28,7 @@ from suffixconvex.classifiers import (
     suffix_language,
 )
 from suffixconvex.operations import complement
-from suffixconvex.witnesses import make_witness
+from suffixconvex.witnesses import FAMILIES, MIN_N, make_witness
 
 EMPTY = Dfa(1, ("a", "b"), {"a": (0,), "b": (0,)}, 0, frozenset())
 EPSILON_ONLY = Dfa(2, ("a", "b"), {"a": (1, 1), "b": (1, 1)}, 0, frozenset({0}))
@@ -56,6 +72,78 @@ def test_left_ideal_counterexample_is_valid_and_minimal():
             if not accepts(d, (l,) + w)
         ]
         assert not shorter
+
+
+def _bad_word_tests(d, longest):
+    """Per class, whether a word of length at most longest is a
+    counterexample by the word-level definition.
+
+    A suffix w of an accepted word xw has one with |x| < n (the shortest
+    x reaching the state before w), so accepted words shorter than
+    longest + n supply every such suffix.
+    """
+    suffixes = {u[i:] for u in brute_force_language(d, longest + d.n - 1) for i in range(len(u) + 1)}
+
+    def has_accepted_proper_suffix(w):
+        return any(accepts(d, w[i:]) for i in range(1, len(w) + 1))
+
+    return {
+        "suffix-closed": lambda w: w in suffixes and not accepts(d, w),
+        "suffix-free": lambda w: accepts(d, w) and has_accepted_proper_suffix(w),
+        "suffix-convex": lambda w: (
+            w in suffixes and not accepts(d, w) and has_accepted_proper_suffix(w)
+        ),
+    }
+
+
+def test_counterexamples_are_bad_and_minimal():
+    predicates = {
+        "suffix-closed": is_suffix_closed,
+        "suffix-free": is_suffix_free,
+        "suffix-convex": is_suffix_convex,
+    }
+    rng = Random(83)
+    failures = dict.fromkeys(predicates, 0)
+    for _ in range(200):
+        d = random_dfa_any_start(rng, max_n=5)
+        for tag, predicate in predicates.items():
+            ok, word = predicate(d)
+            if ok:
+                continue
+            failures[tag] += 1
+            bad = _bad_word_tests(d, len(word))[tag]
+            assert bad(word)
+            smaller = itertools.takewhile(lambda w: w != word, words_upto(d.alphabet, len(word)))
+            assert not any(map(bad, smaller))
+    assert min(failures.values()) >= 40
+
+
+def test_classifiers_match_naive_classifiers():
+    rng = Random(89)
+    corpus = [random_dfa_any_start(rng, max_n=8) for _ in range(2000)]
+    corpus += [replace(d, finals=finals) for d in corpus[:300] for finals in (set(), range(d.n))]
+    corpus += [make_witness(f, n) for f in FAMILIES for n in range(MIN_N[f], 10)]
+    pairs = (
+        (is_left_ideal, naive_is_left_ideal),
+        (is_suffix_closed, naive_is_suffix_closed),
+        (is_suffix_free, naive_is_suffix_free),
+        (is_suffix_convex, naive_is_suffix_convex),
+    )
+    for d in corpus:
+        for predicate, naive in pairs:
+            assert predicate(d) == naive(d)
+        assert classify(d) == naive_classify(d)
+
+
+def test_subset_constructions_per_call(monkeypatch):
+    calls = []
+    monkeypatch.setattr(classifiers, "determinize", lambda m: calls.append(m) or determinize(m))
+    for d in (make_witness("suffix-free-n", 6), make_witness("regular", 4), EMPTY):
+        calls.clear()
+        is_left_ideal(d)
+        assert not calls  # ΣL is built directly
+        classify(d)
+        assert len(calls) == 2  # Σ⁺L and Suff(L), once each
 
 
 def test_suffix_closed_examples():

@@ -104,6 +104,21 @@ def test_measure_semigroup_cap(capsys, tmp_path):
     assert json.loads(out) == {"semigroup_size": 50, "truncated": True}
 
 
+def test_non_positive_semigroup_cap_exits_2(capsys, tmp_path):
+    f = _write(tmp_path, "w.json", make_witness("left-ideal", 5))
+    for cap in ("0", "-3"):
+        for argv in (
+            ("measure", "semigroup", f, "--cap", cap),
+            ("verify", "--family", "left-ideal", "--quantity", "semigroup", "--cap", cap),
+        ):
+            with pytest.raises(SystemExit) as exit_info:
+                main(list(argv))
+            assert exit_info.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"{cap!r} is not a positive integer" in captured.err
+
+
 def test_measure_semigroup_over_state_bound_exits_2(capsys, tmp_path):
     # minimal with 257 states, one more than a byte-packed element can hold
     f = _write(tmp_path, "cycle.json", cycle_dfa(257))

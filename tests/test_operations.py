@@ -14,12 +14,11 @@ from suffixconvex.automata import (
     Dfa,
     complete_over,
     complexity,
-    determinize,
     equivalent,
     minimize,
     union_alphabet,
 )
-from suffixconvex.classifiers import _prefixed_nfa, is_left_ideal
+from suffixconvex.classifiers import is_left_ideal
 from suffixconvex.errors import InputError
 from suffixconvex.operations import (
     BOOL_OPS,
@@ -250,7 +249,8 @@ def test_left_ideal_upper_bounds_for_star_and_reverse():
     # random left ideals built as (anything)* prefix closures of random languages
     count = 0
     for d in dfa_corpus(seed=53, count=40, max_n=4, max_letters=2):
-        ideal = minimize(determinize(_prefixed_nfa(d, allow_empty_prefix=True)))
+        sigma_star = Dfa(1, d.alphabet, {l: (0,) for l in d.alphabet}, 0, frozenset({0}))
+        ideal = minimize(concat(sigma_star, d))
         ok, _ = is_left_ideal(ideal)
         if not ok:
             continue

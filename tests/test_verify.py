@@ -54,6 +54,17 @@ def test_witness_atom_items_use_definition_coordinates():
     assert len(keys) == 9
 
 
+def test_truncated_semigroup_is_a_skip_row():
+    report = run_verification(
+        families=["left-ideal"], quantities=["semigroup"], n_range=(5, 5), semigroup_cap=50
+    )
+    [entry] = report.entries
+    assert entry.status == "SKIP"
+    assert entry.reason == "semigroup enumeration truncated at the cap"
+    assert entry.measured == 50 and entry.expected is None
+    assert report.ok
+
+
 def test_report_ok_reflects_failures():
     entry = ReportEntry("x", "star", None, ("(a)",), None, 4, 5, 6, "FAIL")
     report = ComplexityReport((entry,), 0, 1, 0, "0")
