@@ -27,6 +27,7 @@ from .classifiers import (
 from .errors import DocumentError, InputError, LimitError, NotationError
 from .measures import (
     SemigroupSummary,
+    atom_complexities,
     atom_complexity,
     atom_formula,
     atoms,

@@ -9,8 +9,13 @@ reproducible bit for bit.
 
 The kernels (reachability, subset construction, minimization) work on
 plain ints: they index the ``image`` tuples of the transformations
-directly, hold subsets as int bitmasks, and build one validated ``Dfa``
-per result.
+directly and hold subsets as int bitmasks.  A kernel whose rows are valid
+by construction (determinize, minimize, the direct product, the atom
+automaton) builds its result with ``Dfa._trusted``, which skips the
+checks of ``Dfa.__post_init__``; every other ``Dfa`` is validated.  A
+query that needs only a size (``complexity`` here, the quotient and atom
+complexities in ``measures``) counts states or refinement classes and
+builds no minimal ``Dfa`` for it.
 """
 
 from __future__ import annotations
@@ -56,6 +61,28 @@ class Dfa:
             raise InputError(f"initial state {self.initial} outside 0..{self.n - 1}")
         if not self.finals <= frozenset(range(self.n)):
             raise InputError("final states outside the state set")
+
+    @classmethod
+    def _trusted(
+        cls, n: int, alphabet: tuple[str, ...], rows: Sequence[Sequence[int]], initial: int,
+        finals: frozenset[int],
+    ) -> "Dfa":
+        """A Dfa from a kernel's rows (one image sequence per letter), built
+        without the checks of __post_init__: the caller guarantees distinct
+        letters, n >= 1, every row of length n with entries in range, and
+        initial and finals inside the state set."""
+        # object.__setattr__ rather than writing __dict__, which would turn
+        # the instance's inline attribute storage into a slower real dict
+        d = object.__new__(cls)
+        put = object.__setattr__
+        put(d, "n", n)
+        put(d, "alphabet", alphabet)
+        put(d, "delta", {
+            letter: Transformation._trusted(tuple(row)) for letter, row in zip(alphabet, rows)
+        })
+        put(d, "initial", initial)
+        put(d, "finals", finals)
+        return d
 
     def step(self, q: int, letter: str) -> int:
         try:
@@ -116,20 +143,29 @@ def reachable_states(d: Dfa) -> list[int]:
     return order
 
 
-def coreachable_states(d: Dfa) -> frozenset[int]:
-    """States from which some final state can be reached."""
-    pre: list[list[int]] = [[] for _ in range(d.n)]
-    for t in d.delta.values():
-        for p, q in enumerate(t.image):
+def _coreachable(n: int, rows: Sequence[Sequence[int]], finals: Iterable[int]) -> list[bool]:
+    """live[q]: some final state can be reached from q (rows holds one
+    image sequence per letter)."""
+    pre: list[list[int]] = [[] for _ in range(n)]
+    for row in rows:
+        for p, q in enumerate(row):
             pre[q].append(p)
-    seen = set(d.finals)
-    stack = list(seen)
+    live = [False] * n
+    stack = list(finals)
+    for q in stack:
+        live[q] = True
     while stack:
         for p in pre[stack.pop()]:
-            if p not in seen:
-                seen.add(p)
+            if not live[p]:
+                live[p] = True
                 stack.append(p)
-    return frozenset(seen)
+    return live
+
+
+def coreachable_states(d: Dfa) -> frozenset[int]:
+    """States from which some final state can be reached."""
+    live = _coreachable(d.n, [t.image for t in d.delta.values()], d.finals)
+    return frozenset(q for q in range(d.n) if live[q])
 
 
 def determinize(m: Nfa) -> Dfa:
@@ -198,7 +234,7 @@ def determinize(m: Nfa) -> Dfa:
     for q in m.finals:
         final_mask |= 1 << q
     finals = frozenset(i for i, subset in enumerate(order) if subset & final_mask)
-    return Dfa(len(order), m.alphabet, dict(zip(m.alphabet, rows)), 0, finals)
+    return Dfa._trusted(len(order), m.alphabet, rows, 0, finals)
 
 
 def _hopcroft(
@@ -292,6 +328,43 @@ def _hopcroft(
     return [frozenset(elems[first[b]:end[b]]) for b in range(len(first))]
 
 
+def _walk(
+    n: int, images: Sequence[Sequence[int]], initial: int, finals: Iterable[int]
+) -> tuple[list[int], list[list[int]], frozenset[int]]:
+    """Number the states reachable from initial by BFS discovery order,
+    letters scanned in the order of images.
+
+    Returns (order, rows, reached finals): order[i] is the i-th state
+    found, rows[c][i] is the number of the state letter c takes order[i]
+    to, and the reached finals are the numbers of the reachable finals.
+    """
+    number = [-1] * n
+    number[initial] = 0
+    order = [initial]
+    rows: list[list[int]] = [[] for _ in images]
+    for p in order:  # the list grows while it is read: a FIFO queue
+        for image, row in zip(images, rows):
+            q = image[p]
+            i = number[q]
+            if i < 0:
+                i = number[q] = len(order)
+                order.append(q)
+            row.append(i)
+    return order, rows, frozenset(number[q] for q in finals if number[q] >= 0)
+
+
+def _size(n: int, images: Sequence[Sequence[int]], initial: int, finals: Iterable[int]) -> int:
+    """Number of states of the minimal DFA with these rows: one walk and
+    one refinement, with no class numbering and no Dfa built."""
+    order, rows, finals = _walk(n, images, initial, finals)
+    return len(_hopcroft(len(order), rows, finals))
+
+
+def _minimal_size(d: Dfa) -> int:
+    """minimize(d).n, counted without building the minimal DFA."""
+    return _size(d.n, [d.delta[letter].image for letter in d.alphabet], d.initial, d.finals)
+
+
 def minimize(d: Dfa) -> Dfa:
     """The minimal complete DFA of L(d), canonically renumbered.
 
@@ -302,20 +375,8 @@ def minimize(d: Dfa) -> Dfa:
     """
     # one walk numbers the reachable states in BFS order and reads their rows
     images = [d.delta[letter].image for letter in d.alphabet]
-    sub_of = [-1] * d.n
-    sub_of[d.initial] = 0
-    order = [d.initial]
-    rows: list[list[int]] = [[] for _ in images]
-    for p in order:  # the list grows while it is read: a FIFO queue
-        for image, row in zip(images, rows):
-            q = image[p]
-            i = sub_of[q]
-            if i < 0:
-                i = sub_of[q] = len(order)
-                order.append(q)
-            row.append(i)
+    order, rows, finals = _walk(d.n, images, d.initial, d.finals)
     n = len(order)
-    finals = frozenset(sub_of[q] for q in d.finals if sub_of[q] >= 0)
 
     blocks = _hopcroft(n, rows, finals)
     block_of = [0] * n
@@ -337,7 +398,7 @@ def minimize(d: Dfa) -> Dfa:
                 visit.append(c)
             out_row.append(j)
     quotient_finals = frozenset(number[block_of[q]] for q in finals)
-    return Dfa(len(blocks), d.alphabet, dict(zip(d.alphabet, out)), 0, quotient_finals)
+    return Dfa._trusted(len(blocks), d.alphabet, out, 0, quotient_finals)
 
 
 def complete_over(d: Dfa, sigma: Sequence[str]) -> Dfa:
@@ -391,24 +452,33 @@ def equivalent(d1: Dfa, d2: Dfa) -> bool:
     return True
 
 
+def _occurring(d: Dfa) -> tuple[int, list[list[int]], frozenset[int], list[bool]]:
+    """One walk over the reachable states, (n, rows, finals) as ``_walk``
+    numbers them, and per letter whether it occurs in an accepted word:
+    whether it takes some reachable state into a co-reachable one."""
+    images = [d.delta[letter].image for letter in d.alphabet]
+    order, rows, finals = _walk(d.n, images, d.initial, d.finals)
+    n = len(order)
+    live = _coreachable(n, rows, finals)
+    return n, rows, finals, [any(live[q] for q in row) for row in rows]
+
+
 def occurring_letters(d: Dfa) -> frozenset[str]:
     """Letters appearing in at least one accepted word."""
-    reach = reachable_states(d)
-    core = coreachable_states(d)
-    return frozenset(
-        letter for letter in d.alphabet if any(d.delta[letter].image[p] in core for p in reach)
-    )
-
-
-def restrict_to_occurring(d: Dfa) -> Dfa:
-    """Drop letters that occur in no accepted word (states untouched)."""
-    occ = occurring_letters(d)
-    if occ == frozenset(d.alphabet):
-        return d
-    alphabet = tuple(l for l in d.alphabet if l in occ)
-    return Dfa(d.n, alphabet, {l: d.delta[l] for l in alphabet}, d.initial, d.finals)
+    occurs = _occurring(d)[3]
+    return frozenset(letter for letter, ok in zip(d.alphabet, occurs) if ok)
 
 
 def complexity(d: Dfa) -> int:
-    """Quotient complexity of L(d): minimal DFA size over the occurring letters."""
-    return minimize(restrict_to_occurring(d)).n
+    """Quotient complexity of L(d): minimal DFA size over the occurring letters.
+
+    Letters that occur in no accepted word are dropped before counting,
+    so L = a* over {a, b} has complexity 1: its sink is unreachable once
+    b is gone.  ``measures.syntactic_semigroup_size`` keeps the full
+    alphabet instead (2 for the same language).
+    """
+    n, rows, finals, occurs = _occurring(d)
+    if all(occurs):
+        return len(_hopcroft(n, rows, finals))
+    # a dropped letter may have been the only way into some states
+    return _size(n, [row for row, ok in zip(rows, occurs) if ok], 0, finals)

@@ -15,7 +15,7 @@ from .classifiers import classify
 from .errors import InputError, LimitError
 from .measures import (
     DEFAULT_SEMIGROUP_CAP,
-    atom_complexity,
+    atom_complexities,
     atoms,
     quotient_complexities,
     syntactic_semigroup_size,
@@ -92,10 +92,11 @@ def _cmd_measure(args) -> int:
     elif what == "atoms":
         payload = {"atoms": [sorted(key) for key in sorted(atoms(dfa), key=lambda s: (len(s), sorted(s)))]}
     elif what == "atom-complexities":
-        keys = sorted(atoms(dfa), key=lambda s: (len(s), sorted(s)))
+        measured = atom_complexities(dfa)
+        keys = sorted(measured, key=lambda s: (len(s), sorted(s)))
         payload = {
             "atom_complexities": [
-                {"atom": sorted(key), "complexity": atom_complexity(dfa, key)} for key in keys
+                {"atom": sorted(key), "complexity": measured[key]} for key in keys
             ]
         }
     else:  # reverse-complexity

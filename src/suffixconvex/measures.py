@@ -15,17 +15,21 @@ a word w is determined by the pair (Sw, S'w) where S' is the complement
 of S, a pair is accepting when Sw lies inside the final states and S'w
 avoids them, and a pair whose components overlap can never accept again
 and is pruned to a sink.
+
+Sizes are counted, not built: the states of a minimal DFA are pairwise
+distinguishable, so a quotient's complexity is the number of states
+reachable from it, and an atom automaton is counted by the size kernel
+of ``automata`` without building its minimal DFA.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .automata import Dfa, minimize
+from .automata import Dfa, _minimal_size, _walk, minimize
 from .errors import InputError, LimitError
-from .transformations import Transformation
 
 DEFAULT_SEMIGROUP_CAP = 2_000_000
 DEFAULT_ATOM_STATE_LIMIT = 12
@@ -43,6 +47,12 @@ class SemigroupSummary:
     truncated: bool
 
 
+def check_semigroup_cap(cap: int) -> None:
+    """Reject a semigroup cap below 1 with InputError."""
+    if cap < 1:
+        raise InputError(f"semigroup cap must be a positive integer, got {cap}")
+
+
 def transition_semigroup(d: Dfa, cap: int = DEFAULT_SEMIGROUP_CAP) -> SemigroupSummary:
     """Closure of the letter transformations under composition.
 
@@ -52,8 +62,7 @@ def transition_semigroup(d: Dfa, cap: int = DEFAULT_SEMIGROUP_CAP) -> SemigroupS
     are stored as bytes, so d may have at most SEMIGROUP_STATE_BOUND
     states; a larger d raises LimitError.
     """
-    if cap < 1:
-        raise InputError(f"semigroup cap must be a positive integer, got {cap}")
+    check_semigroup_cap(cap)
     if d.n > SEMIGROUP_STATE_BOUND:
         raise LimitError(
             f"semigroup enumeration over {d.n} states exceeds the bound of "
@@ -84,7 +93,13 @@ def transition_semigroup(d: Dfa, cap: int = DEFAULT_SEMIGROUP_CAP) -> SemigroupS
 
 
 def syntactic_semigroup_size(d: Dfa, cap: int = DEFAULT_SEMIGROUP_CAP) -> SemigroupSummary:
-    """Transition semigroup of the minimal DFA of L(d)."""
+    """Transition semigroup of the minimal DFA of L(d).
+
+    The minimal DFA keeps d's full alphabet, letters that occur in no
+    accepted word included, so L = a* over {a, b} has a semigroup of 2
+    elements (the identity and the map to the sink) although
+    ``automata.complexity`` gives it complexity 1.
+    """
     return transition_semigroup(minimize(d), cap)
 
 
@@ -92,10 +107,13 @@ def quotient_complexities(d: Dfa) -> tuple[int, ...]:
     """Complexity of each state's language in the minimal DFA of L(d).
 
     Every quotient keeps the full alphabet of L (an empty quotient has
-    complexity 1, not 0).
+    complexity 1, not 0).  The states of the minimal DFA are pairwise
+    distinguishable, so the part reachable from q is already the minimal
+    DFA of the quotient, and its complexity is the number of those states.
     """
     m = minimize(d)
-    return tuple(minimize(replace(m, initial=q)).n for q in range(m.n))
+    images = [m.delta[letter].image for letter in m.alphabet]
+    return tuple(len(_walk(m.n, images, q, ())[0]) for q in range(m.n))
 
 
 def atoms(d: Dfa, limit: int = DEFAULT_ATOM_STATE_LIMIT) -> frozenset[AtomKey]:
@@ -130,14 +148,14 @@ def atoms(d: Dfa, limit: int = DEFAULT_ATOM_STATE_LIMIT) -> frozenset[AtomKey]:
     return frozenset(frozenset(q for q in range(m.n) if mask >> q & 1) for mask in seen)
 
 
-def atom_automaton(d: Dfa, key) -> Dfa:
-    """DFA recognizing the atom A_S over the minimal DFA of L(d).
+def atom_automaton(m: Dfa, key) -> Dfa:
+    """DFA recognizing the atom A_S of the minimal DFA m.
 
-    States are the image pairs reachable from (S, complement of S), held
-    as bitmasks; overlapping pairs collapse into one sink.  Rejects empty
-    atoms.
+    m must be minimal (as ``minimize`` returns it): the key names its
+    states.  States are the image pairs reachable from (S, complement of
+    S), held as bitmasks; overlapping pairs collapse into one sink.
+    Rejects empty atoms.
     """
-    m = minimize(d)
     s = frozenset(key)
     if not s <= frozenset(range(m.n)):
         raise InputError(f"atom key {sorted(s)} outside the minimal DFA's states")
@@ -177,13 +195,21 @@ def atom_automaton(d: Dfa, key) -> Dfa:
     )
     if not finals:
         raise InputError(f"atom for key {sorted(s)} is empty")
-    delta = {letter: Transformation(tuple(row)) for letter, row in zip(m.alphabet, rows)}
-    return Dfa(len(order), m.alphabet, delta, 0, finals)
+    return Dfa._trusted(len(order), m.alphabet, rows, 0, finals)
 
 
 def atom_complexity(d: Dfa, key) -> int:
-    """Quotient complexity of the atom A_S."""
-    return minimize(atom_automaton(d, key)).n
+    """Quotient complexity of the atom A_S of the minimal DFA of L(d),
+    over the full alphabet."""
+    return _minimal_size(atom_automaton(minimize(d), key))
+
+
+def atom_complexities(d: Dfa) -> dict[AtomKey, int]:
+    """atom_complexity of every non-empty atom (keyed as ``atoms`` keys
+    them, under its default limit), minimizing d once rather than once
+    per atom."""
+    m = minimize(d)
+    return {key: _minimal_size(atom_automaton(m, key)) for key in atoms(m)}
 
 
 def atom_formula(language_class: str, n: int, key) -> int:

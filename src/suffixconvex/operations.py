@@ -90,7 +90,7 @@ def _product(d1: Dfa, d2: Dfa, op: str) -> Dfa:
         i for i, code in enumerate(order)
         if decide(code // n2 in d1.finals, code % n2 in d2.finals)
     )
-    return Dfa(len(order), sigma, dict(zip(sigma, rows)), 0, finals)
+    return Dfa._trusted(len(order), sigma, rows, 0, finals)
 
 
 def boolean_restricted(d1: Dfa, d2: Dfa, op: str) -> Dfa:

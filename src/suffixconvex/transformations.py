@@ -31,6 +31,14 @@ class Transformation:
             if not 0 <= r < n:
                 raise InputError(f"image[{q}] = {r} outside 0..{n - 1}")
 
+    @classmethod
+    def _trusted(cls, image: tuple[int, ...]) -> "Transformation":
+        """A Transformation whose entries the caller guarantees lie in
+        0..len(image)-1, built without the range check."""
+        t = object.__new__(cls)
+        object.__setattr__(t, "image", image)
+        return t
+
     @property
     def n(self) -> int:
         return len(self.image)

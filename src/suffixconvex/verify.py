@@ -20,9 +20,10 @@ from .automata import complexity, reachable_states
 from .errors import InputError
 from .measures import (
     DEFAULT_SEMIGROUP_CAP,
-    atom_complexity,
+    atom_complexities,
     atom_formula,
     atoms,
+    check_semigroup_cap,
     syntactic_semigroup_size,
 )
 from .operations import (
@@ -33,7 +34,16 @@ from .operations import (
     reverse,
     star,
 )
-from .witnesses import CLAIMS, CLASS_OF, FAMILIES, MIN_N, Claim, make_dialect, make_witness
+from .witnesses import (
+    CLAIMS,
+    CLASS_OF,
+    FAMILIES,
+    MIN_N,
+    Claim,
+    make_dialect,
+    make_witness,
+    witness_alphabet,
+)
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -76,9 +86,8 @@ def witness_atom_items(family: str, n: int) -> list[tuple[frozenset, int, int]]:
     witness = make_witness(family, n)
     order = reachable_states(witness)  # canonical index -> definition state
     items = []
-    for key in atoms(witness):
+    for key, measured in atom_complexities(witness).items():
         definition_key = frozenset(order[i] for i in key)
-        measured = atom_complexity(witness, key)
         formula = atom_formula(CLASS_OF[family], n, definition_key)
         items.append((definition_key, measured, formula))
     items.sort(key=lambda item: (len(item[0]), sorted(item[0])))
@@ -112,8 +121,10 @@ def run_verification(
 
     Defaults run every claim at its configured resource range; requested
     values beyond a claim's range are reported as SKIP rather than
-    attempted.  Claims without a range are never measured.
+    attempted.  Claims without a range are never measured.  A
+    semigroup_cap below 1 is rejected before anything is measured.
     """
+    check_semigroup_cap(semigroup_cap)
     if families:
         for f in families:
             if f not in FAMILIES:
@@ -157,7 +168,7 @@ def _operand(family: str, n: int, dialect: tuple | None):
 
 
 def _label(family: str, n: int, dialect: tuple | None) -> str:
-    return format_letter_map(make_witness(family, n).alphabet if dialect is None else dialect)
+    return format_letter_map(witness_alphabet(family, n) if dialect is None else dialect)
 
 
 def _semigroup(family: str, n: int, cap: int, cache: dict) -> tuple[int, bool]:

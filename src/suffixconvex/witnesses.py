@@ -91,17 +91,31 @@ def _maybe_cycle(n: int, states: list[int]) -> list[Transformation]:
     return [cycle(n, states)] if len(states) >= 2 else []
 
 
+def witness_alphabet(family: str, n: int) -> tuple[str, ...]:
+    """The letters of the family's witness at n states, in definition
+    order."""
+    _check_family(family, n)
+    if family in ("left-ideal", "left-ideal-alt", "suffix-closed"):
+        return ("a", "b", "c", "d", "e")
+    if family == "suffix-free-5":
+        # a and b coincide at n=4, so the witness drops a
+        return ("b", "c", "d", "e") if n == 4 else ("a", "b", "c", "d", "e")
+    if family == "suffix-free-n":
+        return ("a", "b") + tuple(f"c{p}" for p in range(1, n - 1))
+    return ("a", "b", "c")  # regular, suffix-free-3, suffix-free-2star
+
+
 def make_witness(family: str, n: int) -> Dfa:
     """The witness DFA of the given family at n states, letters in
     definition order."""
-    _check_family(family, n)
+    alphabet = witness_alphabet(family, n)
     if family == "regular":
         delta = {
             "a": cycle(n, list(range(n))),
             "b": cycle(n, [0, 1]),
             "c": send_to(n, [n - 1], 0),
         }
-        return Dfa(n, ("a", "b", "c"), delta, 0, frozenset({n - 1}))
+        return Dfa(n, alphabet, delta, 0, frozenset({n - 1}))
 
     if family in ("left-ideal", "left-ideal-alt", "suffix-closed"):
         delta = _ideal_letters(n)
@@ -110,12 +124,11 @@ def make_witness(family: str, n: int) -> Dfa:
             "left-ideal-alt": frozenset(range(1, n)),
             "suffix-closed": frozenset({0}),
         }[family]
-        return Dfa(n, ("a", "b", "c", "d", "e"), delta, 0, finals)
+        return Dfa(n, alphabet, delta, 0, finals)
 
     if family == "suffix-free-5":
-        # a and b coincide at n=4, so the witness drops a
         d = _suffix_free_5(n)
-        return apply_dialect(d, (None, "b", "c", "d", "e")) if n == 4 else d
+        return Dfa(n, alphabet, {l: d.delta[l] for l in alphabet}, d.initial, d.finals)
 
     if family == "suffix-free-n":
         to_last = send_to(n, [0], n - 1)
@@ -123,9 +136,8 @@ def make_witness(family: str, n: int) -> Dfa:
             "a": compose_many([to_last, cycle(n, list(range(1, n - 1)))]),
             "b": compose_many([to_last, cycle(n, [1, 2])]),
         }
-        for p in range(1, n - 1):
-            delta[f"c{p}"] = compose_many([send_to(n, [p], n - 1), send_to(n, [0], p)])
-        alphabet = ("a", "b") + tuple(f"c{p}" for p in range(1, n - 1))
+        for p, letter in enumerate(alphabet[2:], 1):
+            delta[letter] = compose_many([send_to(n, [p], n - 1), send_to(n, [0], p)])
         return Dfa(n, alphabet, delta, 0, frozenset({n - 2}))
 
     if family == "suffix-free-3":
@@ -138,7 +150,7 @@ def make_witness(family: str, n: int) -> Dfa:
             "b": compose_many([to_last, cycle(n, [1, 2])]),
             "c": compose_many([send_to(n, [1], n - 1), send_to(n, [0], 1)]),
         }
-        return Dfa(n, ("a", "b", "c"), delta, 0, frozenset({n - 2}))
+        return Dfa(n, alphabet, delta, 0, frozenset({n - 2}))
 
     # suffix-free-2star
     to_last = send_to(n, [0], n - 1)
@@ -149,7 +161,7 @@ def make_witness(family: str, n: int) -> Dfa:
         ),
         "c": compose_many([to_last, cycle(n, list(range(1, n - 1)))]),
     }
-    return Dfa(n, ("a", "b", "c"), delta, 0, frozenset({1}))
+    return Dfa(n, alphabet, delta, 0, frozenset({1}))
 
 
 def make_dialect(family: str, n: int, pi: LetterMap) -> Dfa:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
+from dataclasses import replace
 from random import Random
 
 from typing import Callable, Iterable, Optional
@@ -20,12 +21,14 @@ from suffixconvex.automata import (
     Dfa,
     Nfa,
     accepts,
+    coreachable_states,
     determinize,
     minimize,
     reachable_states,
 )
 from suffixconvex.classifiers import ClassReport, Word, suffix_language
 from suffixconvex.errors import InputError
+from suffixconvex.measures import atom_automaton
 from suffixconvex.operations import _TRUTH
 from suffixconvex.transformations import Transformation
 
@@ -52,6 +55,25 @@ def random_dfa_any_start(rng: Random, max_n: int = 10, max_letters: int = 3) -> 
     delta = {l: tuple(rng.randrange(n) for _ in range(n)) for l in alphabet}
     finals = frozenset(q for q in range(n) if rng.random() < 0.4)
     return Dfa(n, alphabet, delta, rng.randrange(n), finals)
+
+
+def random_dfa_with_edge_finals(rng: Random, max_n: int = 8, max_letters: int = 3) -> Dfa:
+    """random_dfa_any_start, with no final state one time in six and every
+    state final one time in six."""
+    d = random_dfa_any_start(rng, max_n, max_letters)
+    roll = rng.randrange(6)
+    if roll == 0:
+        return replace(d, finals=frozenset())
+    if roll == 1:
+        return replace(d, finals=frozenset(range(d.n)))
+    return d
+
+
+def revalidated(d: Dfa) -> Dfa:
+    """d rebuilt through the public constructor from plain image tuples,
+    so every check of Dfa and Transformation runs again."""
+    delta = {letter: tuple(t.image) for letter, t in d.delta.items()}
+    return Dfa(d.n, d.alphabet, delta, d.initial, d.finals)
 
 
 def random_nfa(rng: Random, max_n: int = 8, max_letters: int = 3) -> Nfa:
@@ -362,6 +384,50 @@ def naive_atoms(d: Dfa) -> frozenset[frozenset[int]]:
         if hit:
             found.add(s)
     return frozenset(found)
+
+
+# --- size queries: the routines ``automata.complexity``,
+# ``automata.occurring_letters``, ``measures.quotient_complexities`` and
+# ``measures.atom_complexities`` replaced, each building a full minimal DFA
+# for every size it reads.
+
+
+def naive_occurring_letters(d: Dfa) -> frozenset[str]:
+    """Letters appearing in at least one accepted word."""
+    reach = reachable_states(d)
+    core = coreachable_states(d)
+    return frozenset(
+        letter for letter in d.alphabet if any(d.delta[letter].image[p] in core for p in reach)
+    )
+
+
+def restrict_to_occurring(d: Dfa) -> Dfa:
+    """Drop letters that occur in no accepted word (states untouched)."""
+    occ = naive_occurring_letters(d)
+    if occ == frozenset(d.alphabet):
+        return d
+    alphabet = tuple(l for l in d.alphabet if l in occ)
+    return Dfa(d.n, alphabet, {l: d.delta[l] for l in alphabet}, d.initial, d.finals)
+
+
+def naive_complexity(d: Dfa) -> int:
+    """Quotient complexity of L(d): minimal DFA size over the occurring letters."""
+    return minimize(restrict_to_occurring(d)).n
+
+
+def naive_quotient_complexities(d: Dfa) -> tuple[int, ...]:
+    """Complexity of each state's language in the minimal DFA of L(d).
+
+    Every quotient keeps the full alphabet of L (an empty quotient has
+    complexity 1, not 0).
+    """
+    m = minimize(d)
+    return tuple(minimize(replace(m, initial=q)).n for q in range(m.n))
+
+
+def naive_atom_complexity(d: Dfa, key) -> int:
+    """Quotient complexity of the atom A_S, minimizing L(d) for every key."""
+    return minimize(atom_automaton(minimize(d), key)).n
 
 
 # --- classifiers: the per-test product searches ``classifiers._first_word``

@@ -4,14 +4,19 @@ import pytest
 from helpers import (
     dfa_corpus,
     language_upto,
+    naive_complexity,
     naive_determinize,
     naive_minimize,
+    naive_occurring_letters,
     naive_partition,
     naive_reachable_states,
     quotient_count_oracle,
     random_dfa_any_start,
+    random_dfa_with_edge_finals,
     random_nfa,
     reachable_oracle,
+    restrict_to_occurring,
+    revalidated,
     singleton_word_dfa,
 )
 from hypothesis import given, settings, strategies as st
@@ -158,7 +163,9 @@ def test_determinize_matches_naive_determinize_on_random_nfas():
     rng = Random(41)
     corpus = [random_nfa(rng) for _ in range(1500)]
     for nfa in corpus:
-        assert determinize(nfa) == naive_determinize(nfa)
+        d = determinize(nfa)
+        assert d == naive_determinize(nfa)
+        assert revalidated(d) == d  # the unchecked constructor built a valid Dfa
     assert sum(not m.initials for m in corpus) >= 200
     assert sum(_has_epsilon_cycle(m) for m in corpus) >= 500
     assert sum(
@@ -197,11 +204,32 @@ def test_minimize_matches_naive_minimize_on_corpus():
     rng = Random(43)
     corpus = [random_dfa_any_start(rng) for _ in range(1500)]
     for d in corpus:
-        assert minimize(d) == naive_minimize(d)
+        m = minimize(d)
+        assert m == naive_minimize(d)
+        assert revalidated(m) == m  # the unchecked constructor built a valid Dfa
     assert {len(d.alphabet) for d in corpus} == {0, 1, 2, 3}
     assert max(d.n for d in corpus) == 10
     assert sum(d.initial != 0 for d in corpus) >= 1000
     assert sum(len(naive_reachable_states(d)) < d.n for d in corpus) >= 500
+
+
+def test_complexity_matches_naive_complexity_on_corpus():
+    rng = Random(47)
+    corpus = [random_dfa_with_edge_finals(rng) for _ in range(1200)]
+    for d in corpus:
+        assert complexity(d) == naive_complexity(d)
+        assert occurring_letters(d) == naive_occurring_letters(d)
+    assert {len(d.alphabet) for d in corpus} == {0, 1, 2, 3}
+    assert max(d.n for d in corpus) == 8
+    assert sum(d.initial != 0 for d in corpus) >= 700
+    assert sum(not d.finals for d in corpus) >= 100
+    assert sum(d.finals == frozenset(range(d.n)) for d in corpus) >= 100
+    # dropping a letter leaves some reachable states unreachable
+    rewalked = sum(
+        len(reachable_states(restrict_to_occurring(d))) < len(reachable_states(d))
+        for d in corpus
+    )
+    assert rewalked >= 100
 
 
 def test_minimize_with_unreachable_only_final_state():

@@ -3,7 +3,16 @@ from dataclasses import replace
 from random import Random
 
 import pytest
-from helpers import cycle_dfa, dfa_corpus, naive_atoms, naive_semigroup
+from helpers import (
+    cycle_dfa,
+    dfa_corpus,
+    naive_atom_complexity,
+    naive_atoms,
+    naive_quotient_complexities,
+    naive_semigroup,
+    random_dfa_with_edge_finals,
+    revalidated,
+)
 
 from suffixconvex.automata import Dfa, complexity, equivalent, minimize
 from suffixconvex.errors import InputError, LimitError
@@ -11,6 +20,7 @@ from suffixconvex.measures import (
     DEFAULT_SEMIGROUP_CAP,
     SEMIGROUP_STATE_BOUND,
     atom_automaton,
+    atom_complexities,
     atom_complexity,
     atom_formula,
     atoms,
@@ -109,6 +119,27 @@ def test_quotient_complexities_examples():
     assert quotient_complexities(universal) == (1,)
 
 
+def test_quotient_complexities_match_naive_on_corpus():
+    rng = Random(59)
+    corpus = [random_dfa_with_edge_finals(rng) for _ in range(1200)]
+    smaller = 0
+    for d in corpus:
+        want = naive_quotient_complexities(d)
+        assert quotient_complexities(d) == want
+        smaller += min(want) < len(want)
+    assert {len(d.alphabet) for d in corpus} == {0, 1, 2, 3}
+    # some quotient is smaller than the minimal DFA of the language
+    assert smaller >= 100
+
+
+def test_complexity_and_semigroup_alphabet_conventions():
+    # L = a* over {a, b}: complexity drops b, which occurs in no accepted
+    # word; the syntactic semigroup keeps it (identity and map to the sink)
+    a_star = Dfa(2, ("a", "b"), {"a": (0, 1), "b": (1, 1)}, 0, frozenset({0}))
+    assert complexity(a_star) == 1
+    assert syntactic_semigroup_size(a_star).size == 2
+
+
 def test_atoms_counts():
     assert len(atoms(make_dialect("left-ideal-alt", 4, ("a", None, "c", "d", "e")))) == 9
     assert len(atoms(make_dialect("suffix-free-5", 4, ("a", None, "c", None, "e")))) == 5
@@ -192,10 +223,28 @@ def test_atoms_match_naive_enumeration_on_corpus():
         for bits in range(2**m.n):
             s = frozenset(q for q in range(m.n) if bits >> q & 1)
             if s in keys:
-                atom_automaton(m, s)
+                a = atom_automaton(m, s)
+                assert revalidated(a) == a  # the unchecked constructor built a valid Dfa
             else:
                 with pytest.raises(InputError):
                     atom_automaton(m, s)
+
+
+def test_atom_complexities_match_naive_atom_complexity_on_corpus():
+    # n <= 6: at n = 8 the naive minimizations alone take half a minute
+    rng = Random(61)
+    corpus = [random_dfa_with_edge_finals(rng, max_n=6) for _ in range(1000)]
+    measured = 0
+    for d in corpus:
+        got = atom_complexities(d)
+        assert set(got) == atoms(d)
+        for key, value in got.items():
+            assert value == naive_atom_complexity(d, key)
+        measured += len(got)
+        key = min(got, key=sorted)
+        assert atom_complexity(d, key) == got[key]
+    assert measured >= 3000
+    assert sum(not d.finals for d in corpus) >= 100
 
 
 def test_atom_count_equals_reverse_complexity_on_corpus():

@@ -7,6 +7,7 @@ from helpers import (
     language_upto,
     naive_product,
     random_dfa_any_start,
+    revalidated,
     singleton_word_dfa,
 )
 
@@ -108,13 +109,17 @@ def test_product_matches_naive_product_on_corpus():
             rng.shuffle(letters)
             d2 = complete_over(d2, letters)  # the same letters in another order
             for op in BOOL_OPS:
-                assert boolean_restricted(d1, d2, op) == naive_product(d1, d2, op)
+                d = boolean_restricted(d1, d2, op)
+                assert d == naive_product(d1, d2, op)
+                assert revalidated(d) == d  # the unchecked constructor built a valid Dfa
             restricted += 1
         else:
             sigma = union_alphabet(d1, d2)
             c1, c2 = complete_over(d1, sigma), complete_over(d2, sigma)
             for op in BOOL_OPS:
-                assert boolean_unrestricted(d1, d2, op) == naive_product(c1, c2, op)
+                d = boolean_unrestricted(d1, d2, op)
+                assert d == naive_product(c1, c2, op)
+                assert revalidated(d) == d
             unrestricted += 1
     assert restricted >= 100 and unrestricted >= 300
 

@@ -1,5 +1,6 @@
 import pytest
 
+from suffixconvex import verify
 from suffixconvex.errors import InputError
 from suffixconvex.verify import (
     ComplexityReport,
@@ -21,6 +22,22 @@ def test_family_and_quantity_selection():
         run_verification(families=["prefix-closed"])
     with pytest.raises(InputError):
         run_verification(quantities=["entropy"])
+
+
+def test_semigroup_cap_is_checked_before_any_row(monkeypatch):
+    message = "semigroup cap must be a positive integer, got 0"
+    # no semigroup row selected: the cap is still rejected
+    with pytest.raises(InputError, match=message):
+        run_verification(families=["left-ideal"], quantities=["star"], semigroup_cap=0)
+
+    # semigroup rows selected: rejected before the first row is measured
+    def measure(*args):
+        raise AssertionError("a row was measured")
+
+    monkeypatch.setattr(verify, "_measure", measure)
+    with pytest.raises(InputError, match=message):
+        run_verification(families=["left-ideal"], quantities=["star", "semigroup"],
+                         semigroup_cap=0)
 
 
 def test_mode_specific_quantity_selection():

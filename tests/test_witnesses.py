@@ -5,7 +5,14 @@ from suffixconvex.classifiers import classify
 from suffixconvex.errors import InputError
 from suffixconvex.measures import quotient_complexities
 from suffixconvex.operations import complement, star
-from suffixconvex.witnesses import FAMILIES, MIN_N, expected, make_dialect, make_witness
+from suffixconvex.witnesses import (
+    FAMILIES,
+    MIN_N,
+    expected,
+    make_dialect,
+    make_witness,
+    witness_alphabet,
+)
 
 
 def rows(d):
@@ -74,6 +81,17 @@ def test_two_letter_star_family():
     assert d.finals == {1}
     d7 = make_witness("suffix-free-2star", 7)
     assert rows(d7)["a"] == [6, 2, 3, 1, 5, 4, 6]
+
+
+def test_witness_alphabet_matches_witness():
+    for family in FAMILIES:
+        for n in range(MIN_N[family], 13):
+            assert witness_alphabet(family, n) == make_witness(family, n).alphabet
+    # the five-letter suffix-free stream drops a at n=4
+    assert witness_alphabet("suffix-free-5", 4) == ("b", "c", "d", "e")
+    assert witness_alphabet("suffix-free-n", 6) == ("a", "b", "c1", "c2", "c3", "c4")
+    with pytest.raises(InputError):
+        witness_alphabet("left-ideal", 3)
 
 
 def test_minimum_sizes_enforced():
