@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 
 from .automata import (
     Dfa,
-    Nfa,
     accepts,
     apply_word,
     complete_over,

@@ -1,4 +1,4 @@
-"""Complete DFAs, epsilon-NFAs, and the algorithms connecting them.
+"""Complete DFAs and the algorithms on them.
 
 All automata live on the dense state set {0,..,n-1}.  DFAs are complete
 by construction: every letter of the alphabet carries a total
@@ -9,13 +9,17 @@ reproducible bit for bit.
 
 The kernels (reachability, subset construction, minimization) work on
 plain ints: they index the ``image`` tuples of the transformations
-directly and hold subsets as int bitmasks.  A kernel whose rows are valid
-by construction (determinize, minimize, the direct product, the atom
-automaton) builds its result with ``Dfa._trusted``, which skips the
-checks of ``Dfa.__post_init__``; every other ``Dfa`` is validated.  A
-query that needs only a size (``complexity`` here, the quotient and atom
-complexities in ``measures``) counts states or refinement classes and
-builds no minimal ``Dfa`` for it.
+directly and hold subsets as int bitmasks.  ``_subsets`` is the one
+subset construction: its callers (reversal, star, concatenation, Suff(L),
+Σ⁺L, atoms) hand it the nondeterministic moves as bitmask steps, one
+mask per (letter, state), with any epsilon moves already folded in.  A
+kernel whose rows are valid by construction (determinize, minimize, the
+direct product, the atom automaton) builds its result with
+``Dfa._trusted``, which skips the checks of ``Dfa.__post_init__``; every
+other ``Dfa`` is validated.  A query that needs only a size
+(``complexity`` here, the quotient and atom complexities in
+``measures``) counts states or refinement classes and builds no minimal
+``Dfa`` for it.
 """
 
 from __future__ import annotations
@@ -26,8 +30,6 @@ from typing import Iterable, Sequence
 
 from .errors import InputError
 from .transformations import Transformation
-
-EPSILON = None  # transition label for the empty word
 
 
 @dataclass(frozen=True)
@@ -92,31 +94,6 @@ class Dfa:
         return t(q)
 
 
-@dataclass(frozen=True)
-class Nfa:
-    """Nondeterministic automaton with initial-state set and epsilon moves."""
-
-    n: int
-    alphabet: tuple[str, ...]
-    transitions: frozenset[tuple[int, str | None, int]]
-    initials: frozenset[int]
-    finals: frozenset[int]
-
-    def __post_init__(self):
-        object.__setattr__(self, "alphabet", tuple(self.alphabet))
-        object.__setattr__(self, "transitions", frozenset(self.transitions))
-        object.__setattr__(self, "initials", frozenset(self.initials))
-        object.__setattr__(self, "finals", frozenset(self.finals))
-        states = frozenset(range(self.n))
-        for p, letter, q in self.transitions:
-            if p not in states or q not in states:
-                raise InputError(f"transition ({p},{letter},{q}) leaves the state set")
-            if letter is not None and letter not in self.alphabet:
-                raise InputError(f"transition letter {letter!r} not in alphabet")
-        if not (self.initials <= states and self.finals <= states):
-            raise InputError("initial/final states outside the state set")
-
-
 def apply_word(d: Dfa, q: int, word: Iterable[str]) -> int:
     """The state reached from q by reading word left to right."""
     for letter in word:
@@ -168,51 +145,20 @@ def coreachable_states(d: Dfa) -> frozenset[int]:
     return frozenset(q for q in range(d.n) if live[q])
 
 
-def determinize(m: Nfa) -> Dfa:
-    """Subset construction with epsilon closure.
+def _subsets(steps: Sequence[Sequence[int]], start: int) -> tuple[list[int], list[list[int]]]:
+    """Subset construction on bitmask steps.
 
-    Subsets are int bitmasks, bit p standing for state p.  Each state's
-    epsilon closure and each (letter, state) closed step are computed
-    once; the closure of a union is the union of the closures, so a
-    subset's successor is the union of its members' closed steps.  States
-    are the reachable closed subsets, numbered by BFS discovery order with
-    letters scanned in alphabet order; the empty subset, when reachable,
-    becomes an ordinary sink state.
+    Subsets are int bitmasks, bit p standing for state p, and steps[c][p]
+    is the mask of the states letter c takes p to; a subset's successor is
+    the union of its members' steps.  Returns (order, rows): order lists
+    the subsets reachable from start in BFS discovery order, letters
+    scanned in the order of steps, and rows[c][i] is the number of the
+    subset letter c takes order[i] to.  The empty subset, when reachable,
+    is an ordinary subset.
     """
-    eps: list[list[int]] = [[] for _ in range(m.n)]
-    moves: dict[str, list[list[int]]] = {l: [[] for _ in range(m.n)] for l in m.alphabet}
-    for p, letter, q in m.transitions:
-        if letter is EPSILON:
-            eps[p].append(q)
-        else:
-            moves[letter][p].append(q)
-
-    closure: list[int] = []
-    for p in range(m.n):
-        mask = 1 << p
-        stack = [p]
-        while stack:
-            for q in eps[stack.pop()]:
-                if not mask >> q & 1:
-                    mask |= 1 << q
-                    stack.append(q)
-        closure.append(mask)
-    steps: list[list[int]] = []
-    for letter in m.alphabet:
-        row = []
-        for targets in moves[letter]:
-            mask = 0
-            for q in targets:
-                mask |= closure[q]
-            row.append(mask)
-        steps.append(row)
-
-    start = 0
-    for p in m.initials:
-        start |= closure[p]
     index = {start: 0}
     order = [start]
-    rows: list[list[int]] = [[] for _ in m.alphabet]
+    rows: list[list[int]] = [[] for _ in steps]
     for subset in order:  # the list grows while it is read: a FIFO queue
         members = []
         rest = subset
@@ -229,12 +175,33 @@ def determinize(m: Nfa) -> Dfa:
                 j = index[target] = len(order)
                 order.append(target)
             row.append(j)
+    return order, rows
 
-    final_mask = 0
-    for q in m.finals:
-        final_mask |= 1 << q
-    finals = frozenset(i for i, subset in enumerate(order) if subset & final_mask)
-    return Dfa._trusted(len(order), m.alphabet, rows, 0, finals)
+
+def _preimages(d: Dfa) -> list[list[int]]:
+    """Bitmask steps of the reversed transitions: pre[c][q] is the mask of
+    the states p that letter c takes to q."""
+    steps = []
+    for letter in d.alphabet:
+        pre = [0] * d.n
+        for p, q in enumerate(d.delta[letter].image):
+            pre[q] |= 1 << p
+        steps.append(pre)
+    return steps
+
+
+def determinize(
+    alphabet: tuple[str, ...], steps: Sequence[Sequence[int]], start: int, accepting: int
+) -> Dfa:
+    """The DFA of the subsets reachable from start (a bitmask) under the
+    bitmask steps, one row of steps per letter of alphabet, as ``_subsets``
+    numbers them; a subset is final when it meets the accepting mask, and
+    the empty subset, when reachable, becomes a sink.  A caller with
+    epsilon moves folds each state's closure into the steps and start.
+    """
+    order, rows = _subsets(steps, start)
+    finals = frozenset(i for i, subset in enumerate(order) if subset & accepting)
+    return Dfa._trusted(len(order), alphabet, rows, 0, finals)
 
 
 def _hopcroft(

@@ -16,7 +16,9 @@ matches a wanted pattern:
 A left ideal must also be non-empty: the same search over (L,) for an
 accepted word.  ΣL is built directly as an (n+1)-state DFA, so the
 left-ideal test needs no subset construction; Σ⁺L and Suff(L) are
-determinized, and ``classify`` builds each of them once.
+subset constructions on d's transitions, handed to
+``automata.determinize`` as bitmask steps, and ``classify`` builds each
+of them once.
 
 Two identities make these the counterexamples of the definitions:
 
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 from operator import getitem
 from typing import Optional, Sequence
 
-from .automata import Dfa, Nfa, coreachable_states, determinize, reachable_states
+from .automata import Dfa, coreachable_states, determinize, reachable_states
 
 Word = tuple[str, ...]
 
@@ -83,18 +85,21 @@ def _first_word(alphabet, dfas: Sequence[Dfa], want: Sequence[bool]) -> Optional
     return None
 
 
-def _moves(d: Dfa) -> set:
-    return {(p, letter, q) for letter in d.alphabet for p, q in enumerate(d.delta[letter].image)}
+def _steps(d: Dfa) -> list[list[int]]:
+    """d's transitions as bitmask steps: one mask per (letter, state)."""
+    return [[1 << q for q in d.delta[letter].image] for letter in d.alphabet]
 
 
 def suffix_language(d: Dfa) -> Dfa:
     """DFA for the suffixes of words of L(d).
 
-    NFA whose initial states are the states of d that are both reachable
-    and co-reachable, determinized.
+    The subset construction on d's transitions from the set of states
+    that are both reachable and co-reachable.
     """
     useful = frozenset(reachable_states(d)) & coreachable_states(d)
-    return determinize(Nfa(d.n, d.alphabet, _moves(d), useful, d.finals))
+    return determinize(
+        d.alphabet, _steps(d), sum(1 << q for q in useful), sum(1 << f for f in d.finals)
+    )
 
 
 def _letter_prefixed(d: Dfa) -> Dfa:
@@ -104,10 +109,11 @@ def _letter_prefixed(d: Dfa) -> Dfa:
 
 
 def _prefixed(d: Dfa) -> Dfa:
-    """DFA for Σ⁺L: ΣL with a loop on every letter at its initial state,
-    determinized."""
-    moves = _moves(_letter_prefixed(d)) | {(d.n, letter, d.n) for letter in d.alphabet}
-    return determinize(Nfa(d.n + 1, d.alphabet, moves, {d.n}, d.finals))
+    """DFA for Σ⁺L: the subset construction on ΣL with a loop on every
+    letter at its initial state n."""
+    guess = 1 << d.n
+    steps = [row + [guess | 1 << d.initial] for row in _steps(d)]
+    return determinize(d.alphabet, steps, guess, sum(1 << f for f in d.finals))
 
 
 def _language(d: Dfa) -> Dfa:

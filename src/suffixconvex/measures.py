@@ -7,8 +7,9 @@ DFA at 256 states.
 Atom A_S is non-empty exactly when S = {q : qw is final} for some word w.
 Those sets are the subsets reached by the subset construction on the
 reversed DFA from the final states (Brzozowski and Tamm, "Theory of
-atomata", 2014), so atoms are enumerated by one breadth-first search in
-time proportional to their number.
+atomata", 2014), so atoms are enumerated by ``automata._subsets`` on
+the reversed transitions, the kernel that ``operations.reverse``
+determinizes with, in time proportional to their number.
 
 Atom complexity runs on the image-pair automaton: the quotient of A_S by
 a word w is determined by the pair (Sw, S'w) where S' is the complement
@@ -28,7 +29,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
-from .automata import Dfa, _minimal_size, _walk, minimize
+from .automata import Dfa, _minimal_size, _preimages, _subsets, _walk, minimize
 from .errors import InputError, LimitError
 
 DEFAULT_SEMIGROUP_CAP = 2_000_000
@@ -116,36 +117,21 @@ def quotient_complexities(d: Dfa) -> tuple[int, ...]:
     return tuple(len(_walk(m.n, images, q, ())[0]) for q in range(m.n))
 
 
+def _atom_keys(m: Dfa, limit: int = DEFAULT_ATOM_STATE_LIMIT) -> frozenset[AtomKey]:
+    """``atoms`` of the minimal DFA m, which it does not minimize again."""
+    if m.n > limit:
+        raise LimitError(f"atom enumeration over {m.n} states exceeds the limit {limit}")
+    order, _ = _subsets(_preimages(m), sum(1 << q for q in m.finals))
+    return frozenset(frozenset(q for q in range(m.n) if mask >> q & 1) for mask in order)
+
+
 def atoms(d: Dfa, limit: int = DEFAULT_ATOM_STATE_LIMIT) -> frozenset[AtomKey]:
     """The subsets S of the minimal DFA's states whose atom is non-empty.
 
-    Breadth-first from S = F over the reversed transitions: the set for
-    the word aw is {q : q.a in S}, where S is the set for w.
+    The subset construction from S = F over the reversed transitions: the
+    set for the word aw is {q : q.a in S}, where S is the set for w.
     """
-    m = minimize(d)
-    if m.n > limit:
-        raise LimitError(f"atom enumeration over {m.n} states exceeds the limit {limit}")
-    # preimages[letter][q]: bitmask of the states p with p.letter = q
-    preimages = []
-    for letter in m.alphabet:
-        pre = [0] * m.n
-        for p, q in enumerate(m.delta[letter].image):
-            pre[q] |= 1 << p
-        preimages.append(pre)
-    start = sum(1 << q for q in m.finals)
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        mask = queue.popleft()
-        members = [q for q in range(m.n) if mask >> q & 1]
-        for pre in preimages:
-            nxt = 0
-            for q in members:
-                nxt |= pre[q]
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return frozenset(frozenset(q for q in range(m.n) if mask >> q & 1) for mask in seen)
+    return _atom_keys(minimize(d), limit)
 
 
 def atom_automaton(m: Dfa, key) -> Dfa:
@@ -209,7 +195,7 @@ def atom_complexities(d: Dfa) -> dict[AtomKey, int]:
     them, under its default limit), minimizing d once rather than once
     per atom."""
     m = minimize(d)
-    return {key: _minimal_size(atom_automaton(m, key)) for key in atoms(m)}
+    return {key: _minimal_size(atom_automaton(m, key)) for key in _atom_keys(m)}
 
 
 def atom_formula(language_class: str, n: int, key) -> int:

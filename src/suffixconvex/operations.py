@@ -1,17 +1,20 @@
 """The measured operations: dialects, boolean operations, product, star,
 reversal, and complement.
 
-Operation outputs are determinized and trimmed to reachable states but
-never minimized here; ``automata.complexity`` is the single place where
-minimization and occurring-letter reduction happen, so tests can inspect
-the raw constructions.
+Concatenation, star and reversal hand their nondeterministic moves to
+``automata.determinize`` as bitmask steps, epsilon moves folded in; the
+boolean operations run the direct product.  Operation outputs are
+trimmed to reachable states but never minimized here;
+``automata.complexity`` is the single place where minimization and
+occurring-letter reduction happen, so tests can inspect the raw
+constructions.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .automata import Dfa, Nfa, complete_over, determinize, union_alphabet
+from .automata import Dfa, _preimages, complete_over, determinize, union_alphabet
 from .errors import InputError
 
 BOOL_OPS = ("union", "symdiff", "difference", "intersection")
@@ -118,60 +121,48 @@ def boolean_unrestricted(d1: Dfa, d2: Dfa, op: str) -> Dfa:
 
 
 def concat(d1: Dfa, d2: Dfa) -> Dfa:
-    """Product (concatenation) via the epsilon-NFA, determinized.
+    """Product (concatenation) by the subset construction on the
+    epsilon-NFA.
 
-    Both automata sit side by side over the union alphabet; letters
-    missing on one side simply contribute no transitions there.
+    Both automata sit side by side over the union alphabet, d2's states
+    shifted by d1.n; letters missing on one side simply contribute no
+    moves there.  The epsilon move from each final state of d1 to d2's
+    initial state is folded in: a step or start that reaches a final
+    state of d1 also reaches d2's initial state.
     """
     sigma = union_alphabet(d1, d2)
     shift = d1.n
-    transitions = set()
-    for letter in d1.alphabet:
-        t = d1.delta[letter]
-        transitions.update((p, letter, t(p)) for p in range(d1.n))
-    for letter in d2.alphabet:
-        t = d2.delta[letter]
-        transitions.update((p + shift, letter, t(p) + shift) for p in range(d2.n))
-    transitions.update((f, None, d2.initial + shift) for f in d1.finals)
-    nfa = Nfa(
-        d1.n + d2.n,
-        sigma,
-        frozenset(transitions),
-        frozenset({d1.initial}),
-        frozenset(f + shift for f in d2.finals),
-    )
-    return determinize(nfa)
+    entry = 1 << (d2.initial + shift)
+    # closed[q]: q with its epsilon move into d2
+    closed = [1 << q | (entry if q in d1.finals else 0) for q in range(d1.n)]
+    steps = []
+    for letter in sigma:
+        t1, t2 = d1.delta.get(letter), d2.delta.get(letter)
+        row = [closed[q] for q in t1.image] if t1 is not None else [0] * d1.n
+        row += [1 << (q + shift) for q in t2.image] if t2 is not None else [0] * d2.n
+        steps.append(row)
+    accepting = sum(1 << (f + shift) for f in d2.finals)
+    return determinize(sigma, steps, closed[d1.initial], accepting)
 
 
 def star(d: Dfa) -> Dfa:
-    """Kleene star: new final initial state copying the old initial's
-    outgoing transitions, epsilon moves from old finals back to it."""
-    fresh = d.n
-    transitions = set()
+    """Kleene star: new final initial state n copying the old initial's
+    outgoing moves, epsilon moves from old finals back to it (folded in:
+    a step into a final state also reaches n)."""
+    fresh = 1 << d.n
+    closed = [1 << q | (fresh if q in d.finals else 0) for q in range(d.n)]
+    steps = []
     for letter in d.alphabet:
-        t = d.delta[letter]
-        transitions.update((p, letter, t(p)) for p in range(d.n))
-        transitions.add((fresh, letter, t(d.initial)))
-    transitions.update((f, None, fresh) for f in d.finals)
-    nfa = Nfa(
-        d.n + 1,
-        d.alphabet,
-        frozenset(transitions),
-        frozenset({fresh}),
-        d.finals | {fresh},
-    )
-    return determinize(nfa)
+        image = d.delta[letter].image
+        steps.append([closed[q] for q in image] + [closed[image[d.initial]]])
+    return determinize(d.alphabet, steps, fresh, sum(1 << f for f in d.finals) | fresh)
 
 
 def reverse(d: Dfa) -> Dfa:
     """Language reversal: flip every transition, swap initial and finals,
     determinize."""
-    transitions = set()
-    for letter in d.alphabet:
-        t = d.delta[letter]
-        transitions.update((t(p), letter, p) for p in range(d.n))
-    nfa = Nfa(d.n, d.alphabet, frozenset(transitions), d.finals, frozenset({d.initial}))
-    return determinize(nfa)
+    start = sum(1 << f for f in d.finals)
+    return determinize(d.alphabet, _preimages(d), start, 1 << d.initial)
 
 
 def complement(d: Dfa) -> Dfa:

@@ -129,7 +129,8 @@ def export_dot(d: Dfa) -> str:
         for letter in d.alphabet:
             targets.setdefault(d.delta[letter](p), []).append(letter)
         for q in sorted(targets):
-            label = ",".join(targets[q])
+            # a backslash or quote in a letter would end or alter the quoted label
+            label = ",".join(targets[q]).replace("\\", "\\\\").replace('"', '\\"')
             lines.append(f'  {p} -> {q} [label="{label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

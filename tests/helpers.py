@@ -11,26 +11,51 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from random import Random
 
 from typing import Callable, Iterable, Optional
 
 from suffixconvex.automata import (
-    EPSILON,
     Dfa,
-    Nfa,
     accepts,
     coreachable_states,
-    determinize,
     minimize,
     reachable_states,
+    union_alphabet,
 )
-from suffixconvex.classifiers import ClassReport, Word, suffix_language
+from suffixconvex.classifiers import ClassReport, Word, _letter_prefixed
 from suffixconvex.errors import InputError
 from suffixconvex.measures import atom_automaton
 from suffixconvex.operations import _TRUTH
 from suffixconvex.transformations import Transformation
+
+EPSILON = None  # transition label for the empty word
+
+
+@dataclass(frozen=True)
+class Nfa:
+    """Nondeterministic automaton with initial-state set and epsilon moves."""
+
+    n: int
+    alphabet: tuple[str, ...]
+    transitions: frozenset[tuple[int, str | None, int]]
+    initials: frozenset[int]
+    finals: frozenset[int]
+
+    def __post_init__(self):
+        object.__setattr__(self, "alphabet", tuple(self.alphabet))
+        object.__setattr__(self, "transitions", frozenset(self.transitions))
+        object.__setattr__(self, "initials", frozenset(self.initials))
+        object.__setattr__(self, "finals", frozenset(self.finals))
+        states = frozenset(range(self.n))
+        for p, letter, q in self.transitions:
+            if p not in states or q not in states:
+                raise InputError(f"transition ({p},{letter},{q}) leaves the state set")
+            if letter is not None and letter not in self.alphabet:
+                raise InputError(f"transition letter {letter!r} not in alphabet")
+        if not (self.initials <= states and self.finals <= states):
+            raise InputError("initial/final states outside the state set")
 
 
 def random_dfa(rng: Random, max_n: int = 6, max_letters: int = 3) -> Dfa:
@@ -247,7 +272,7 @@ def naive_determinize(m: Nfa) -> Dfa:
 
     States are the reachable closed subsets, numbered by BFS discovery
     order with letters scanned in alphabet order; the reference for
-    ``automata.determinize``.
+    ``automata.determinize`` (through ``nfa_steps``).
     """
     eps: list[list[int]] = [[] for _ in range(m.n)]
     moves: dict[str, list[list[int]]] = {l: [[] for _ in range(m.n)] for l in m.alphabet}
@@ -290,6 +315,131 @@ def naive_determinize(m: Nfa) -> Dfa:
     delta = {l: Transformation(tuple(rows[l])) for l in m.alphabet}
     finals = frozenset(i for i, subset in enumerate(order) if subset & m.finals)
     return Dfa(len(order), m.alphabet, delta, 0, finals)
+
+
+def nfa_steps(m: Nfa) -> tuple[tuple[str, ...], list[list[int]], int, int]:
+    """The arguments of ``automata.determinize`` for m: (alphabet, bitmask
+    steps, start, accepting), each state's epsilon closure folded in.
+
+    A closure of a union is the union of the closures, so each state's
+    closure and each (letter, state) closed step are computed once.
+    """
+    eps: list[list[int]] = [[] for _ in range(m.n)]
+    moves: dict[str, list[list[int]]] = {l: [[] for _ in range(m.n)] for l in m.alphabet}
+    for p, letter, q in m.transitions:
+        if letter is EPSILON:
+            eps[p].append(q)
+        else:
+            moves[letter][p].append(q)
+
+    closure: list[int] = []
+    for p in range(m.n):
+        mask = 1 << p
+        stack = [p]
+        while stack:
+            for q in eps[stack.pop()]:
+                if not mask >> q & 1:
+                    mask |= 1 << q
+                    stack.append(q)
+        closure.append(mask)
+    steps: list[list[int]] = []
+    for letter in m.alphabet:
+        row = []
+        for targets in moves[letter]:
+            mask = 0
+            for q in targets:
+                mask |= closure[q]
+            row.append(mask)
+        steps.append(row)
+
+    start = 0
+    for p in m.initials:
+        start |= closure[p]
+    return m.alphabet, steps, start, sum(1 << q for q in m.finals)
+
+
+# --- the epsilon-NFA constructions ``operations.concat``, ``star``,
+# ``reverse`` and ``classifiers.suffix_language``, ``_prefixed`` replaced:
+# each builds an ``Nfa`` of transition triples and determinizes it, here
+# with ``naive_determinize``.
+
+
+def naive_concat(d1: Dfa, d2: Dfa) -> Dfa:
+    """Product (concatenation) via the epsilon-NFA, determinized.
+
+    Both automata sit side by side over the union alphabet; letters
+    missing on one side simply contribute no transitions there.
+    """
+    sigma = union_alphabet(d1, d2)
+    shift = d1.n
+    transitions = set()
+    for letter in d1.alphabet:
+        t = d1.delta[letter]
+        transitions.update((p, letter, t(p)) for p in range(d1.n))
+    for letter in d2.alphabet:
+        t = d2.delta[letter]
+        transitions.update((p + shift, letter, t(p) + shift) for p in range(d2.n))
+    transitions.update((f, None, d2.initial + shift) for f in d1.finals)
+    nfa = Nfa(
+        d1.n + d2.n,
+        sigma,
+        frozenset(transitions),
+        frozenset({d1.initial}),
+        frozenset(f + shift for f in d2.finals),
+    )
+    return naive_determinize(nfa)
+
+
+def naive_star(d: Dfa) -> Dfa:
+    """Kleene star: new final initial state copying the old initial's
+    outgoing transitions, epsilon moves from old finals back to it."""
+    fresh = d.n
+    transitions = set()
+    for letter in d.alphabet:
+        t = d.delta[letter]
+        transitions.update((p, letter, t(p)) for p in range(d.n))
+        transitions.add((fresh, letter, t(d.initial)))
+    transitions.update((f, None, fresh) for f in d.finals)
+    nfa = Nfa(
+        d.n + 1,
+        d.alphabet,
+        frozenset(transitions),
+        frozenset({fresh}),
+        d.finals | {fresh},
+    )
+    return naive_determinize(nfa)
+
+
+def naive_reverse(d: Dfa) -> Dfa:
+    """Language reversal: flip every transition, swap initial and finals,
+    determinize."""
+    transitions = set()
+    for letter in d.alphabet:
+        t = d.delta[letter]
+        transitions.update((t(p), letter, p) for p in range(d.n))
+    nfa = Nfa(d.n, d.alphabet, frozenset(transitions), d.finals, frozenset({d.initial}))
+    return naive_determinize(nfa)
+
+
+def _moves(d: Dfa) -> set:
+    return {(p, letter, q) for letter in d.alphabet for p, q in enumerate(d.delta[letter].image)}
+
+
+def naive_suffix_language(d: Dfa) -> Dfa:
+    """DFA for the suffixes of words of L(d).
+
+    NFA whose initial states are the states of d that are both reachable
+    and co-reachable, determinized.
+    """
+    useful = frozenset(reachable_states(d)) & coreachable_states(d)
+    return naive_determinize(Nfa(d.n, d.alphabet, _moves(d), useful, d.finals))
+
+
+def naive_prefixed(d: Dfa) -> Dfa:
+    """DFA for Σ⁺L: ΣL with a loop on every letter at its initial state,
+    determinized."""
+    moves = _moves(_letter_prefixed(d)) | {(d.n, letter, d.n) for letter in d.alphabet}
+    return naive_determinize(Nfa(d.n + 1, d.alphabet, moves, {d.n}, d.finals))
 
 
 def naive_product(d1: Dfa, d2: Dfa, op: str) -> Dfa:
@@ -508,7 +658,7 @@ def naive_is_suffix_closed(d: Dfa) -> tuple[bool, Optional[Word]]:
     The counterexample is the smallest suffix of an accepted word that
     is itself rejected.
     """
-    suff = suffix_language(d)
+    suff = naive_suffix_language(d)
     start = (suff.initial, d.initial)
 
     def step(pair, letter):
@@ -527,7 +677,7 @@ def naive_is_suffix_free(d: Dfa) -> tuple[bool, Optional[Word]]:
     The counterexample is the smallest accepted word that also has a
     shorter accepted suffix.
     """
-    padded = determinize(_prefixed_nfa(d, allow_empty_prefix=False))
+    padded = naive_determinize(_prefixed_nfa(d, allow_empty_prefix=False))
     start = (d.initial, padded.initial)
 
     def step(pair, letter):
@@ -546,8 +696,8 @@ def naive_is_suffix_convex(d: Dfa) -> tuple[bool, Optional[Word]]:
     Equivalent automaton-level test: every word that has an accepted
     suffix and is itself a suffix of an accepted word must be accepted.
     """
-    padded = determinize(_prefixed_nfa(d, allow_empty_prefix=True))
-    suff = suffix_language(d)
+    padded = naive_determinize(_prefixed_nfa(d, allow_empty_prefix=True))
+    suff = naive_suffix_language(d)
     start = (padded.initial, suff.initial, d.initial)
 
     def step(triple, letter):

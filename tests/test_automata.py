@@ -2,6 +2,8 @@ from random import Random
 
 import pytest
 from helpers import (
+    EPSILON,
+    Nfa,
     dfa_corpus,
     language_upto,
     naive_complexity,
@@ -10,6 +12,7 @@ from helpers import (
     naive_occurring_letters,
     naive_partition,
     naive_reachable_states,
+    nfa_steps,
     quotient_count_oracle,
     random_dfa_any_start,
     random_dfa_with_edge_finals,
@@ -22,9 +25,7 @@ from helpers import (
 from hypothesis import given, settings, strategies as st
 
 from suffixconvex.automata import (
-    EPSILON,
     Dfa,
-    Nfa,
     _hopcroft,
     accepts,
     apply_word,
@@ -84,7 +85,7 @@ def test_determinize_of_deterministic_nfa_is_isomorphic():
         (p, letter, d.delta[letter](p)) for letter in d.alphabet for p in range(d.n)
     )
     nfa = Nfa(d.n, d.alphabet, transitions, frozenset({d.initial}), d.finals)
-    got = determinize(nfa)
+    got = determinize(*nfa_steps(nfa))
     assert got == d  # witness numbering is already BFS order
 
 
@@ -108,7 +109,7 @@ def test_determinize_subset_labels_consistent():
         frozenset({0}),
         frozenset({3}),
     )
-    dfa = determinize(nfa)
+    dfa = determinize(*nfa_steps(nfa))
 
     def closure(states):
         out = set(states)
@@ -163,7 +164,7 @@ def test_determinize_matches_naive_determinize_on_random_nfas():
     rng = Random(41)
     corpus = [random_nfa(rng) for _ in range(1500)]
     for nfa in corpus:
-        d = determinize(nfa)
+        d = determinize(*nfa_steps(nfa))
         assert d == naive_determinize(nfa)
         assert revalidated(d) == d  # the unchecked constructor built a valid Dfa
     assert sum(not m.initials for m in corpus) >= 200
@@ -176,7 +177,7 @@ def test_determinize_matches_naive_determinize_on_random_nfas():
 
 def test_determinize_empty_initial_set_is_a_sink():
     nfa = Nfa(3, ("a", "b"), frozenset({(0, "a", 1), (1, None, 2)}), frozenset(), frozenset({2}))
-    d = determinize(nfa)
+    d = determinize(*nfa_steps(nfa))
     assert d == Dfa(1, ("a", "b"), {"a": (0,), "b": (0,)}, 0, frozenset())
 
 

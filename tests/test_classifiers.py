@@ -137,7 +137,9 @@ def test_classifiers_match_naive_classifiers():
 
 def test_subset_constructions_per_call(monkeypatch):
     calls = []
-    monkeypatch.setattr(classifiers, "determinize", lambda m: calls.append(m) or determinize(m))
+    monkeypatch.setattr(
+        classifiers, "determinize", lambda *args: calls.append(args) or determinize(*args)
+    )
     for d in (make_witness("suffix-free-n", 6), make_witness("regular", 4), EMPTY):
         calls.clear()
         is_left_ideal(d)

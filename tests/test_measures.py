@@ -14,6 +14,7 @@ from helpers import (
     revalidated,
 )
 
+from suffixconvex import measures
 from suffixconvex.automata import Dfa, complexity, equivalent, minimize
 from suffixconvex.errors import InputError, LimitError
 from suffixconvex.measures import (
@@ -245,6 +246,19 @@ def test_atom_complexities_match_naive_atom_complexity_on_corpus():
         assert atom_complexity(d, key) == got[key]
     assert measured >= 3000
     assert sum(not d.finals for d in corpus) >= 100
+
+
+def test_atom_complexities_minimizes_once(monkeypatch):
+    w = make_witness("left-ideal", 5)
+    keys = atoms(w)
+    calls = []
+    monkeypatch.setattr(measures, "minimize", lambda d: calls.append(d) or minimize(d))
+    assert set(atom_complexities(w)) == keys
+    assert len(calls) == 1
+    calls.clear()
+    with pytest.raises(LimitError):  # the default atom limit still holds
+        atom_complexities(make_witness("left-ideal", 13))
+    assert len(calls) == 1
 
 
 def test_atom_count_equals_reverse_complexity_on_corpus():

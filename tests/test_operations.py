@@ -5,8 +5,14 @@ from helpers import (
     dfa_corpus,
     finite_language_dfa,
     language_upto,
+    naive_concat,
+    naive_prefixed,
     naive_product,
+    naive_reverse,
+    naive_star,
+    naive_suffix_language,
     random_dfa_any_start,
+    random_dfa_with_edge_finals,
     revalidated,
     singleton_word_dfa,
 )
@@ -19,7 +25,7 @@ from suffixconvex.automata import (
     minimize,
     union_alphabet,
 )
-from suffixconvex.classifiers import is_left_ideal
+from suffixconvex.classifiers import _prefixed, is_left_ideal, suffix_language
 from suffixconvex.errors import InputError
 from suffixconvex.operations import (
     BOOL_OPS,
@@ -122,6 +128,37 @@ def test_product_matches_naive_product_on_corpus():
                 assert revalidated(d) == d
             unrestricted += 1
     assert restricted >= 100 and unrestricted >= 300
+
+
+def _renamed(rng: Random, d: Dfa) -> Dfa:
+    """d with its letters renamed to distinct letters of "abcd" in random order."""
+    names = tuple(rng.sample("abcd", len(d.alphabet)))
+    delta = {new: d.delta[old] for old, new in zip(d.alphabet, names)}
+    return Dfa(d.n, names, delta, d.initial, d.finals)
+
+
+def test_subset_constructions_match_nfa_oracles():
+    # same states, same numbering: the Dfa values are equal
+    rng = Random(71)
+    corpus = [random_dfa_with_edge_finals(rng) for _ in range(1600)]
+    seconds = [_renamed(rng, random_dfa_with_edge_finals(rng)) for _ in corpus]
+    for d, e in zip(corpus, seconds):
+        pairs = (
+            (reverse(d), naive_reverse(d)),
+            (star(d), naive_star(d)),
+            (concat(d, e), naive_concat(d, e)),
+            (suffix_language(d), naive_suffix_language(d)),
+            (_prefixed(d), naive_prefixed(d)),
+        )
+        for got, want in pairs:
+            assert got == want
+            assert revalidated(got) == got  # the unchecked constructor built a valid Dfa
+    assert sum(not d.alphabet for d in corpus) >= 200
+    assert sum(not d.finals for d in corpus) >= 200
+    assert sum(d.finals == frozenset(range(d.n)) for d in corpus) >= 200
+    assert sum(d.initial in d.finals for d in corpus) >= 400
+    assert sum(d.initial != 0 for d in corpus) >= 800
+    assert sum(set(d.alphabet) != set(e.alphabet) for d, e in zip(corpus, seconds)) >= 800
 
 
 def test_product_with_a_single_state_operand():

@@ -115,6 +115,12 @@ def test_dot_single_state_no_edges():
     assert dot.count("doublecircle") == 1
 
 
+def test_dot_escapes_quotes_and_backslashes_in_labels():
+    d = read_dfa(write_dfa(Dfa(1, ('a"b', "x\\"), {'a"b': (0,), "x\\": (0,)}, 0, frozenset())))
+    assert d.alphabet == ('a"b', "x\\")
+    assert '  0 -> 0 [label="a\\"b,x\\\\"];' in export_dot(d).splitlines()
+
+
 def test_dot_deterministic():
     d = make_witness("left-ideal", 5)
     assert export_dot(d) == export_dot(d)
