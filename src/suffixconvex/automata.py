@@ -320,6 +320,16 @@ def _walk(
     return order, rows, frozenset(number[q] for q in finals if number[q] >= 0)
 
 
+def _class_of(n: int, blocks: Sequence[frozenset[int]]) -> list[int]:
+    """block_of[q], the index in blocks of the class holding state q, for
+    the classes of {0,..,n-1} that ``_hopcroft`` returns."""
+    block_of = [0] * n
+    for b, block in enumerate(blocks):
+        for q in block:
+            block_of[q] = b
+    return block_of
+
+
 def _size(n: int, images: Sequence[Sequence[int]], initial: int, finals: Iterable[int]) -> int:
     """Number of states of the minimal DFA with these rows: one walk and
     one refinement, with no class numbering and no Dfa built."""
@@ -346,10 +356,7 @@ def minimize(d: Dfa) -> Dfa:
     n = len(order)
 
     blocks = _hopcroft(n, rows, finals)
-    block_of = [0] * n
-    for b, block in enumerate(blocks):
-        for q in block:
-            block_of[q] = b
+    block_of = _class_of(n, blocks)
     # number the blocks by BFS over block transitions from the initial block
     number = [-1] * len(blocks)
     number[block_of[0]] = 0

@@ -15,12 +15,16 @@ Atom complexity runs on the image-pair automaton: the quotient of A_S by
 a word w is determined by the pair (Sw, S'w) where S' is the complement
 of S, a pair is accepting when Sw lies inside the final states and S'w
 avoids them, and a pair whose components overlap can never accept again
-and is pruned to a sink.
+and is pruned to a sink.  Two atoms that reach the same pair share that
+quotient and every one after it, so ``atom_complexities`` builds one pair
+automaton per DFA, seeded with the start pair of every atom, and refines
+it once; ``atom_automaton`` is the same kernel with one seed.
 
-Sizes are counted, not built: the states of a minimal DFA are pairwise
-distinguishable, so a quotient's complexity is the number of states
-reachable from it, and an atom automaton is counted by the size kernel
-of ``automata`` without building its minimal DFA.
+Sizes are counted, not built: the states of a minimal DFA, like the
+classes of a refinement, are pairwise distinguishable, so a quotient's
+complexity is the number of states of the minimal DFA reachable from it,
+and an atom's is the number of classes of the shared pair automaton
+reachable from its seed's class.
 """
 
 from __future__ import annotations
@@ -28,8 +32,18 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from typing import Sequence
 
-from .automata import Dfa, _minimal_size, _preimages, _subsets, _walk, minimize
+from .automata import (
+    Dfa,
+    _class_of,
+    _hopcroft,
+    _minimal_size,
+    _preimages,
+    _subsets,
+    _walk,
+    minimize,
+)
 from .errors import InputError, LimitError
 
 DEFAULT_SEMIGROUP_CAP = 2_000_000
@@ -134,51 +148,71 @@ def atoms(d: Dfa, limit: int = DEFAULT_ATOM_STATE_LIMIT) -> frozenset[AtomKey]:
     return _atom_keys(minimize(d), limit)
 
 
+def _atom_pairs(
+    m: Dfa, keys: Sequence[AtomKey]
+) -> tuple[list[int], list[list[int]], frozenset[int]]:
+    """The image-pair automaton shared by the atoms of the minimal DFA m
+    named by keys.
+
+    A pair (X, Y) of state sets is coded as the int X | Y << n.  The seeds
+    (S, complement of S) are states 0.. in the order of keys, and the pairs
+    reachable from them follow in BFS order, letters in alphabet order;
+    overlapping pairs collapse into one sink, coded as ({0}, {0}), which
+    overlaps again after every letter.  Returns (order, rows, finals), rows
+    holding one image list per letter.
+    """
+    n = m.n
+    full = (1 << n) - 1
+    sink = 1 | 1 << n
+    # steps[c][p]: the bit of p's image, in the X half for p < n, else in Y
+    steps = []
+    for letter in m.alphabet:
+        image = m.delta[letter].image
+        steps.append([1 << q for q in image] + [1 << q + n for q in image])
+    order = []
+    for key in keys:
+        x = sum(1 << q for q in key)
+        order.append(x | (full ^ x) << n)
+    index = {code: i for i, code in enumerate(order)}
+    rows: list[list[int]] = [[] for _ in steps]
+    for code in order:  # the list grows while it is read: a FIFO queue
+        members = []
+        rest = code
+        while rest:
+            low = rest & -rest
+            members.append(low.bit_length() - 1)
+            rest ^= low
+        for step, row in zip(steps, rows):
+            target = 0
+            for p in members:
+                target |= step[p]
+            if target & target >> n:  # X and Y overlap
+                target = sink
+            j = index.get(target)
+            if j is None:
+                j = index[target] = len(order)
+                order.append(target)
+            row.append(j)
+    # a pair accepts when X lies inside the finals and Y avoids them, which
+    # no overlapping pair, the sink included, can do
+    final_mask = sum(1 << q for q in m.finals)
+    reject = (full ^ final_mask) | final_mask << n
+    finals = frozenset(i for i, code in enumerate(order) if not code & reject)
+    return order, rows, finals
+
+
 def atom_automaton(m: Dfa, key) -> Dfa:
     """DFA recognizing the atom A_S of the minimal DFA m.
 
     m must be minimal (as ``minimize`` returns it): the key names its
     states.  States are the image pairs reachable from (S, complement of
-    S), held as bitmasks; overlapping pairs collapse into one sink.
-    Rejects empty atoms.
+    S), numbered as ``_atom_pairs`` numbers them with S the only seed;
+    overlapping pairs collapse into one sink.  Rejects empty atoms.
     """
     s = frozenset(key)
     if not s <= frozenset(range(m.n)):
         raise InputError(f"atom key {sorted(s)} outside the minimal DFA's states")
-    # bits[letter][q]: the bitmask of q.letter
-    bits = [[1 << q for q in m.delta[letter].image] for letter in m.alphabet]
-    x = sum(1 << q for q in s)
-    start = (x, (1 << m.n) - 1 - x)
-    index = {start: 0}
-    order = [start]
-    rows: list[list[int]] = [[] for _ in m.alphabet]
-    pos = 0
-    while pos < len(order):
-        pair = order[pos]
-        pos += 1
-        if pair is None:  # sink
-            for row in rows:
-                row.append(index[None])
-            continue
-        xs = [q for q in range(m.n) if pair[0] >> q & 1]
-        ys = [q for q in range(m.n) if pair[1] >> q & 1]
-        for letter_bits, row in zip(bits, rows):
-            nx = ny = 0
-            for q in xs:
-                nx |= letter_bits[q]
-            for q in ys:
-                ny |= letter_bits[q]
-            nxt = (nx, ny) if not nx & ny else None
-            if nxt not in index:
-                index[nxt] = len(order)
-                order.append(nxt)
-            row.append(index[nxt])
-    # a pair accepts when Sw lies inside the finals and S'w avoids them
-    final_mask = sum(1 << q for q in m.finals)
-    finals = frozenset(
-        i for i, pair in enumerate(order)
-        if pair is not None and not pair[0] & ~final_mask and not pair[1] & final_mask
-    )
+    order, rows, finals = _atom_pairs(m, [s])
     if not finals:
         raise InputError(f"atom for key {sorted(s)} is empty")
     return Dfa._trusted(len(order), m.alphabet, rows, 0, finals)
@@ -192,10 +226,24 @@ def atom_complexity(d: Dfa, key) -> int:
 
 def atom_complexities(d: Dfa) -> dict[AtomKey, int]:
     """atom_complexity of every non-empty atom (keyed as ``atoms`` keys
-    them, under its default limit), minimizing d once rather than once
-    per atom."""
+    them, under its default limit).
+
+    d is minimized once and every atom is counted on one shared pair
+    automaton with one refinement: its classes are distinct languages, so
+    an atom's complexity is the number of classes reachable from its
+    seed's class.
+    """
     m = minimize(d)
-    return {key: _minimal_size(atom_automaton(m, key)) for key in _atom_keys(m)}
+    keys = list(_atom_keys(m))
+    order, rows, finals = _atom_pairs(m, keys)
+    blocks = _hopcroft(len(order), rows, finals)
+    block_of = _class_of(len(order), blocks)
+    # equivalent states move into one class, so any member stands for its class
+    images = [[block_of[row[min(block)]] for block in blocks] for row in rows]
+    # the seeds are states 0..len(keys)-1
+    return {
+        key: len(_walk(len(blocks), images, block_of[i], ())[0]) for i, key in enumerate(keys)
+    }
 
 
 def atom_formula(language_class: str, n: int, key) -> int:

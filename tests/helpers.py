@@ -26,7 +26,6 @@ from suffixconvex.automata import (
 )
 from suffixconvex.classifiers import ClassReport, Word, _letter_prefixed
 from suffixconvex.errors import InputError
-from suffixconvex.measures import atom_automaton
 from suffixconvex.operations import _TRUTH
 from suffixconvex.transformations import Transformation
 
@@ -539,7 +538,8 @@ def naive_atoms(d: Dfa) -> frozenset[frozenset[int]]:
 # --- size queries: the routines ``automata.complexity``,
 # ``automata.occurring_letters``, ``measures.quotient_complexities`` and
 # ``measures.atom_complexities`` replaced, each building a full minimal DFA
-# for every size it reads.
+# for every size it reads, and the one-atom pair automaton that
+# ``measures._atom_pairs`` replaced.
 
 
 def naive_occurring_letters(d: Dfa) -> frozenset[str]:
@@ -575,9 +575,48 @@ def naive_quotient_complexities(d: Dfa) -> tuple[int, ...]:
     return tuple(minimize(replace(m, initial=q)).n for q in range(m.n))
 
 
+def naive_atom_automaton(m: Dfa, key) -> Dfa:
+    """DFA of the atom A_S of the minimal DFA m, built for S alone.
+
+    States are the image pairs reachable from (S, complement of S), held
+    as frozenset pairs and numbered by BFS discovery order with letters in
+    alphabet order; overlapping pairs collapse into one sink (None).  A
+    pair accepts when its first set lies inside the finals and its second
+    avoids them.  The reference for ``measures.atom_automaton``.
+    """
+    s = frozenset(key)
+    full = frozenset(range(m.n))
+    if not s <= full:
+        raise InputError(f"atom key {sorted(s)} outside the minimal DFA's states")
+    start = (s, full - s)
+    index = {start: 0}
+    order = [start]
+    delta = {letter: [] for letter in m.alphabet}
+    for pair in order:
+        for letter in m.alphabet:
+            nxt = None
+            if pair is not None:
+                nx = frozenset(m.delta[letter](q) for q in pair[0])
+                ny = frozenset(m.delta[letter](q) for q in pair[1])
+                if not nx & ny:
+                    nxt = (nx, ny)
+            if nxt not in index:
+                index[nxt] = len(order)
+                order.append(nxt)
+            delta[letter].append(index[nxt])
+    finals = frozenset(
+        i for i, pair in enumerate(order)
+        if pair is not None and pair[0] <= m.finals and not pair[1] & m.finals
+    )
+    if not finals:
+        raise InputError(f"atom for key {sorted(s)} is empty")
+    return Dfa(len(order), m.alphabet, delta, 0, finals)
+
+
 def naive_atom_complexity(d: Dfa, key) -> int:
-    """Quotient complexity of the atom A_S, minimizing L(d) for every key."""
-    return minimize(atom_automaton(minimize(d), key)).n
+    """Quotient complexity of the atom A_S: its own atom automaton,
+    minimizing L(d) for every key."""
+    return minimize(naive_atom_automaton(minimize(d), key)).n
 
 
 # --- classifiers: the per-test product searches ``classifiers._first_word``

@@ -6,6 +6,7 @@ import pytest
 from helpers import (
     cycle_dfa,
     dfa_corpus,
+    naive_atom_automaton,
     naive_atom_complexity,
     naive_atoms,
     naive_quotient_complexities,
@@ -208,12 +209,17 @@ def test_atom_formula_rejections():
 
 
 def test_atom_complexity_matches_formula_on_witnesses():
-    for family in ("left-ideal", "left-ideal-alt", "suffix-closed", "suffix-free-5"):
-        for n in (4, 5):
-            items = witness_atom_items(family, n)
-            assert items, family
-            for _key, measured, formula in items:
-                assert measured == formula
+    # beyond the default report's n <= 6; the CLAIMS rows stay as they are
+    cases = [
+        (family, n)
+        for family in ("left-ideal", "left-ideal-alt", "suffix-closed", "suffix-free-5")
+        for n in range(4, 8)
+    ]
+    for family, n in cases + [("left-ideal", 8)]:
+        items = witness_atom_items(family, n)
+        assert items, (family, n)
+        for key, measured, formula in items:
+            assert measured == formula, (family, n, sorted(key))
 
 
 def test_atoms_match_naive_enumeration_on_corpus():
@@ -241,11 +247,49 @@ def test_atom_complexities_match_naive_atom_complexity_on_corpus():
         assert set(got) == atoms(d)
         for key, value in got.items():
             assert value == naive_atom_complexity(d, key)
+            assert atom_complexity(d, key) == value
         measured += len(got)
-        key = min(got, key=sorted)
-        assert atom_complexity(d, key) == got[key]
     assert measured >= 3000
     assert sum(not d.finals for d in corpus) >= 100
+
+
+def test_atom_automaton_matches_naive_atom_automaton_on_corpus():
+    rng = Random(67)
+    corpus = [random_dfa_with_edge_finals(rng, max_n=6) for _ in range(400)]
+    built = 0
+    for d in corpus:
+        m = minimize(d)
+        keys = atoms(m)
+        for bits in range(2**m.n):
+            s = frozenset(q for q in range(m.n) if bits >> q & 1)
+            if s in keys:
+                assert atom_automaton(m, s) == naive_atom_automaton(m, s)  # numbering included
+                built += 1
+            else:
+                for build in (atom_automaton, naive_atom_automaton):
+                    with pytest.raises(InputError, match="is empty"):
+                        build(m, s)
+        for build in (atom_automaton, naive_atom_automaton):
+            with pytest.raises(InputError, match="outside"):
+                build(m, frozenset({m.n}))
+    assert built >= 1000
+
+
+def test_atom_complexities_refines_once(monkeypatch):
+    w = make_witness("left-ideal", 6)
+    sizes = []
+    refine = measures._hopcroft
+    monkeypatch.setattr(
+        measures, "_hopcroft", lambda n, rows, finals: sizes.append(n) or refine(n, rows, finals)
+    )
+    got = atom_complexities(w)
+    assert len(got) == 2**5 + 1
+    # one refinement of the one pair automaton shared by the 33 atoms
+    assert sizes == [len(measures._atom_pairs(minimize(w), list(got))[0])]
+    sizes.clear()
+    with pytest.raises(LimitError):  # the atom limit is checked before any refinement
+        atom_complexities(make_witness("left-ideal", 13))
+    assert sizes == []
 
 
 def test_atom_complexities_minimizes_once(monkeypatch):
