@@ -9,22 +9,24 @@ reproducible bit for bit.
 
 The kernels (reachability, subset construction, minimization) work on
 plain ints: they index the ``image`` tuples of the transformations
-directly and hold subsets as int bitmasks.  ``_subsets`` is the one
-subset construction: its callers (reversal, star, concatenation, Suff(L),
-Σ⁺L, atoms) hand it the nondeterministic moves as bitmask steps, one
-mask per (letter, state), with any epsilon moves already folded in.  A
-kernel whose rows are valid by construction (determinize, minimize, the
-direct product, the atom automaton) builds its result with
-``Dfa._trusted``, which skips the checks of ``Dfa.__post_init__``; every
-other ``Dfa`` is validated.  A query that needs only a size
-(``complexity`` here, the quotient and atom complexities in
-``measures``) counts states or refinement classes and builds no minimal
-``Dfa`` for it.
+directly and hold subsets as int bitmasks.  ``_walk`` is the one walk
+that numbers the states reachable from a start, and ``_subsets`` is the
+one subset construction: its callers (reversal, star, concatenation,
+Suff(L), Σ⁺L, atoms) hand it the nondeterministic moves as bitmask
+steps, one mask per (letter, state), with any epsilon moves already
+folded in.  ``_hopcroft`` returns a refinement as the number of classes
+and the class of each state; ``_class_rows`` turns that into the
+quotient's rows, which ``minimize`` numbers with ``_walk``.  A kernel
+whose rows are valid by construction (determinize, minimize, the direct
+product, the atom automaton) builds its result with ``Dfa._trusted``,
+which skips the checks of ``Dfa.__post_init__``; every other ``Dfa`` is
+validated.  A query that needs only a size (``complexity`` here, the
+quotient and atom complexities in ``measures``) counts states or
+refinement classes and builds no minimal ``Dfa`` for it.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -107,17 +109,7 @@ def accepts(d: Dfa, word: Iterable[str]) -> bool:
 
 def reachable_states(d: Dfa) -> list[int]:
     """States reachable from the initial state, in BFS discovery order."""
-    images = [d.delta[letter].image for letter in d.alphabet]
-    order = [d.initial]
-    seen = [False] * d.n
-    seen[d.initial] = True
-    for p in order:  # the list grows while it is read: a FIFO queue
-        for image in images:
-            q = image[p]
-            if not seen[q]:
-                seen[q] = True
-                order.append(q)
-    return order
+    return _walk(d.n, [d.delta[letter].image for letter in d.alphabet], d.initial, ())[0]
 
 
 def _coreachable(n: int, rows: Sequence[Sequence[int]], finals: Iterable[int]) -> list[bool]:
@@ -205,12 +197,13 @@ def determinize(
 
 
 def _hopcroft(
-    n: int, rows: Sequence[Sequence[int]], finals: frozenset[int]
-) -> list[frozenset[int]]:
-    """Partition {0,..,n-1} into classes of equivalent states.
+    n: int, rows: Sequence[Sequence[int]], finals: Iterable[int]
+) -> tuple[int, list[int]]:
+    """Partition {0,..,n-1} (n >= 1) into classes of equivalent states.
 
     rows holds one image sequence per letter: rows[c][p] is the state
-    letter c takes p to.
+    letter c takes p to.  Returns (count, block_of): the classes are
+    0..count-1, in no particular order, and block_of[q] is the class of q.
 
     Hopcroft's algorithm ("An n log n algorithm for minimizing states in a
     finite automaton", 1971) on the refinable partition of Valmari and
@@ -224,10 +217,15 @@ def _hopcroft(
     O(log n) processed splitters per letter, and with k letters the whole
     refinement takes O(k·n log n) time.
     """
-    final_block = frozenset(finals)
-    blocks = [b for b in (final_block, frozenset(range(n)) - final_block) if b]
-    if len(blocks) <= 1:
-        return blocks
+    # block 0 holds the finals, block 1 the rest
+    block_of = [1] * n
+    for q in finals:
+        block_of[q] = 0
+    elems = [q for q in range(n) if not block_of[q]]
+    cut = len(elems)
+    if cut in (0, n):
+        return 1, [0] * n
+    elems += [q for q in range(n) if block_of[q]]
 
     pre: list[list[list[int]]] = []
     for image in rows:
@@ -238,14 +236,9 @@ def _hopcroft(
 
     # Block b holds elems[first[b]:end[b]]; while a splitter is processed,
     # the block's states in the preimage are gathered in elems[first[b]:mid[b]].
-    elems = [*blocks[0], *blocks[1]]
     loc = [0] * n
     for i, q in enumerate(elems):
         loc[q] = i
-    block_of = [0] * n
-    for q in blocks[1]:
-        block_of[q] = 1
-    cut = len(blocks[0])
     first, end, mid = [0, cut], [cut, n], [0, cut]
 
     # splitter (block b, letter c) is coded b * k + c
@@ -292,7 +285,7 @@ def _hopcroft(
                 code = (new if queued[y * k + a] else half) * k + a
                 queued[code] = True
                 waiting.append(code)
-    return [frozenset(elems[first[b]:end[b]]) for b in range(len(first))]
+    return len(first), block_of
 
 
 def _walk(
@@ -320,21 +313,23 @@ def _walk(
     return order, rows, frozenset(number[q] for q in finals if number[q] >= 0)
 
 
-def _class_of(n: int, blocks: Sequence[frozenset[int]]) -> list[int]:
-    """block_of[q], the index in blocks of the class holding state q, for
-    the classes of {0,..,n-1} that ``_hopcroft`` returns."""
-    block_of = [0] * n
-    for b, block in enumerate(blocks):
-        for q in block:
-            block_of[q] = b
-    return block_of
+def _class_rows(
+    rows: Sequence[Sequence[int]], count: int, block_of: Sequence[int]
+) -> list[list[int]]:
+    """The rows of the quotient by the classes ``_hopcroft`` returns: the
+    class letter c takes class x to.  Equivalent states move into one
+    class, so any member stands for its class."""
+    member = [0] * count
+    for q, x in enumerate(block_of):
+        member[x] = q
+    return [[block_of[row[q]] for q in member] for row in rows]
 
 
 def _size(n: int, images: Sequence[Sequence[int]], initial: int, finals: Iterable[int]) -> int:
     """Number of states of the minimal DFA with these rows: one walk and
     one refinement, with no class numbering and no Dfa built."""
     order, rows, finals = _walk(n, images, initial, finals)
-    return len(_hopcroft(len(order), rows, finals))
+    return _hopcroft(len(order), rows, finals)[0]
 
 
 def _minimal_size(d: Dfa) -> int:
@@ -350,29 +345,14 @@ def minimize(d: Dfa) -> Dfa:
     letters scanned in alphabet order; the result is idempotent under
     repeated minimization.
     """
-    # one walk numbers the reachable states in BFS order and reads their rows
+    # one walk numbers the reachable states and reads their rows, a second
+    # numbers the classes, every one reachable from the initial state's
     images = [d.delta[letter].image for letter in d.alphabet]
     order, rows, finals = _walk(d.n, images, d.initial, d.finals)
-    n = len(order)
-
-    blocks = _hopcroft(n, rows, finals)
-    block_of = _class_of(n, blocks)
-    # number the blocks by BFS over block transitions from the initial block
-    number = [-1] * len(blocks)
-    number[block_of[0]] = 0
-    visit = [block_of[0]]
-    out: list[list[int]] = [[] for _ in rows]
-    for b in visit:
-        rep = min(blocks[b])
-        for row, out_row in zip(rows, out):
-            c = block_of[row[rep]]
-            j = number[c]
-            if j < 0:
-                j = number[c] = len(visit)
-                visit.append(c)
-            out_row.append(j)
-    quotient_finals = frozenset(number[block_of[q]] for q in finals)
-    return Dfa._trusted(len(blocks), d.alphabet, out, 0, quotient_finals)
+    count, block_of = _hopcroft(len(order), rows, finals)
+    class_finals = {block_of[q] for q in finals}
+    _, out, out_finals = _walk(count, _class_rows(rows, count, block_of), block_of[0], class_finals)
+    return Dfa._trusted(count, d.alphabet, out, 0, out_finals)
 
 
 def complete_over(d: Dfa, sigma: Sequence[str]) -> Dfa:
@@ -411,15 +391,18 @@ def equivalent(d1: Dfa, d2: Dfa) -> bool:
     sigma = union_alphabet(d1, d2)
     c1 = complete_over(d1, sigma)
     c2 = complete_over(d2, sigma)
-    start = (c1.initial, c2.initial)
+    # the pair (p, q) is coded as the int p * c2.n + q
+    n2 = c2.n
+    images = [(c1.delta[l].image, c2.delta[l].image) for l in sigma]
+    start = c1.initial * n2 + c2.initial
     seen = {start}
-    queue = deque([start])
-    while queue:
-        p, q = queue.popleft()
+    queue = [start]
+    for code in queue:  # the list grows while it is read: a FIFO queue
+        p, q = divmod(code, n2)
         if (p in c1.finals) != (q in c2.finals):
             return False
-        for letter in sigma:
-            pair = (c1.delta[letter](p), c2.delta[letter](q))
+        for image1, image2 in images:
+            pair = image1[p] * n2 + image2[q]
             if pair not in seen:
                 seen.add(pair)
                 queue.append(pair)
@@ -453,6 +436,6 @@ def complexity(d: Dfa) -> int:
     """
     n, rows, finals, occurs = _occurring(d)
     if all(occurs):
-        return len(_hopcroft(n, rows, finals))
+        return _hopcroft(n, rows, finals)[0]
     # a dropped letter may have been the only way into some states
     return _size(n, [row for row, ok in zip(rows, occurs) if ok], 0, finals)

@@ -36,7 +36,7 @@ from typing import Sequence
 
 from .automata import (
     Dfa,
-    _class_of,
+    _class_rows,
     _hopcroft,
     _minimal_size,
     _preimages,
@@ -236,14 +236,10 @@ def atom_complexities(d: Dfa) -> dict[AtomKey, int]:
     m = minimize(d)
     keys = list(_atom_keys(m))
     order, rows, finals = _atom_pairs(m, keys)
-    blocks = _hopcroft(len(order), rows, finals)
-    block_of = _class_of(len(order), blocks)
-    # equivalent states move into one class, so any member stands for its class
-    images = [[block_of[row[min(block)]] for block in blocks] for row in rows]
+    count, block_of = _hopcroft(len(order), rows, finals)
+    images = _class_rows(rows, count, block_of)
     # the seeds are states 0..len(keys)-1
-    return {
-        key: len(_walk(len(blocks), images, block_of[i], ())[0]) for i, key in enumerate(keys)
-    }
+    return {key: len(_walk(count, images, block_of[i], ())[0]) for i, key in enumerate(keys)}
 
 
 def atom_formula(language_class: str, n: int, key) -> int:

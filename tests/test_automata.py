@@ -38,7 +38,7 @@ from suffixconvex.automata import (
     reachable_states,
 )
 from suffixconvex.errors import InputError
-from suffixconvex.operations import boolean_restricted, concat, reverse
+from suffixconvex.operations import boolean_restricted, concat, parse_letter_map, reverse, star
 from suffixconvex.witnesses import make_dialect, make_witness
 
 
@@ -204,12 +204,26 @@ def test_minimize_matches_naive_minimize_on_corpus():
     # same states, same numbering: the Dfa values are equal
     rng = Random(43)
     corpus = [random_dfa_any_start(rng) for _ in range(1500)]
-    for d in corpus:
+    # raw constructions of 10^2-10^3 states, some of which minimization shrinks
+    pi = parse_letter_map
+    raw = [
+        concat(make_dialect("suffix-closed", n, pi("a,b,-,d,e")),
+               make_dialect("suffix-closed", n, pi("a,e,-,d,b")))
+        for n in (7, 20)
+    ] + [
+        star(make_witness("suffix-free-3", 10)),
+        reverse(make_dialect("left-ideal", 9, pi("a,-,c,d,e"))),
+        concat(make_witness("regular", 6), make_witness("regular", 6)),
+    ]
+    for d in corpus + raw:
         m = minimize(d)
         assert m == naive_minimize(d)
         assert revalidated(m) == m  # the unchecked constructor built a valid Dfa
     assert {len(d.alphabet) for d in corpus} == {0, 1, 2, 3}
     assert max(d.n for d in corpus) == 10
+    assert [(d.n, minimize(d).n) for d in raw] == [
+        (85, 43), (761, 381), (266, 257), (257, 257), (352, 352)
+    ]
     assert sum(d.initial != 0 for d in corpus) >= 1000
     assert sum(len(naive_reachable_states(d)) < d.n for d in corpus) >= 500
 
@@ -253,10 +267,18 @@ def test_minimize_idempotent_and_equivalent_on_corpus():
         assert m.n == quotient_count_oracle(d)
 
 
+def hopcroft_partition(d: Dfa) -> list[frozenset[int]]:
+    """``_hopcroft``'s classes of d's states as a list of frozensets, after
+    checking that they are numbered 0..count-1 with none empty."""
+    count, block_of = _hopcroft(d.n, [t.image for t in d.delta.values()], d.finals)
+    assert set(block_of) == set(range(count))
+    return [frozenset(q for q in range(d.n) if block_of[q] == x) for x in range(count)]
+
+
 def test_hopcroft_matches_naive_partition_on_corpus():
     corpus = dfa_corpus(seed=31, count=1200, max_n=10)
     for d in corpus:
-        blocks = _hopcroft(d.n, [t.image for t in d.delta.values()], d.finals)
+        blocks = hopcroft_partition(d)
         expected = naive_partition(d.n, d.delta, d.finals)
         assert len(blocks) == len(set(blocks))
         assert set(blocks) == set(expected)
@@ -279,7 +301,7 @@ def test_hopcroft_matches_naive_partition_on_corpus():
          "identity-only", "no-letters"],
 )
 def test_hopcroft_edge_cases(d):
-    blocks = _hopcroft(d.n, [t.image for t in d.delta.values()], d.finals)
+    blocks = hopcroft_partition(d)
     assert set(blocks) == set(naive_partition(d.n, d.delta, d.finals))
     assert sorted(q for block in blocks for q in block) == list(range(d.n))
     assert minimize(d).n == quotient_count_oracle(d)

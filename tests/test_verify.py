@@ -1,3 +1,6 @@
+import hashlib
+from dataclasses import replace
+
 import pytest
 
 from suffixconvex import verify
@@ -10,7 +13,8 @@ from suffixconvex.verify import (
     run_verification,
     witness_atom_items,
 )
-from suffixconvex.witnesses import CLAIMS, expected
+from suffixconvex.serialization import write_dfa
+from suffixconvex.witnesses import CLAIMS, FAMILIES, MIN_N, expected, make_dialect, make_witness
 
 
 def test_family_and_quantity_selection():
@@ -154,3 +158,35 @@ def test_exclusion_skips_carry_the_reason_expected_raises(default_report):
         with pytest.raises(InputError) as raised:
             expected(e.family, quantity, e.m, e.n)
         assert str(raised.value) == e.reason
+
+
+REPORT_SHA256 = "7046badef586d424524c0ff01943a676227e80aeb8623587f130ca6fa37555b3"
+WITNESS_SHA256 = "2ca611e41133b8598384b576be54d1b51e78121a243773bd078187b6baae84c4"
+
+
+def _witness_documents() -> str:
+    """write_dfa of every family's witness at MIN_N..8, then of every
+    dialect a claim names, at each size of its rows."""
+    docs = [write_dfa(make_witness(f, n), f) for f in FAMILIES for n in range(MIN_N[f], 9)]
+    for c in CLAIMS:
+        if c.rows is None:
+            continue
+        sizes = range(max(c.rows[0], MIN_N[c.family]), c.rows[1] + 1)
+        for n in sizes:
+            dialects = [c.dialect1]
+            if c.mode is not None:
+                dialects += [c.dialect2_at(m, n) for m in sizes]
+            docs += [write_dfa(make_dialect(c.family, n, pi), c.family)
+                     for pi in dialects if pi is not None]
+    return "".join(docs)
+
+
+def test_default_report_and_witness_documents_are_pinned(default_report):
+    # a refactor leaves the default report unchanged, entry for entry, and
+    # the witness documents byte-identical; a change that alters either on
+    # purpose updates its digest and says why
+    unversioned = replace(default_report, version="")
+    report = report_to_json(unversioned) + report_to_table(unversioned)
+    assert hashlib.sha256(report.encode()).hexdigest() == REPORT_SHA256
+    documents = _witness_documents()
+    assert hashlib.sha256(documents.encode()).hexdigest() == WITNESS_SHA256
