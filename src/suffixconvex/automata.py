@@ -16,8 +16,12 @@ Suff(L), Σ⁺L, atoms) hand it the nondeterministic moves as bitmask
 steps, one mask per (letter, state), with any epsilon moves already
 folded in.  ``_hopcroft`` returns a refinement as the number of classes
 and the class of each state; ``_class_rows`` turns that into the
-quotient's rows, which ``minimize`` numbers with ``_walk``.  A kernel
-whose rows are valid by construction (determinize, minimize, the direct
+quotient's rows, which ``minimize`` numbers with ``_walk``.
+``_components`` is the one strongly-connected-component pass: the
+semigroup count splits its orbit of image sets with it, and
+``_reach_counts`` counts on it the states reachable from every state at
+once, for the quotient and atom complexities.  A kernel whose rows are
+valid by construction (determinize, minimize, the direct
 product, the atom automaton) builds its result with ``Dfa._trusted``,
 which skips the checks of ``Dfa.__post_init__``; every other ``Dfa`` is
 validated.  A query that needs only a size (``complexity`` here, the
@@ -311,6 +315,76 @@ def _walk(
                 order.append(q)
             row.append(i)
     return order, rows, frozenset(number[q] for q in finals if number[q] >= 0)
+
+
+def _components(n: int, rows: Sequence[Sequence[int]]) -> tuple[int, list[int]]:
+    """Strongly connected components of the graph on {0,..,n-1} whose
+    edges are p -> rows[c][p].
+
+    Returns (count, comp): comp[q] is the component of q, numbered sinks
+    first, so every edge leads to a component with the same or a smaller
+    number.  Tarjan's algorithm ("Depth-first search and linear graph
+    algorithms", 1972), iterative, so deep graphs do not hit the
+    recursion limit.
+    """
+    succ = list(zip(*rows)) if rows else [()] * n  # succ[p]: p's targets, letter by letter
+    index = [0] * n  # discovery number from 1; 0 while unvisited
+    low = [0] * n
+    comp = [-1] * n
+    stack: list[int] = []
+    count = 0
+    counter = 0
+    for root in range(n):
+        if index[root]:
+            continue
+        counter += 1
+        index[root] = low[root] = counter
+        stack.append(root)
+        path = [(root, iter(succ[root]))]  # the DFS path, each with its unread edges
+        while path:
+            p, edges = path[-1]
+            for q in edges:
+                if not index[q]:
+                    counter += 1
+                    index[q] = low[q] = counter
+                    stack.append(q)
+                    path.append((q, iter(succ[q])))
+                    break
+                if comp[q] < 0 and index[q] < low[p]:  # q is still on the stack
+                    low[p] = index[q]
+            else:
+                path.pop()
+                if path and low[p] < low[path[-1][0]]:
+                    low[path[-1][0]] = low[p]
+                if low[p] == index[p]:
+                    while True:
+                        q = stack.pop()
+                        comp[q] = count
+                        if q == p:
+                            break
+                    count += 1
+    return count, comp
+
+
+def _reach_counts(n: int, rows: Sequence[Sequence[int]]) -> list[int]:
+    """The number of states reachable from each state of {0,..,n-1} (itself
+    included) along p -> rows[c][p].
+
+    One pass over the components, sinks first: a component's reach mask is
+    its members OR'd with the masks of the components it has edges into,
+    all of which are complete by then.
+    """
+    count, comp = _components(n, rows)
+    reach = [0] * count
+    for q in range(n):
+        reach[comp[q]] |= 1 << q
+    for q in sorted(range(n), key=comp.__getitem__):
+        x = comp[q]
+        mask = reach[x]
+        for row in rows:
+            mask |= reach[comp[row[q]]]
+        reach[x] = mask
+    return [reach[x].bit_count() for x in comp]
 
 
 def _class_rows(

@@ -18,6 +18,7 @@ from typing import Callable, Iterable, Optional
 
 from suffixconvex.automata import (
     Dfa,
+    _walk,
     accepts,
     coreachable_states,
     minimize,
@@ -117,6 +118,29 @@ def random_nfa(rng: Random, max_n: int = 8, max_letters: int = 3) -> Nfa:
     )
     finals = frozenset(q for q in range(n) if rng.random() < 0.3)
     return Nfa(n, alphabet, frozenset(transitions), initials, finals)
+
+
+def random_generators_dfa(rng: Random, max_n: int = 7, max_letters: int = 3) -> Dfa:
+    """A DFA whose letters are random transformations of 1..max_n states,
+    each letter a random permutation three times in ten, so that
+    semigroups with nontrivial groups are common."""
+    n = rng.randint(1, max_n)
+    alphabet = tuple("abc"[: rng.randint(1, max_letters)])
+    delta = {}
+    for letter in alphabet:
+        if rng.random() < 0.3:
+            delta[letter] = tuple(rng.sample(range(n), n))
+        else:
+            delta[letter] = tuple(rng.randrange(n) for _ in range(n))
+    return Dfa(n, alphabet, delta, 0, frozenset())
+
+
+def walk_reach_counts(n: int, rows) -> list[int]:
+    """The number of states reachable from each state along p -> rows[c][p],
+    one breadth-first walk per state: the per-seed counting that
+    ``automata._reach_counts`` replaced in ``measures.quotient_complexities``
+    and ``measures.atom_complexities``."""
+    return [len(_walk(n, rows, q, ())[0]) for q in range(n)]
 
 
 def reachable_oracle(d: Dfa) -> set[int]:
@@ -473,9 +497,11 @@ def naive_product(d1: Dfa, d2: Dfa, op: str) -> Dfa:
 def naive_semigroup(d: Dfa, cap: int) -> tuple[int, bool]:
     """(size, truncated) of the transition semigroup, closed over tuples.
 
-    Same breadth-first order and cap rule as
-    ``measures.transition_semigroup``, composing element by element in a
-    generator; the reference for its byte-packed closure.
+    Breadth-first over words by length, then alphabet order, composing
+    element by element: stops, flagging truncation, when an element past
+    the first cap is found, but always keeps every distinct letter.  The
+    reference for ``measures.transition_semigroup``, which counts the same
+    (size, truncated) from Green's structure without listing elements.
     """
     gen_images = [d.delta[letter].image for letter in d.alphabet]
     seen: set[tuple[int, ...]] = set()
@@ -497,6 +523,23 @@ def naive_semigroup(d: Dfa, cap: int) -> tuple[int, bool]:
             seen.add(composed)
             queue.append(composed)
     return len(seen), truncated
+
+
+def group_closure(gens: list[tuple[int, ...]]) -> set[tuple[int, ...]]:
+    """Every element of the permutation group that gens generate (images of
+    0..r-1 as tuples), by closing the identity under composition: the
+    reference for ``measures._stabilizer_chain``."""
+    r = len(gens[0]) if gens else 0
+    identity = tuple(range(r))
+    seen = {identity}
+    queue = [identity]
+    for p in queue:  # the list grows while it is read
+        for g in gens:
+            q = tuple(g[x] for x in p)
+            if q not in seen:
+                seen.add(q)
+                queue.append(q)
+    return seen
 
 
 def naive_atoms(d: Dfa) -> frozenset[frozenset[int]]:

@@ -21,12 +21,15 @@ from helpers import (
     restrict_to_occurring,
     revalidated,
     singleton_word_dfa,
+    walk_reach_counts,
 )
 from hypothesis import given, settings, strategies as st
 
 from suffixconvex.automata import (
     Dfa,
+    _components,
     _hopcroft,
+    _reach_counts,
     accepts,
     apply_word,
     complete_over,
@@ -423,6 +426,51 @@ def test_equivalent_matches_exact_word_oracle():
         compared += 1
         assert equivalent(d1, d2) == same_language_upto(d1, d2, d1.n * d2.n)
     assert compared >= 8
+
+
+def test_components_and_reach_counts_match_walks():
+    rng = Random(71)
+    graphs = [
+        (1, []),  # one state, no letters
+        (1, [[0], [0]]),  # one state with self-loops
+        (5, [list(range(5))]),  # every state a sink with a self-loop
+        (5, []),  # every state a sink without edges
+        (6, [[(q + 1) % 6 for q in range(6)], list(range(6))]),  # one cycle
+        (4, [[3, 3, 3, 3], [1, 0, 3, 3]]),  # a two-state cycle above a sink
+        (3000, [[min(q + 1, 2999) for q in range(3000)]]),  # deeper than the recursion limit
+    ]
+    for _ in range(600):
+        d = random_dfa_with_edge_finals(rng, max_n=12)
+        graphs.append((d.n, [d.delta[letter].image for letter in d.alphabet]))
+    merged = 0
+    for n, rows in graphs:
+        count, comp = _components(n, rows)
+        assert sorted(set(comp)) == list(range(count))
+        merged += count < n
+        if n > 100:  # the chain: every state its own component
+            assert count == n and _reach_counts(n, rows) == [n - q for q in range(n)]
+            continue
+        assert _reach_counts(n, rows) == walk_reach_counts(n, rows)
+        reach = [_reachable(rows, q) for q in range(n)]
+        for p in range(n):
+            for row in rows:  # components are numbered sinks first
+                assert comp[row[p]] <= comp[p]
+            for q in range(n):
+                assert (comp[p] == comp[q]) == (q in reach[p] and p in reach[q])
+    assert merged >= 100  # graphs with a component of more than one state
+
+
+def _reachable(rows, q):
+    """The states reachable from q, by a plain depth-first search."""
+    seen = {q}
+    stack = [q]
+    while stack:
+        p = stack.pop()
+        for row in rows:
+            if row[p] not in seen:
+                seen.add(row[p])
+                stack.append(row[p])
+    return seen
 
 
 def test_reachability_matches_oracle():

@@ -6,12 +6,14 @@ import pytest
 from helpers import (
     cycle_dfa,
     dfa_corpus,
+    group_closure,
     naive_atom_automaton,
     naive_atom_complexity,
     naive_atoms,
     naive_quotient_complexities,
     naive_semigroup,
     random_dfa_with_edge_finals,
+    random_generators_dfa,
     revalidated,
 )
 
@@ -21,6 +23,7 @@ from suffixconvex.errors import InputError, LimitError
 from suffixconvex.measures import (
     DEFAULT_SEMIGROUP_CAP,
     SEMIGROUP_STATE_BOUND,
+    SemigroupSummary,
     atom_automaton,
     atom_complexities,
     atom_complexity,
@@ -57,11 +60,166 @@ def test_semigroup_cap_must_be_positive():
             syntactic_semigroup_size(w, cap)
 
 
-def test_transition_semigroup_matches_naive_closure_on_corpus():
+def _record_group_orders(monkeypatch) -> list[int]:
+    """The order that each stabilizer chain the count builds stands for."""
+    orders = []
+    chain_of = measures._stabilizer_chain
+
+    def recorded(gens, bound):
+        chain = chain_of(gens, bound)
+        orders.append(math.prod(map(len, chain)))
+        return chain
+
+    monkeypatch.setattr(measures, "_stabilizer_chain", recorded)
+    return orders
+
+
+def test_transition_semigroup_matches_naive_closure_on_corpus(monkeypatch):
+    orders = _record_group_orders(monkeypatch)
+    # with n <= 7 every semigroup lies below the default cap, so at that cap
+    # these are exact counts, however large
     for d in dfa_corpus(seed=107, count=500, max_n=7):
         for cap in (1, 5, 50, 300, DEFAULT_SEMIGROUP_CAP):
             summary = transition_semigroup(d, cap)
             assert (summary.size, summary.truncated) == naive_semigroup(d, cap)
+    # letters that are permutations three times in ten; caps 1 and 2 lie
+    # below the number of distinct letters of many sets.  The closure lists
+    # every element, so the default cap is compared on the sets it completes
+    # within 1,000 elements, seven in eight, and every fifth of the rest at
+    # cap 100,000: 64 exact sizes from 1,025 to 87,626 and 9 truncations
+    rng = Random(107)
+    large = exact = 0
+    for _ in range(3000):
+        d = random_generators_dfa(rng)
+        for cap in (1, 2, 5, 50, 300, 1_000):
+            want = naive_semigroup(d, cap)
+            summary = transition_semigroup(d, cap)
+            assert (summary.size, summary.truncated) == want, (d.delta, cap)
+        cap = DEFAULT_SEMIGROUP_CAP
+        if want[1]:
+            large += 1
+            if large % 5:
+                continue
+            cap = 100_000
+            want = naive_semigroup(d, cap)
+            exact += not want[1]
+        summary = transition_semigroup(d, cap)
+        assert (summary.size, summary.truncated) == want, (d.delta, cap)
+    assert large >= 300 and exact >= 50
+    # many Schützenberger groups are neither trivial nor symmetric: their
+    # orders are no factorial
+    assert sum(order not in (1, 2, 6, 24, 120, 720, 5040) for order in orders) >= 1_000
+
+
+@pytest.mark.parametrize(
+    "a,b,size",
+    [
+        ((1, 3, 6, 0, 2, 5, 4), (1, 6, 3, 2, 1, 5, 0), 10347),
+        ((5, 3, 4, 1, 0, 2, 6), (2, 3, 6, 1, 5, 3, 4), 6518),
+        ((6, 4, 1, 0, 2, 3, 5), (1, 5, 4, 1, 4, 1, 6), 12877),
+        ((2, 5, 3, 4, 1, 0), (0, 1, 1, 3, 2, 0), 5034),
+    ],
+)
+def test_transition_semigroup_with_cyclic_units_matches_naive_closure(a, b, size):
+    # a permutation and a map of smaller rank: the group of units is cyclic
+    # with cycles of several lengths, neither trivial nor symmetric, so its
+    # R-classes, and those of lower ranks, are told apart by cosets
+    d = Dfa(len(a), ("a", "b"), {"a": a, "b": b}, 0, frozenset())
+    assert naive_semigroup(d, DEFAULT_SEMIGROUP_CAP) == (size, False)
+    assert transition_semigroup(d) == SemigroupSummary(size, False)
+
+
+def test_semigroup_cap_bounds_the_orbit(monkeypatch):
+    # the images of a cycle and of a merge of two states reach all 2^20 - 1
+    # nonempty sets of 20 states; at cap 300 they are never all listed
+    n = 20
+    d = Dfa(n, ("a", "b"), {"a": tuple((q + 1) % n for q in range(n)),
+                            "b": (1,) + tuple(range(1, n))}, 0, frozenset())
+    monkeypatch.setattr(measures, "_components", lambda n, rows: pytest.fail("orbit listed"))
+    assert transition_semigroup(d, 300) == SemigroupSummary(300, True)
+
+
+def test_semigroup_cap_bounds_the_group(monkeypatch):
+    # a 200-cycle and a transposition generate the symmetric group on 200
+    # points, whose chain has 199 levels; at cap 300 it stops after passing
+    # 300, below 2 x 300, since each new point at most doubles the product
+    n = 200
+    d = Dfa(n, ("a", "b"), {"a": tuple((q + 1) % n for q in range(n)),
+                            "b": (1, 0) + tuple(range(2, n))}, 0, frozenset())
+    orders = _record_group_orders(monkeypatch)
+    assert transition_semigroup(d, 300) == SemigroupSummary(300, True)
+    [order] = orders
+    assert 300 < order <= 600
+
+
+def _table(p):
+    return bytes(p) + bytes(range(len(p), 256))
+
+
+def _group_order(gens):
+    return math.prod(map(len, measures._stabilizer_chain([_table(g) for g in gens], math.inf)))
+
+
+def test_stabilizer_chain_orders():
+    def shift(points, r):  # the cycle through points, fixing the rest of 0..r-1
+        image = list(range(r))
+        for x, y in zip(points, points[1:] + points[:1]):
+            image[x] = y
+        return tuple(image)
+
+    known = [([], 1), ([(0, 1, 2)], 1)]
+    for r in range(1, 9):
+        rotation = shift(list(range(r)), r)
+        known.append(([rotation, shift([0, 1], r) if r > 1 else rotation], math.factorial(r)))
+        known.append(([rotation], r))
+        if r >= 3:
+            rest = list(range(r)) if r % 2 else list(range(1, r))
+            known.append(([shift([0, 1, 2], r), shift(rest, r)], math.factorial(r) // 2))
+            known.append(([rotation, tuple(-q % r for q in range(r))], 2 * r))
+    # products of symmetric groups on disjoint orbits
+    known.append(([shift([0, 1], 5), shift([2, 3], 5), shift([2, 3, 4], 5)], 2 * 6))
+    known.append(([shift([0, 1, 2], 6), shift([0, 1], 6), shift([3, 4, 5], 6), shift([3, 4], 6)], 36))
+    known.append(([shift([0, 1], 6), shift([2, 3], 6), shift([4, 5], 6)], 8))
+    known.append(([(1, 0, 3, 2, 5, 4)], 2))  # not the product over its orbits
+    for gens, order in known:
+        assert _group_order(gens) == order, gens
+
+    rng = Random(113)
+    for _ in range(40):
+        r = rng.randint(1, 8)
+        gens = [tuple(rng.sample(range(r), r)) for _ in range(rng.randint(1, 3))]
+        elements = group_closure(gens)
+        assert _group_order(gens) == len(elements), gens
+        bound = rng.randint(1, 60)
+        part = math.prod(map(len, measures._stabilizer_chain([_table(g) for g in gens], bound)))
+        if len(elements) <= bound:
+            assert part == len(elements)
+        else:
+            assert bound < part <= 2 * bound
+        if r <= 6:  # the least element of a coset, against every element
+            chain = measures._stabilizer_chain([_table(g) for g in gens], math.inf)
+            for _ in range(5):
+                tau = tuple(rng.sample(range(r), r))
+                want = min(bytes(tau[u[x]] for x in range(r)) for u in elements)
+                assert measures._least_in_coset(chain, _table(tau))[:r] == want
+
+
+def test_syntactic_semigroup_sizes_past_the_closure():
+    # n^(n-1) + n - 1, (n-1)^(n-2) + n - 2 and n^n at sizes that listing
+    # every element never reached
+    big = 10**9
+    assert syntactic_semigroup_size(make_witness("left-ideal", 8), big) == (
+        SemigroupSummary(8**7 + 7, False)
+    )
+    assert syntactic_semigroup_size(make_witness("suffix-free-5", 9), big) == (
+        SemigroupSummary(8**7 + 7, False)
+    )
+    assert syntactic_semigroup_size(make_witness("regular", 8), big) == (
+        SemigroupSummary(8**8, False)
+    )
+    assert syntactic_semigroup_size(make_witness("regular", 8)) == (
+        SemigroupSummary(DEFAULT_SEMIGROUP_CAP, True)
+    )
 
 
 def test_transition_semigroup_state_bound():
