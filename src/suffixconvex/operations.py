@@ -3,16 +3,17 @@ reversal, and complement.
 
 Concatenation, star and reversal hand their nondeterministic moves to
 ``automata.determinize`` as bitmask steps, epsilon moves folded in; the
-boolean operations run the direct product.  Operation outputs are
-trimmed to reachable states but never minimized here;
-``automata.complexity`` is the single place where minimization and
-occurring-letter reduction happen, so tests can inspect the raw
+boolean operations run the direct product, one pair search shared by
+all four operations of an operand pair (``_boolean_product``).
+Operation outputs are trimmed to reachable states but never minimized
+here; ``automata.complexity`` is the single place where minimization
+and occurring-letter reduction happen, so tests can inspect the raw
 constructions.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .automata import Dfa, _preimages, complete_over, determinize, union_alphabet
 from .errors import InputError
@@ -67,12 +68,14 @@ def apply_dialect(d: Dfa, pi: LetterMap) -> Dfa:
     return Dfa(d.n, alphabet, delta, d.initial, d.finals)
 
 
-def _product(d1: Dfa, d2: Dfa, op: str) -> Dfa:
+def _product(d1: Dfa, d2: Dfa) -> Callable[[str], Dfa]:
     """Reachable part of the direct product; alphabets must agree as sets.
 
-    The pair (p, q) is coded as the int p * d2.n + q.
+    The pair BFS runs once; the result maps a boolean operation to the
+    product accepting by it, so the four operations of one operand pair
+    share one construction.  The pair (p, q) is coded as the int
+    p * d2.n + q.
     """
-    decide = _TRUTH[op]
     sigma = d1.alphabet
     n2 = d2.n
     images = [(d1.delta[l].image, d2.delta[l].image) for l in sigma]
@@ -89,11 +92,37 @@ def _product(d1: Dfa, d2: Dfa, op: str) -> Dfa:
                 j = index[target] = len(order)
                 order.append(target)
             row.append(j)
-    finals = frozenset(
-        i for i, code in enumerate(order)
-        if decide(code // n2 in d1.finals, code % n2 in d2.finals)
-    )
-    return Dfa._trusted(len(order), sigma, rows, 0, finals)
+    finals1, finals2 = d1.finals, d2.finals
+
+    def with_finals(op: str) -> Dfa:
+        decide = _TRUTH[op]
+        finals = frozenset(
+            i for i, code in enumerate(order)
+            if decide(code // n2 in finals1, code % n2 in finals2)
+        )
+        return Dfa._trusted(len(order), sigma, rows, 0, finals)
+
+    return with_finals
+
+
+def _boolean_product(d1: Dfa, d2: Dfa, mode: str) -> Callable[[str], Dfa]:
+    """``_product`` of the operands as the mode reads them: restricted
+    operands must share their letters, unrestricted ones are
+    sink-completed over the union alphabet."""
+    if mode == "restricted":
+        if set(d1.alphabet) != set(d2.alphabet):
+            raise InputError(
+                f"alphabets {list(d1.alphabet)} and {list(d2.alphabet)} differ; "
+                "use the unrestricted mode"
+            )
+        return _product(d1, d2)
+    sigma = union_alphabet(d1, d2)
+    return _product(complete_over(d1, sigma), complete_over(d2, sigma))
+
+
+def _check_op(op: str) -> None:
+    if op not in BOOL_OPS:
+        raise InputError(f"unknown boolean operation {op!r}")
 
 
 def boolean_restricted(d1: Dfa, d2: Dfa, op: str) -> Dfa:
@@ -102,22 +131,14 @@ def boolean_restricted(d1: Dfa, d2: Dfa, op: str) -> Dfa:
     The two alphabets must contain the same letters (their orders may
     differ; transitions are aligned by letter name).
     """
-    if op not in BOOL_OPS:
-        raise InputError(f"unknown boolean operation {op!r}")
-    if set(d1.alphabet) != set(d2.alphabet):
-        raise InputError(
-            f"alphabets {list(d1.alphabet)} and {list(d2.alphabet)} differ; "
-            "use the unrestricted mode"
-        )
-    return _product(d1, d2, op)
+    _check_op(op)
+    return _boolean_product(d1, d2, "restricted")(op)
 
 
 def boolean_unrestricted(d1: Dfa, d2: Dfa, op: str) -> Dfa:
     """Boolean operation over the union alphabet, sink-completing each side."""
-    if op not in BOOL_OPS:
-        raise InputError(f"unknown boolean operation {op!r}")
-    sigma = union_alphabet(d1, d2)
-    return _product(complete_over(d1, sigma), complete_over(d2, sigma), op)
+    _check_op(op)
+    return _boolean_product(d1, d2, "unrestricted")(op)
 
 
 def concat(d1: Dfa, d2: Dfa) -> Dfa:

@@ -8,15 +8,25 @@ row through the language operations and measures modules, and takes the
 expectation only from the record's formula.  Excluded rows are reported
 as SKIP with the record's reason, rows beyond a record's range as SKIP
 without being attempted.
+
+One run builds each thing it measures once.  A memo that lives for one
+``run_verification`` call holds every operand by (family, n, dialect),
+every semigroup size by the witness's letter images, and the direct
+product of each operand pair of the boolean group being measured: the
+four boolean claims of one family and mode read their operations from
+that one product, and it is dropped when the group is done.  Every row
+still takes its own ``complexity``.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
+from itertools import groupby
+from typing import Callable
 
 from . import __version__
-from .automata import complexity, reachable_states
+from .automata import Dfa, complexity, reachable_states
 from .errors import InputError
 from .measures import (
     DEFAULT_SEMIGROUP_CAP,
@@ -27,8 +37,7 @@ from .measures import (
     syntactic_semigroup_size,
 )
 from .operations import (
-    boolean_restricted,
-    boolean_unrestricted,
+    _boolean_product,
     concat,
     format_letter_map,
     reverse,
@@ -83,7 +92,10 @@ def witness_atom_items(family: str, n: int) -> list[tuple[frozenset, int, int]]:
     Keys from the canonically renumbered minimal DFA are mapped back to
     the definition's state numbering, where the formula case splits live.
     """
-    witness = make_witness(family, n)
+    return _atom_items(make_witness(family, n), family, n)
+
+
+def _atom_items(witness: Dfa, family: str, n: int) -> list[tuple[frozenset, int, int]]:
     order = reachable_states(witness)  # canonical index -> definition state
     items = []
     for key, measured in atom_complexities(witness).items():
@@ -130,15 +142,19 @@ def run_verification(
             if f not in FAMILIES:
                 raise InputError(f"unknown family {f!r}")
     selected_q = _normalize_quantities(quantities)
-    semigroups: dict[frozenset, tuple[int, bool]] = {}
+    selected = [
+        claim for claim in CLAIMS
+        if claim.rows is not None
+        and (not families or claim.family in families)
+        and (selected_q is None or _names(claim) & selected_q)
+    ]
+    memo = _Memo(semigroup_cap)
     entries: list[ReportEntry] = []
-
-    for claim in CLAIMS:
-        if claim.rows is None or (families and claim.family not in families):
-            continue
-        if selected_q is not None and not (_names(claim) & selected_q):
-            continue
-        entries.extend(_run_claim(claim, n_range, m_range, semigroup_cap, semigroups))
+    # the four boolean claims of one family and mode are adjacent in CLAIMS
+    for _, group in groupby(selected, key=lambda claim: (claim.family, claim.mode)):
+        for claim in group:
+            entries.extend(_run_claim(claim, n_range, m_range, memo))
+        memo.products.clear()
 
     entries.sort(
         key=lambda e: (
@@ -161,24 +177,47 @@ def _sizes(requested: tuple[int, int] | None, claim_range: tuple[int, int], fami
         yield value, (value > claim_range[1])
 
 
-def _operand(family: str, n: int, dialect: tuple | None):
-    if dialect is None:
-        return make_witness(family, n)
-    return make_dialect(family, n, dialect)
-
-
 def _label(family: str, n: int, dialect: tuple | None) -> str:
     return format_letter_map(witness_alphabet(family, n) if dialect is None else dialect)
 
 
-def _semigroup(family: str, n: int, cap: int, cache: dict) -> tuple[int, bool]:
-    # streams that share their letters share the semigroup
-    witness = make_witness(family, n)
-    key = frozenset(t.image for t in witness.delta.values())
-    if key not in cache:
-        summary = syntactic_semigroup_size(witness, cap)
-        cache[key] = (summary.size, summary.truncated)
-    return cache[key]
+class _Memo:
+    """What one run_verification call builds once and reads many times."""
+
+    def __init__(self, semigroup_cap: int):
+        self.semigroup_cap = semigroup_cap
+        self.operands: dict[tuple, Dfa] = {}
+        self.semigroups: dict[frozenset, tuple[int, bool]] = {}
+        # (m, n, dialect pair) -> the pair's product; holds the products
+        # of one family and mode only, so those are not in the key
+        self.products: dict[tuple, Callable[[str], Dfa]] = {}
+
+    def operand(self, family: str, n: int, dialect: tuple | None) -> Dfa:
+        key = (family, n, dialect)
+        d = self.operands.get(key)
+        if d is None:
+            d = make_witness(family, n) if dialect is None else make_dialect(family, n, dialect)
+            self.operands[key] = d
+        return d
+
+    def semigroup(self, family: str, n: int) -> tuple[int, bool]:
+        # streams that share their letters share the semigroup
+        witness = self.operand(family, n, None)
+        key = frozenset(t.image for t in witness.delta.values())
+        if key not in self.semigroups:
+            summary = syntactic_semigroup_size(witness, self.semigroup_cap)
+            self.semigroups[key] = (summary.size, summary.truncated)
+        return self.semigroups[key]
+
+    def product(self, claim: Claim, m: int, n: int) -> Callable[[str], Dfa]:
+        dialect2 = claim.dialect2_at(m, n)
+        key = (m, n, claim.dialect1, dialect2)
+        product = self.products.get(key)
+        if product is None:
+            d1 = self.operand(claim.family, m, claim.dialect1)
+            d2 = self.operand(claim.family, n, dialect2)
+            product = self.products[key] = _boolean_product(d1, d2, claim.mode)
+        return product
 
 
 _UNARY = {
@@ -188,36 +227,34 @@ _UNARY = {
 }
 
 
-def _measure(claim: Claim, m: int | None, n: int, semigroup_cap: int, semigroups: dict) -> list:
+def _measure(claim: Claim, m: int | None, n: int, memo: _Memo) -> list:
     """(quantity, expected, measured, status, reason) for each entry of
     one row the claim includes."""
+    family = claim.family
     if claim.tag == "atom":
         return [
             ("atom({" + ",".join(str(q) for q in sorted(key)) + "})",
              formula_v, measured_v, PASS if measured_v == formula_v else FAIL, "")
-            for key, measured_v, formula_v in witness_atom_items(claim.family, n)
+            for key, measured_v, formula_v in _atom_items(memo.operand(family, n, None), family, n)
         ]
     if claim.tag == "semigroup":
-        measured_v, truncated = _semigroup(claim.family, n, semigroup_cap, semigroups)
+        measured_v, truncated = memo.semigroup(family, n)
         if truncated:
             reason = "semigroup enumeration truncated at the cap"
             return [(claim.tag, None, measured_v, SKIP, reason)]
     elif claim.mode is None:
-        measured_v = _UNARY[claim.tag](_operand(claim.family, n, claim.dialect1))
+        measured_v = _UNARY[claim.tag](memo.operand(family, n, claim.dialect1))
+    elif claim.tag == "product":
+        d1 = memo.operand(family, m, claim.dialect1)
+        d2 = memo.operand(family, n, claim.dialect2_at(m, n))
+        measured_v = complexity(concat(d1, d2))
     else:
-        d1 = _operand(claim.family, m, claim.dialect1)
-        d2 = _operand(claim.family, n, claim.dialect2_at(m, n))
-        if claim.tag == "product":
-            measured_v = complexity(concat(d1, d2))
-        elif claim.mode == "restricted":
-            measured_v = complexity(boolean_restricted(d1, d2, claim.tag))
-        else:
-            measured_v = complexity(boolean_unrestricted(d1, d2, claim.tag))
+        measured_v = complexity(memo.product(claim, m, n)(claim.tag))
     expected_v = claim.formula(m, n)
     return [(claim.tag, expected_v, measured_v, PASS if measured_v == expected_v else FAIL, "")]
 
 
-def _run_claim(claim, n_range, m_range, semigroup_cap, semigroups) -> list[ReportEntry]:
+def _run_claim(claim, n_range, m_range, memo: _Memo) -> list[ReportEntry]:
     family = claim.family
     binary = claim.mode is not None
     entries = []
@@ -235,7 +272,7 @@ def _run_claim(claim, n_range, m_range, semigroup_cap, semigroups) -> list[Repor
             if reason:
                 results = [(claim.tag, None, None, SKIP, reason)]
             else:
-                results = _measure(claim, m, n, semigroup_cap, semigroups)
+                results = _measure(claim, m, n, memo)
             for quantity, *rest in results:
                 entries.append(ReportEntry(family, quantity, claim.mode, dialects, m, n, *rest))
     return entries

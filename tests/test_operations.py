@@ -29,6 +29,7 @@ from suffixconvex.classifiers import _prefixed, is_left_ideal, suffix_language
 from suffixconvex.errors import InputError
 from suffixconvex.operations import (
     BOOL_OPS,
+    _boolean_product,
     apply_dialect,
     boolean_restricted,
     boolean_unrestricted,
@@ -104,7 +105,8 @@ def test_boolean_unrestricted_examples():
 
 
 def test_product_matches_naive_product_on_corpus():
-    # same states, same numbering: the Dfa values are equal
+    # same states, same numbering: the Dfa values are equal; one shared
+    # product per pair gives every operation, each equal to the public call
     rng = Random(53)
     restricted = unrestricted = 0
     for _ in range(600):
@@ -114,19 +116,21 @@ def test_product_matches_naive_product_on_corpus():
             letters = list(d2.alphabet)
             rng.shuffle(letters)
             d2 = complete_over(d2, letters)  # the same letters in another order
-            for op in BOOL_OPS:
-                d = boolean_restricted(d1, d2, op)
-                assert d == naive_product(d1, d2, op)
-                assert revalidated(d) == d  # the unchecked constructor built a valid Dfa
+            c1, c2, mode, public = d1, d2, "restricted", boolean_restricted
             restricted += 1
         else:
             sigma = union_alphabet(d1, d2)
             c1, c2 = complete_over(d1, sigma), complete_over(d2, sigma)
-            for op in BOOL_OPS:
-                d = boolean_unrestricted(d1, d2, op)
-                assert d == naive_product(c1, c2, op)
-                assert revalidated(d) == d
+            mode, public = "unrestricted", boolean_unrestricted
+            with pytest.raises(InputError):
+                _boolean_product(d1, d2, "restricted")
             unrestricted += 1
+        product = _boolean_product(d1, d2, mode)
+        for op in BOOL_OPS:
+            d = product(op)
+            assert d == naive_product(c1, c2, op)
+            assert d == public(d1, d2, op)
+            assert revalidated(d) == d  # the unchecked constructor built a valid Dfa
     assert restricted >= 100 and unrestricted >= 300
 
 

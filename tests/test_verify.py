@@ -1,10 +1,13 @@
 import hashlib
+import weakref
 from dataclasses import replace
 
 import pytest
 
 from suffixconvex import verify
+from suffixconvex.automata import complexity
 from suffixconvex.errors import InputError
+from suffixconvex.operations import BOOL_OPS, boolean_restricted, boolean_unrestricted
 from suffixconvex.verify import (
     ComplexityReport,
     ReportEntry,
@@ -73,6 +76,78 @@ def test_witness_atom_items_use_definition_coordinates():
     assert all(k == frozenset({0}) or 0 not in k for k in keys)
     assert all(4 not in k for k in keys)
     assert len(keys) == 9
+
+
+def test_a_run_builds_each_operand_and_product_once(monkeypatch):
+    builds, products, alive_at_build, sizes = [], [], [], []
+    make_w, make_d = verify.make_witness, verify.make_dialect
+    build_product, size = verify._boolean_product, verify.complexity
+
+    def counted_product(d1, d2, mode):
+        alive_at_build.append(sum(ref() is not None for ref in products))
+        product = build_product(d1, d2, mode)
+        products.append(weakref.ref(product))
+        return product
+
+    monkeypatch.setattr(
+        verify, "make_witness", lambda f, n: builds.append((f, n, None)) or make_w(f, n)
+    )
+    monkeypatch.setattr(
+        verify, "make_dialect", lambda f, n, pi: builds.append((f, n, pi)) or make_d(f, n, pi)
+    )
+    monkeypatch.setattr(verify, "_boolean_product", counted_product)
+    monkeypatch.setattr(verify, "complexity", lambda d: sizes.append(d.n) or size(d))
+    report = run_verification()
+    assert len(builds) == len(set(builds))
+    # one product per (family, mode, m, n, dialect pair) serves all four operations
+    boolean_rows = [e for e in report.entries if e.quantity in BOOL_OPS and e.measured is not None]
+    assert len(products) == 97 and len(boolean_rows) == 388
+    # a product lives only while its group's grid (at most 3 x 3 pairs) is
+    # measured, and none outlives the run
+    assert max(alive_at_build) <= 8
+    assert all(ref() is None for ref in products)
+    # and each row still takes its own complexity
+    sized = {"reverse", "star", "product", *BOOL_OPS}
+    assert len(sizes) == sum(e.quantity in sized and e.measured is not None for e in report.entries)
+    first = (set(builds), len(builds), len(products), len(sizes))
+    for log in (builds, products, sizes):
+        log.clear()
+    # a second run builds everything again: no memo outlives its run
+    run_verification()
+    assert (set(builds), len(builds), len(products), len(sizes)) == first
+
+
+def test_widened_boolean_grid_matches_products_built_directly(monkeypatch):
+    # the pinned digest covers the default ranges only; beyond them the
+    # memo's keys (modes, dialects, overrides) are checked against products
+    # built from scratch.  One claim of a group names its own dialect pair,
+    # so products must be told apart by their dialects too.
+    families = ("left-ideal", "suffix-free-3", "suffix-free-5")
+    widened = tuple(
+        replace(c, rows=(4, 8)) if c.family in families and c.tag in BOOL_OPS else c
+        for c in CLAIMS
+    )
+    widened = tuple(
+        replace(c, dialect2=c.dialect1)
+        if (c.family, c.tag, c.mode) == ("left-ideal", "intersection", "restricted") else c
+        for c in widened
+    )
+    monkeypatch.setattr(verify, "CLAIMS", widened)
+    report = run_verification(families=families, quantities=BOOL_OPS)
+    claims = {(c.family, c.tag, c.mode): c for c in widened}
+    public = {"restricted": boolean_restricted, "unrestricted": boolean_unrestricted}
+
+    def operand(family, n, dialect):
+        return make_witness(family, n) if dialect is None else make_dialect(family, n, dialect)
+
+    measured = [e for e in report.entries if e.measured is not None]
+    for e in measured:
+        c = claims[e.family, e.quantity, e.mode]
+        d1 = operand(e.family, e.m, c.dialect1)
+        d2 = operand(e.family, e.n, c.dialect2_at(e.m, e.n))
+        assert e.measured == complexity(public[e.mode](d1, d2, e.quantity)), e
+    # 25 (m, n) rows per claim, suffix-free-3 excluding (4, 4)
+    assert len(measured) == 3 * 2 * 4 * 25 - 8
 
 
 def test_truncated_semigroup_is_a_skip_row():
