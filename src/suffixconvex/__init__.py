@@ -10,7 +10,6 @@ from .automata import (
     complete_over,
     complexity,
     determinize,
-    equivalent,
     minimize,
     occurring_letters,
 )
@@ -40,6 +39,7 @@ from .operations import (
     boolean_unrestricted,
     complement,
     concat,
+    equivalent,
     parse_letter_map,
     reverse,
     star,

@@ -460,29 +460,6 @@ def union_alphabet(d1: Dfa, d2: Dfa) -> tuple[str, ...]:
     return d1.alphabet + tuple(l for l in d2.alphabet if l not in d1.alphabet)
 
 
-def equivalent(d1: Dfa, d2: Dfa) -> bool:
-    """Language equality, over the union alphabet when alphabets differ."""
-    sigma = union_alphabet(d1, d2)
-    c1 = complete_over(d1, sigma)
-    c2 = complete_over(d2, sigma)
-    # the pair (p, q) is coded as the int p * c2.n + q
-    n2 = c2.n
-    images = [(c1.delta[l].image, c2.delta[l].image) for l in sigma]
-    start = c1.initial * n2 + c2.initial
-    seen = {start}
-    queue = [start]
-    for code in queue:  # the list grows while it is read: a FIFO queue
-        p, q = divmod(code, n2)
-        if (p in c1.finals) != (q in c2.finals):
-            return False
-        for image1, image2 in images:
-            pair = image1[p] * n2 + image2[q]
-            if pair not in seen:
-                seen.add(pair)
-                queue.append(pair)
-    return True
-
-
 def _occurring(d: Dfa) -> tuple[int, list[list[int]], frozenset[int], list[bool]]:
     """One walk over the reachable states, (n, rows, finals) as ``_walk``
     numbers them, and per letter whether it occurs in an accepted word:

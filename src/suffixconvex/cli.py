@@ -74,6 +74,8 @@ def _cmd_op(args) -> int:
     else:
         if args.file2 is not None:
             raise InputError(f"operation {args.operation!r} takes one automaton")
+        if args.unrestricted:
+            raise InputError(f"operation {args.operation!r} has no unrestricted mode")
         result = {"star": star, "reverse": reverse, "complement": complement}[args.operation](d1)
     _emit(write_dfa(result, name=args.operation), None)
     return 0
@@ -180,7 +182,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("operation", choices=BOOL_OPS + ("concat", "star", "reverse", "complement"))
     p.add_argument("file")
     p.add_argument("file2", nargs="?")
-    p.add_argument("--unrestricted", action="store_true")
+    p.add_argument(
+        "--unrestricted",
+        action="store_true",
+        help="boolean operations only: sink-complete both operands over the union "
+        "alphabet (concat always works over the union alphabet)",
+    )
     p.set_defaults(func=_cmd_op)
 
     p = sub.add_parser("measure", help="measure a DFA document")

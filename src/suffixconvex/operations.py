@@ -1,10 +1,11 @@
 """The measured operations: dialects, boolean operations, product, star,
-reversal, and complement.
+reversal, complement, and language equivalence.
 
 Concatenation, star and reversal hand their nondeterministic moves to
-``automata.determinize`` as bitmask steps, epsilon moves folded in; the
-boolean operations run the direct product, one pair search shared by
-all four operations of an operand pair (``_boolean_product``).
+``automata.determinize`` as bitmask steps, epsilon moves folded in.  The
+direct product is built here only: one pair search per operand pair
+(``_product``, operands sink-completed over the union alphabet when
+unrestricted) serves the four boolean operations and ``equivalent``.
 Operation outputs are trimmed to reachable states but never minimized
 here; ``automata.complexity`` is the single place where minimization
 and occurring-letter reduction happen, so tests can inspect the raw
@@ -18,14 +19,13 @@ from typing import Callable, Sequence
 from .automata import Dfa, _preimages, complete_over, determinize, union_alphabet
 from .errors import InputError
 
-BOOL_OPS = ("union", "symdiff", "difference", "intersection")
-
 _TRUTH = {
     "union": lambda a, b: a or b,
     "symdiff": lambda a, b: a != b,
     "difference": lambda a, b: a and not b,
     "intersection": lambda a, b: a and b,
 }
+BOOL_OPS = tuple(_TRUTH)
 
 DELETED = None  # dialect entry for a deleted letter
 
@@ -139,6 +139,12 @@ def boolean_unrestricted(d1: Dfa, d2: Dfa, op: str) -> Dfa:
     """Boolean operation over the union alphabet, sink-completing each side."""
     _check_op(op)
     return _boolean_product(d1, d2, "unrestricted")(op)
+
+
+def equivalent(d1: Dfa, d2: Dfa) -> bool:
+    """Language equality, over the union alphabet when alphabets differ:
+    no reachable pair of the product accepts by the symmetric difference."""
+    return not _boolean_product(d1, d2, "unrestricted")("symdiff").finals
 
 
 def concat(d1: Dfa, d2: Dfa) -> Dfa:

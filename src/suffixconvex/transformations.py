@@ -156,24 +156,12 @@ def parse_notation(n: int, text: str) -> Transformation:
 
 
 def _cyclic_points(t: Transformation) -> set[int]:
-    """States lying on a cycle of the functional graph of t."""
-    on_cycle: set[int] = set()
-    for q in range(t.n):
-        seen = set()
-        r = q
-        while r not in seen:
-            seen.add(r)
-            r = t.image[r]
-        # r is the first repeated state: walk its cycle
-        if q in on_cycle:
-            continue
-        cyc = {r}
-        s = t.image[r]
-        while s != r:
-            cyc.add(s)
-            s = t.image[s]
-        on_cycle |= cyc
-    return on_cycle
+    """States lying on a cycle of the functional graph of t: shrink the
+    image set until it stops changing, since t permutes the stable set."""
+    points = set(t.image)
+    while (image := {t.image[q] for q in points}) != points:
+        points = image
+    return points
 
 
 def _format_send(sources: list[int], target: int, n: int) -> str:

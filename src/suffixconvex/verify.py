@@ -15,7 +15,8 @@ every semigroup size by the witness's letter images, and the direct
 product of each operand pair of the boolean group being measured: the
 four boolean claims of one family and mode read their operations from
 that one product, and it is dropped when the group is done.  Every row
-still takes its own ``complexity``.
+still takes its own ``complexity``, and a full-witness row is labelled
+with the letters of the witness the memo holds.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ from .witnesses import (
     Claim,
     make_dialect,
     make_witness,
-    witness_alphabet,
 )
 
 PASS = "PASS"
@@ -177,10 +177,6 @@ def _sizes(requested: tuple[int, int] | None, claim_range: tuple[int, int], fami
         yield value, (value > claim_range[1])
 
 
-def _label(family: str, n: int, dialect: tuple | None) -> str:
-    return format_letter_map(witness_alphabet(family, n) if dialect is None else dialect)
-
-
 class _Memo:
     """What one run_verification call builds once and reads many times."""
 
@@ -199,6 +195,12 @@ class _Memo:
             d = make_witness(family, n) if dialect is None else make_dialect(family, n, dialect)
             self.operands[key] = d
         return d
+
+    def label(self, family: str, n: int, dialect: tuple | None) -> str:
+        """The report's name for an operand: its letter map, or the witness's letters."""
+        if dialect is None:
+            dialect = self.operand(family, n, None).alphabet
+        return format_letter_map(dialect)
 
     def semigroup(self, family: str, n: int) -> tuple[int, bool]:
         # streams that share their letters share the semigroup
@@ -263,9 +265,9 @@ def _run_claim(claim, n_range, m_range, memo: _Memo) -> list[ReportEntry]:
         for m, beyond_m in ms:
             if binary:
                 d2 = claim.dialect2_at(m, n)
-                dialects = (_label(family, m, claim.dialect1), _label(family, n, d2))
+                dialects = (memo.label(family, m, claim.dialect1), memo.label(family, n, d2))
             else:
-                dialects = (_label(family, n, claim.dialect1),)
+                dialects = (memo.label(family, n, claim.dialect1),)
             reason = claim.exclude(m, n)
             if not reason and (beyond_n or beyond_m):
                 reason = "beyond the configured resource range"

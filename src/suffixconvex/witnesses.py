@@ -1,13 +1,14 @@
 """Witness DFA streams and the table of claims they meet.
 
 Each family tag names one stream of minimal DFAs, one automaton per
-state count n.  ``CLAIMS`` is the paper's table of results, one record
-per (family, quantity, mode): the closed-form formula, the dialect pair
-of the witness stream that meets it, the range of sizes the
-verification harness measures, and the rule for rows the claim
-excludes.  ``expected`` reads a formula from that table; it never
-measures anything, so the harness can compare it against independently
-measured values.
+state count n that names its letters once: as its transitions' keys.
+``CLAIMS`` is the paper's table of results, one record per (family,
+quantity, mode): the closed-form formula, the dialect pair of the
+witness stream that meets it, the range of sizes the verification
+harness measures, and the rule for rows the claim excludes.
+``expected`` reads a formula from that table; it never measures
+anything, so the harness can compare it against independently measured
+values.
 """
 
 from __future__ import annotations
@@ -20,17 +21,6 @@ from .errors import InputError
 from .operations import BOOL_OPS, LetterMap, apply_dialect, parse_letter_map
 from .transformations import Transformation, compose_many, cycle, send_to
 
-FAMILIES = (
-    "regular",
-    "left-ideal",
-    "left-ideal-alt",
-    "suffix-closed",
-    "suffix-free-5",
-    "suffix-free-n",
-    "suffix-free-3",
-    "suffix-free-2star",
-)
-
 MIN_N = {
     "regular": 3,
     "left-ideal": 4,
@@ -41,6 +31,7 @@ MIN_N = {
     "suffix-free-3": 4,
     "suffix-free-2star": 6,
 }
+FAMILIES = tuple(MIN_N)
 
 # the three language classes the formula tables are keyed by
 CLASS_OF = {
@@ -71,19 +62,27 @@ def _ideal_letters(n: int) -> dict[str, Transformation]:
     }
 
 
+def _suffix_free_ab(n: int) -> dict[str, Transformation]:
+    """The a and b that the suffix-free-5, -n and -3 streams share: both
+    send 0 to the dead state n-1, a cycles 1..n-2 and b swaps 1 and 2."""
+    to_last = send_to(n, [0], n - 1)
+    return {
+        "a": compose_many([to_last, cycle(n, list(range(1, n - 1)))]),
+        "b": compose_many([to_last, cycle(n, [1, 2])]),
+    }
+
+
 def _suffix_free_5(n: int) -> Dfa:
     """The five-letter suffix-free automaton; at n=4 its a and b carry
     the same transformation."""
-    to_last = send_to(n, [0], n - 1)
     delta = {
-        "a": compose_many([to_last, cycle(n, list(range(1, n - 1)))]),
-        "b": compose_many([to_last, cycle(n, [1, 2])]),
-        "c": compose_many([to_last, send_to(n, [n - 2], 1)]),
+        **_suffix_free_ab(n),
+        "c": compose_many([send_to(n, [0], n - 1), send_to(n, [n - 2], 1)]),
         "d": send_to(n, [0, 1], n - 1),
         "e": compose_many([send_to(n, range(1, n), n - 1), send_to(n, [0], 1)]),
     }
     finals = frozenset(q for q in range(1, n - 1) if q % 2 == 1)
-    return Dfa(n, ("a", "b", "c", "d", "e"), delta, 0, finals)
+    return Dfa(n, tuple(delta), delta, 0, finals)
 
 
 def _maybe_cycle(n: int, states: list[int]) -> list[Transformation]:
@@ -91,31 +90,17 @@ def _maybe_cycle(n: int, states: list[int]) -> list[Transformation]:
     return [cycle(n, states)] if len(states) >= 2 else []
 
 
-def witness_alphabet(family: str, n: int) -> tuple[str, ...]:
-    """The letters of the family's witness at n states, in definition
-    order."""
-    _check_family(family, n)
-    if family in ("left-ideal", "left-ideal-alt", "suffix-closed"):
-        return ("a", "b", "c", "d", "e")
-    if family == "suffix-free-5":
-        # a and b coincide at n=4, so the witness drops a
-        return ("b", "c", "d", "e") if n == 4 else ("a", "b", "c", "d", "e")
-    if family == "suffix-free-n":
-        return ("a", "b") + tuple(f"c{p}" for p in range(1, n - 1))
-    return ("a", "b", "c")  # regular, suffix-free-3, suffix-free-2star
-
-
 def make_witness(family: str, n: int) -> Dfa:
     """The witness DFA of the given family at n states, letters in
     definition order."""
-    alphabet = witness_alphabet(family, n)
+    _check_family(family, n)
     if family == "regular":
         delta = {
             "a": cycle(n, list(range(n))),
             "b": cycle(n, [0, 1]),
             "c": send_to(n, [n - 1], 0),
         }
-        return Dfa(n, alphabet, delta, 0, frozenset({n - 1}))
+        return Dfa(n, tuple(delta), delta, 0, frozenset({n - 1}))
 
     if family in ("left-ideal", "left-ideal-alt", "suffix-closed"):
         delta = _ideal_letters(n)
@@ -124,44 +109,40 @@ def make_witness(family: str, n: int) -> Dfa:
             "left-ideal-alt": frozenset(range(1, n)),
             "suffix-closed": frozenset({0}),
         }[family]
-        return Dfa(n, alphabet, delta, 0, finals)
+        return Dfa(n, tuple(delta), delta, 0, finals)
 
     if family == "suffix-free-5":
-        d = _suffix_free_5(n)
-        return Dfa(n, alphabet, {l: d.delta[l] for l in alphabet}, d.initial, d.finals)
+        # a and b carry one transformation at n=4, so the witness drops a
+        if n == 4:
+            return apply_dialect(_suffix_free_5(4), (None, "b", "c", "d", "e"))
+        return _suffix_free_5(n)
 
     if family == "suffix-free-n":
-        to_last = send_to(n, [0], n - 1)
-        delta = {
-            "a": compose_many([to_last, cycle(n, list(range(1, n - 1)))]),
-            "b": compose_many([to_last, cycle(n, [1, 2])]),
-        }
-        for p, letter in enumerate(alphabet[2:], 1):
-            delta[letter] = compose_many([send_to(n, [p], n - 1), send_to(n, [0], p)])
-        return Dfa(n, alphabet, delta, 0, frozenset({n - 2}))
+        delta = _suffix_free_ab(n)
+        for p in range(1, n - 1):
+            delta[f"c{p}"] = compose_many([send_to(n, [p], n - 1), send_to(n, [0], p)])
+        return Dfa(n, tuple(delta), delta, 0, frozenset({n - 2}))
 
     if family == "suffix-free-3":
         # c sends 1 to the dead state n-1 (which keeps its all-letter
         # self-loop) and 0 to 1; reading the first atom as a transposition
         # would make n-1 co-reachable and break suffix-freeness
-        to_last = send_to(n, [0], n - 1)
         delta = {
-            "a": compose_many([to_last, cycle(n, list(range(1, n - 1)))]),
-            "b": compose_many([to_last, cycle(n, [1, 2])]),
+            **_suffix_free_ab(n),
             "c": compose_many([send_to(n, [1], n - 1), send_to(n, [0], 1)]),
         }
-        return Dfa(n, alphabet, delta, 0, frozenset({n - 2}))
+        return Dfa(n, tuple(delta), delta, 0, frozenset({n - 2}))
 
-    # suffix-free-2star
+    # suffix-free-2star; its c is the a of the other suffix-free streams
     to_last = send_to(n, [0], n - 1)
     delta = {
         "a": compose_many([to_last, cycle(n, [1, 2, 3])] + _maybe_cycle(n, list(range(4, n - 1)))),
         "b": compose_many(
             [send_to(n, [2], n - 1), send_to(n, [1], 2), send_to(n, [0], 1), cycle(n, [3, 4])]
         ),
-        "c": compose_many([to_last, cycle(n, list(range(1, n - 1)))]),
+        "c": _suffix_free_ab(n)["a"],
     }
-    return Dfa(n, alphabet, delta, 0, frozenset({1}))
+    return Dfa(n, tuple(delta), delta, 0, frozenset({1}))
 
 
 def make_dialect(family: str, n: int, pi: LetterMap) -> Dfa:
@@ -173,7 +154,6 @@ def make_dialect(family: str, n: int, pi: LetterMap) -> Dfa:
     same transformation), so dialect tuples stay positionally uniform
     across the whole stream.
     """
-    _check_family(family, n)
     pi = tuple(pi)
     if family == "suffix-free-5" and n == 4 and len(pi) == 5:
         return apply_dialect(_suffix_free_5(n), pi)

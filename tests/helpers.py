@@ -842,8 +842,15 @@ def language_upto(d: Dfa, max_len: int) -> set[tuple[str, ...]]:
 
 
 def same_language_upto(d1: Dfa, d2: Dfa, max_len: int) -> bool:
-    assert set(d1.alphabet) == set(d2.alphabet)
-    return all(accepts(d1, w) == accepts(d2, w) for w in words_upto(d1.alphabet, max_len))
+    """Whether d1 and d2 agree on every word of length at most max_len
+    over their letters together; a word with a letter outside an
+    automaton's alphabet is not in its language."""
+    sigma = sorted(set(d1.alphabet) | set(d2.alphabet))
+
+    def member(d: Dfa, w) -> bool:
+        return set(w) <= set(d.alphabet) and accepts(d, w)
+
+    return all(member(d1, w) == member(d2, w) for w in words_upto(sigma, max_len))
 
 
 def cycle_dfa(n: int) -> Dfa:
@@ -885,3 +892,29 @@ def finite_language_dfa(words: list[str], alphabet: tuple[str, ...]) -> Dfa:
         delta[letter] = tuple(row)
     finals = frozenset(nodes[w] for w in words)
     return Dfa(n, alphabet, delta, 0, finals)
+
+
+# --- transformations: the per-state walk ``transformations._cyclic_points``
+# replaced.
+
+
+def naive_cyclic_points(t: Transformation) -> set[int]:
+    """States lying on a cycle of the functional graph of t: from each
+    state, walk to the first repeated state and collect its cycle."""
+    on_cycle: set[int] = set()
+    for q in range(t.n):
+        seen = set()
+        r = q
+        while r not in seen:
+            seen.add(r)
+            r = t.image[r]
+        # r is the first repeated state: walk its cycle
+        if q in on_cycle:
+            continue
+        cyc = {r}
+        s = t.image[r]
+        while s != r:
+            cyc.add(s)
+            s = t.image[s]
+        on_cycle |= cyc
+    return on_cycle

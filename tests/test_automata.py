@@ -35,13 +35,19 @@ from suffixconvex.automata import (
     complete_over,
     complexity,
     determinize,
-    equivalent,
     minimize,
     occurring_letters,
     reachable_states,
 )
 from suffixconvex.errors import InputError
-from suffixconvex.operations import boolean_restricted, concat, parse_letter_map, reverse, star
+from suffixconvex.operations import (
+    boolean_restricted,
+    concat,
+    equivalent,
+    parse_letter_map,
+    reverse,
+    star,
+)
 from suffixconvex.witnesses import make_dialect, make_witness
 
 
@@ -419,13 +425,28 @@ def test_equivalent_matches_exact_word_oracle():
     from helpers import same_language_upto
 
     corpus = dfa_corpus(seed=13, count=40, max_n=4, max_letters=2)
-    compared = 0
-    for d1, d2 in zip(corpus[0::2], corpus[1::2]):
-        if set(d1.alphabet) != set(d2.alphabet):
-            continue
-        compared += 1
-        assert equivalent(d1, d2) == same_language_upto(d1, d2, d1.n * d2.n)
-    assert compared >= 8
+    pairs = list(zip(corpus[0::2], corpus[1::2]))
+    # a one-letter DFA against itself with b added, as a sink (the same
+    # language) and as a self-loop (a different one once it accepts a word)
+    for d in corpus:
+        if d.alphabet == ("a",):
+            loop = Dfa(d.n, ("a", "b"), {**d.delta, "b": tuple(range(d.n))}, 0, d.finals)
+            pairs += [(d, complete_over(d, ("a", "b"))), (d, loop)]
+    compared = {"same letters": 0, "different letters": 0}
+    for d1, d2 in pairs:
+        if set(d1.alphabet) == set(d2.alphabet):
+            compared["same letters"] += 1
+            bound = d1.n * d2.n
+        else:
+            # equivalent sink-completes both sides, to at most n + 1 states
+            # each; complete DFAs of N1 and N2 states that differ do so on
+            # a word of length at most N1 + N2 - 2 (Moore's refinement of
+            # their disjoint union), and the product bound (n1+1)(n2+1)
+            # would mean 2^26 words for a pair of 4-state automata
+            compared["different letters"] += 1
+            bound = d1.n + d2.n
+        assert equivalent(d1, d2) == same_language_upto(d1, d2, bound)
+    assert compared["same letters"] >= 8 and compared["different letters"] >= 30
 
 
 def test_components_and_reach_counts_match_walks():

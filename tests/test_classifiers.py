@@ -18,7 +18,7 @@ from helpers import (
 )
 
 from suffixconvex import classifiers
-from suffixconvex.automata import Dfa, accepts, determinize, equivalent, minimize
+from suffixconvex.automata import Dfa, accepts, determinize, minimize
 from suffixconvex.classifiers import (
     classify,
     is_left_ideal,
@@ -27,7 +27,7 @@ from suffixconvex.classifiers import (
     is_suffix_free,
     suffix_language,
 )
-from suffixconvex.operations import complement
+from suffixconvex.operations import complement, equivalent
 from suffixconvex.witnesses import FAMILIES, MIN_N, make_witness
 
 EMPTY = Dfa(1, ("a", "b"), {"a": (0,), "b": (0,)}, 0, frozenset())

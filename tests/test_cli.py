@@ -69,6 +69,18 @@ def test_op_star_single_operand(capsys, tmp_path):
     assert code == 2
 
 
+def test_op_unrestricted_needs_a_boolean_operation(capsys, tmp_path):
+    f1 = _write(tmp_path, "1.json", make_witness("left-ideal", 4))
+    for operation in ("star", "reverse", "complement"):
+        code, out, err = run_cli(capsys, "op", operation, f1, "--unrestricted")
+        assert code == 2 and out == ""
+        assert "unrestricted" in err
+    # concat always works over the union alphabet: the flag changes nothing
+    plain = run_cli(capsys, "op", "concat", f1, f1)
+    assert plain[0] == 0
+    assert run_cli(capsys, "op", "concat", f1, f1, "--unrestricted") == plain
+
+
 def test_op_concat_requires_two(capsys, tmp_path):
     f1 = _write(tmp_path, "1.json", make_witness("suffix-free-3", 4))
     code, _, err = run_cli(capsys, "op", "concat", f1)

@@ -18,7 +18,7 @@ from helpers import (
 )
 
 from suffixconvex import measures
-from suffixconvex.automata import Dfa, complexity, equivalent, minimize
+from suffixconvex.automata import Dfa, complexity, minimize
 from suffixconvex.errors import InputError, LimitError
 from suffixconvex.measures import (
     DEFAULT_SEMIGROUP_CAP,
@@ -33,7 +33,7 @@ from suffixconvex.measures import (
     syntactic_semigroup_size,
     transition_semigroup,
 )
-from suffixconvex.operations import boolean_unrestricted, complement, reverse
+from suffixconvex.operations import boolean_unrestricted, complement, equivalent, reverse
 from suffixconvex.verify import witness_atom_items
 from suffixconvex.witnesses import make_dialect, make_witness
 

@@ -21,7 +21,6 @@ from suffixconvex.automata import (
     Dfa,
     complete_over,
     complexity,
-    equivalent,
     minimize,
     union_alphabet,
 )
@@ -35,6 +34,7 @@ from suffixconvex.operations import (
     boolean_unrestricted,
     complement,
     concat,
+    equivalent,
     format_letter_map,
     parse_letter_map,
     reverse,

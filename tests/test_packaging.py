@@ -3,7 +3,10 @@
 import ast
 import re
 import sys
+import types
 from pathlib import Path
+
+import suffixconvex
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -29,3 +32,25 @@ def test_pyproject_declares_no_dependencies():
     text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
     project = text.split("\n[project]\n", 1)[1].split("\n[", 1)[0]
     assert re.search(r"^dependencies = \[\]$", project, re.MULTILINE)
+
+
+def test_public_names_are_pinned():
+    # a name leaves the package's surface only on purpose
+    public = sorted(
+        name for name, value in vars(suffixconvex).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    )
+    assert public == [
+        "ClassReport", "ComplexityReport", "Dfa", "DocumentError", "FAMILIES",
+        "InputError", "LimitError", "NotationError", "SemigroupSummary",
+        "Transformation", "accepts", "apply_dialect", "apply_word",
+        "atom_complexities", "atom_complexity", "atom_formula", "atoms",
+        "boolean_restricted", "boolean_unrestricted", "classify", "complement",
+        "complete_over", "complexity", "compose_many", "concat", "cycle",
+        "determinize", "equivalent", "expected", "export_dot", "format_notation",
+        "is_left_ideal", "is_suffix_closed", "is_suffix_convex", "is_suffix_free",
+        "make_dialect", "make_witness", "minimize", "occurring_letters",
+        "parse_letter_map", "parse_notation", "quotient_complexities", "read_dfa",
+        "reverse", "run_verification", "send_to", "star", "suffix_language",
+        "syntactic_semigroup_size", "transition_semigroup", "write_dfa",
+    ]

@@ -1,9 +1,13 @@
+from random import Random
+
 import pytest
+from helpers import naive_cyclic_points
 from hypothesis import given, strategies as st
 
 from suffixconvex.errors import InputError, NotationError
 from suffixconvex.transformations import (
     Transformation,
+    _cyclic_points,
     compose_many,
     cycle,
     format_notation,
@@ -131,6 +135,21 @@ def test_format_parse_round_trip(data):
     image = data.draw(st.tuples(*[st.integers(0, n - 1) for _ in range(n)]))
     t = Transformation(image)
     assert parse_notation(n, format_notation(t)) == t
+
+
+def test_cyclic_points_match_naive_walk():
+    rng = Random(97)
+    maps = [(0,), (0, 1, 2), (1, 2, 0), (1, 2, 3, 3), (1, 0, 0, 1, 2)]
+    for _ in range(600):
+        n = rng.randint(1, 256)
+        # images from a random subset: the smaller it is, the longer the tails
+        targets = rng.sample(range(n), rng.randint(1, n))
+        maps.append(tuple(rng.choice(targets) for _ in range(n)))
+    maps.append(tuple(range(1, 256)) + (0,))  # one cycle through 256 states
+    maps.append(tuple(range(1, 256)) + (255,))  # a 255-step tail into a fixed point
+    for image in maps:
+        t = Transformation(image)
+        assert _cyclic_points(t) == naive_cyclic_points(t)
 
 
 def test_disjoint_atoms_commute():

@@ -1,17 +1,16 @@
 import pytest
 
-from suffixconvex.automata import complexity, equivalent, minimize
+from suffixconvex.automata import complexity, minimize
 from suffixconvex.classifiers import classify
 from suffixconvex.errors import InputError
 from suffixconvex.measures import quotient_complexities
-from suffixconvex.operations import complement, star
+from suffixconvex.operations import complement, equivalent, star
 from suffixconvex.witnesses import (
     FAMILIES,
     MIN_N,
     expected,
     make_dialect,
     make_witness,
-    witness_alphabet,
 )
 
 
@@ -84,14 +83,27 @@ def test_two_letter_star_family():
 
 
 def test_witness_alphabet_matches_witness():
+    five = ("a", "b", "c", "d", "e")
+    letters = {
+        "regular": lambda n: ("a", "b", "c"),
+        "left-ideal": lambda n: five,
+        "left-ideal-alt": lambda n: five,
+        "suffix-closed": lambda n: five,
+        "suffix-free-5": lambda n: five,
+        "suffix-free-n": lambda n: ("a", "b") + tuple(f"c{p}" for p in range(1, n - 1)),
+        "suffix-free-3": lambda n: ("a", "b", "c"),
+        "suffix-free-2star": lambda n: ("a", "b", "c"),
+    }
+    assert set(letters) == set(FAMILIES)
     for family in FAMILIES:
         for n in range(MIN_N[family], 13):
-            assert witness_alphabet(family, n) == make_witness(family, n).alphabet
+            if (family, n) != ("suffix-free-5", 4):
+                assert make_witness(family, n).alphabet == letters[family](n)
     # the five-letter suffix-free stream drops a at n=4
-    assert witness_alphabet("suffix-free-5", 4) == ("b", "c", "d", "e")
-    assert witness_alphabet("suffix-free-n", 6) == ("a", "b", "c1", "c2", "c3", "c4")
+    assert make_witness("suffix-free-5", 4).alphabet == ("b", "c", "d", "e")
+    assert make_witness("suffix-free-n", 6).alphabet == ("a", "b", "c1", "c2", "c3", "c4")
     with pytest.raises(InputError):
-        witness_alphabet("left-ideal", 3)
+        make_witness("left-ideal", 3)
 
 
 def test_minimum_sizes_enforced():
