@@ -27,7 +27,6 @@ from .measures import (
     SemigroupSummary,
     atom_complexities,
     atom_complexity,
-    atom_formula,
     atoms,
     quotient_complexities,
     syntactic_semigroup_size,
@@ -54,4 +53,4 @@ from .transformations import (
     send_to,
 )
 from .verify import ComplexityReport, run_verification
-from .witnesses import FAMILIES, expected, make_dialect, make_witness
+from .witnesses import FAMILIES, atom_formula, expected, make_dialect, make_witness

@@ -399,18 +399,6 @@ def _class_rows(
     return [[block_of[row[q]] for q in member] for row in rows]
 
 
-def _size(n: int, images: Sequence[Sequence[int]], initial: int, finals: Iterable[int]) -> int:
-    """Number of states of the minimal DFA with these rows: one walk and
-    one refinement, with no class numbering and no Dfa built."""
-    order, rows, finals = _walk(n, images, initial, finals)
-    return _hopcroft(len(order), rows, finals)[0]
-
-
-def _minimal_size(d: Dfa) -> int:
-    """minimize(d).n, counted without building the minimal DFA."""
-    return _size(d.n, [d.delta[letter].image for letter in d.alphabet], d.initial, d.finals)
-
-
 def minimize(d: Dfa) -> Dfa:
     """The minimal complete DFA of L(d), canonically renumbered.
 
@@ -486,7 +474,8 @@ def complexity(d: Dfa) -> int:
     alphabet instead (2 for the same language).
     """
     n, rows, finals, occurs = _occurring(d)
-    if all(occurs):
-        return _hopcroft(n, rows, finals)[0]
-    # a dropped letter may have been the only way into some states
-    return _size(n, [row for row, ok in zip(rows, occurs) if ok], 0, finals)
+    if not all(occurs):
+        # a dropped letter may have been the only way into some states
+        order, rows, finals = _walk(n, [r for r, ok in zip(rows, occurs) if ok], 0, finals)
+        n = len(order)
+    return _hopcroft(n, rows, finals)[0]

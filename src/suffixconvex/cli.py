@@ -82,12 +82,15 @@ def _cmd_op(args) -> int:
 
 
 def _cmd_measure(args) -> int:
-    dfa = _read(args.file)
     what = args.measurement
+    if args.cap is not None and what != "semigroup":
+        raise InputError(f"--cap applies to the semigroup measurement only, not {what!r}")
+    dfa = _read(args.file)
     if what == "complexity":
         payload = {"complexity": complexity(dfa)}
     elif what == "semigroup":
-        summary = syntactic_semigroup_size(dfa, args.cap)
+        cap = DEFAULT_SEMIGROUP_CAP if args.cap is None else args.cap
+        summary = syntactic_semigroup_size(dfa, cap)
         payload = {"semigroup_size": summary.size, "truncated": summary.truncated}
     elif what == "quotients":
         payload = {"quotient_complexities": list(quotient_complexities(dfa))}
@@ -196,7 +199,12 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("complexity", "semigroup", "quotients", "atoms", "atom-complexities", "reverse-complexity"),
     )
     p.add_argument("file")
-    p.add_argument("--cap", type=_positive_int, default=DEFAULT_SEMIGROUP_CAP)
+    p.add_argument(
+        "--cap",
+        type=_positive_int,
+        help="semigroup only: stop counting past this many elements and report "
+        f"the size as truncated (default {DEFAULT_SEMIGROUP_CAP})",
+    )
     p.set_defaults(func=_cmd_measure)
 
     p = sub.add_parser("classify", help="report language-class membership")

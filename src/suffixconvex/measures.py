@@ -35,7 +35,8 @@ avoids them, and a pair whose components overlap can never accept again
 and is pruned to a sink.  Two atoms that reach the same pair share that
 quotient and every one after it, so ``atom_complexities`` builds one pair
 automaton per DFA, seeded with the start pair of every atom, and refines
-it once; ``atom_automaton`` is the same kernel with one seed.
+it once.  ``atom_automaton`` is the same kernel with one seed, and
+``atom_complexity`` counts the classes of that one-seed automaton.
 
 Sizes are counted, not built: the states of a minimal DFA, like the
 classes of a refinement, are pairwise distinguishable, so a quotient's
@@ -57,7 +58,6 @@ from .automata import (
     _class_rows,
     _components,
     _hopcroft,
-    _minimal_size,
     _preimages,
     _reach_counts,
     _subsets,
@@ -386,6 +386,18 @@ def _atom_pairs(
     return order, rows, finals
 
 
+def _atom_seed(m: Dfa, key) -> tuple[list[int], list[list[int]], frozenset[int]]:
+    """``_atom_pairs`` of the minimal DFA m with key as its only seed;
+    rejects a key outside m's states and an empty atom."""
+    s = frozenset(key)
+    if not s <= frozenset(range(m.n)):
+        raise InputError(f"atom key {sorted(s)} outside the minimal DFA's states")
+    order, rows, finals = _atom_pairs(m, [s])
+    if not finals:
+        raise InputError(f"atom for key {sorted(s)} is empty")
+    return order, rows, finals
+
+
 def atom_automaton(m: Dfa, key) -> Dfa:
     """DFA recognizing the atom A_S of the minimal DFA m.
 
@@ -394,19 +406,16 @@ def atom_automaton(m: Dfa, key) -> Dfa:
     S), numbered as ``_atom_pairs`` numbers them with S the only seed;
     overlapping pairs collapse into one sink.  Rejects empty atoms.
     """
-    s = frozenset(key)
-    if not s <= frozenset(range(m.n)):
-        raise InputError(f"atom key {sorted(s)} outside the minimal DFA's states")
-    order, rows, finals = _atom_pairs(m, [s])
-    if not finals:
-        raise InputError(f"atom for key {sorted(s)} is empty")
+    order, rows, finals = _atom_seed(m, key)
     return Dfa._trusted(len(order), m.alphabet, rows, 0, finals)
 
 
 def atom_complexity(d: Dfa, key) -> int:
     """Quotient complexity of the atom A_S of the minimal DFA of L(d),
-    over the full alphabet."""
-    return _minimal_size(atom_automaton(minimize(d), key))
+    over the full alphabet: the classes of one refinement of the one-seed
+    pair automaton, every pair of which is reachable from the seed."""
+    order, rows, finals = _atom_seed(minimize(d), key)
+    return _hopcroft(len(order), rows, finals)[0]
 
 
 def atom_complexities(d: Dfa) -> dict[AtomKey, int]:
@@ -425,53 +434,3 @@ def atom_complexities(d: Dfa) -> dict[AtomKey, int]:
     reach = _reach_counts(count, _class_rows(rows, count, block_of))
     # the seeds are states 0..len(keys)-1
     return {key: reach[block_of[i]] for i, key in enumerate(keys)}
-
-
-def atom_formula(language_class: str, n: int, key) -> int:
-    """Closed-form atom complexity for the three witness classes."""
-    s = frozenset(key)
-    if not s <= frozenset(range(n)):
-        raise InputError(f"atom key {sorted(s)} outside 0..{n - 1}")
-    size = len(s)
-
-    if language_class == "left-ideal":
-        if size == n:
-            return n
-        if size == 0:
-            return 2 ** (n - 1)
-        return 1 + sum(
-            math.comb(n - 1, x) * math.comb(n - x - 1, y - 1)
-            for x in range(1, size + 1)
-            for y in range(1, n - size + 1)
-        )
-
-    if language_class == "suffix-closed":
-        if size == 0:
-            return n
-        if size == n:
-            return 2 ** (n - 1)
-        if 0 in s:
-            return 1 + sum(
-                math.comb(n - 1, y) * math.comb(n - y - 1, x - 1)
-                for x in range(1, size + 1)
-                for y in range(1, n - size + 1)
-            )
-        raise InputError(f"no suffix-closed atom formula for key {sorted(s)}")
-
-    if language_class == "suffix-free":
-        if size == 0:
-            return 2 ** (n - 2) + 1
-        if s == frozenset({0}):
-            return n
-        if s <= frozenset(range(1, n - 1)):
-            return 1 + sum(
-                math.comb(n - 2, x) * math.comb(n - 2 - x, y)
-                for x in range(1, size + 1)
-                for y in range(0, n - 2 - size + 1)
-            )
-        raise InputError(f"no suffix-free atom formula for key {sorted(s)}")
-
-    raise InputError(
-        f"unknown language class {language_class!r}; "
-        "choose left-ideal, suffix-closed, or suffix-free"
-    )

@@ -4,14 +4,15 @@ compare against the closed forms.
 The claims live in one table, ``witnesses.CLAIMS``: each record names
 its formula, the exact dialect pair it calls for, the sizes to measure,
 and the rows it excludes.  The harness walks that table, measures each
-row through the language operations and measures modules, and takes the
-expectation only from the record's formula.  Excluded rows are reported
-as SKIP with the record's reason, rows beyond a record's range as SKIP
-without being attempted.
+row through the language operations and measures modules, and takes
+every expectation from the record's formula, an atom claim's once per
+atom key.  Excluded rows are reported as SKIP with the record's reason,
+rows beyond a record's range as SKIP without being attempted.
 
 One run builds each thing it measures once.  A memo that lives for one
-``run_verification`` call holds every operand by (family, n, dialect),
-every semigroup size by the witness's letter images, and the direct
+``run_verification`` call holds the operands of the family being
+measured by (family, n, dialect), dropped when the family is done;
+every semigroup size by the witness's letter images; and the direct
 product of each operand pair of the boolean group being measured: the
 four boolean claims of one family and mode read their operations from
 that one product, and it is dropped when the group is done.  Every row
@@ -32,7 +33,6 @@ from .errors import InputError
 from .measures import (
     DEFAULT_SEMIGROUP_CAP,
     atom_complexities,
-    atom_formula,
     atoms,
     check_semigroup_cap,
     syntactic_semigroup_size,
@@ -46,7 +46,6 @@ from .operations import (
 )
 from .witnesses import (
     CLAIMS,
-    CLASS_OF,
     FAMILIES,
     MIN_N,
     Claim,
@@ -85,23 +84,18 @@ class ComplexityReport:
         return self.failed == 0
 
 
-def witness_atom_items(family: str, n: int) -> list[tuple[frozenset, int, int]]:
+def _atom_items(witness: Dfa, claim: Claim, n: int) -> list[tuple[frozenset, int, int]]:
     """(definition key, measured complexity, formula value) per non-empty
-    atom of the family's witness.
+    atom of the witness at n, the formula read from the atom claim.
 
     Keys from the canonically renumbered minimal DFA are mapped back to
     the definition's state numbering, where the formula case splits live.
     """
-    return _atom_items(make_witness(family, n), family, n)
-
-
-def _atom_items(witness: Dfa, family: str, n: int) -> list[tuple[frozenset, int, int]]:
     order = reachable_states(witness)  # canonical index -> definition state
     items = []
     for key, measured in atom_complexities(witness).items():
         definition_key = frozenset(order[i] for i in key)
-        formula = atom_formula(CLASS_OF[family], n, definition_key)
-        items.append((definition_key, measured, formula))
+        items.append((definition_key, measured, claim.formula(n, definition_key)))
     items.sort(key=lambda item: (len(item[0]), sorted(item[0])))
     return items
 
@@ -150,11 +144,14 @@ def run_verification(
     ]
     memo = _Memo(semigroup_cap)
     entries: list[ReportEntry] = []
-    # the four boolean claims of one family and mode are adjacent in CLAIMS
-    for _, group in groupby(selected, key=lambda claim: (claim.family, claim.mode)):
-        for claim in group:
-            entries.extend(_run_claim(claim, n_range, m_range, memo))
-        memo.products.clear()
+    # a family's claims are adjacent in CLAIMS, and so are the four
+    # boolean claims of one of its modes
+    for _, claims in groupby(selected, key=lambda claim: claim.family):
+        for _, group in groupby(claims, key=lambda claim: claim.mode):
+            for claim in group:
+                entries.extend(_run_claim(claim, n_range, m_range, memo))
+            memo.products.clear()
+        memo.operands.clear()
 
     entries.sort(
         key=lambda e: (
@@ -237,7 +234,7 @@ def _measure(claim: Claim, m: int | None, n: int, memo: _Memo) -> list:
         return [
             ("atom({" + ",".join(str(q) for q in sorted(key)) + "})",
              formula_v, measured_v, PASS if measured_v == formula_v else FAIL, "")
-            for key, measured_v, formula_v in _atom_items(memo.operand(family, n, None), family, n)
+            for key, measured_v, formula_v in _atom_items(memo.operand(family, n, None), claim, n)
         ]
     if claim.tag == "semigroup":
         measured_v, truncated = memo.semigroup(family, n)

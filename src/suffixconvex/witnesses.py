@@ -3,17 +3,19 @@
 Each family tag names one stream of minimal DFAs, one automaton per
 state count n that names its letters once: as its transitions' keys.
 ``CLAIMS`` is the paper's table of results, one record per (family,
-quantity, mode): the closed-form formula, the dialect pair of the
-witness stream that meets it, the range of sizes the verification
-harness measures, and the rule for rows the claim excludes.
-``expected`` reads a formula from that table; it never measures
-anything, so the harness can compare it against independently measured
-values.
+quantity, mode): the closed-form formula (per atom key for an atom
+claim), the dialect pair of the witness stream that meets it, the range
+of sizes the verification harness measures, and the rule for rows the
+claim excludes.  ``expected`` reads a formula from that table; it never
+measures anything, so the harness can compare it against independently
+measured values.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from .automata import Dfa
@@ -32,18 +34,6 @@ MIN_N = {
     "suffix-free-2star": 6,
 }
 FAMILIES = tuple(MIN_N)
-
-# the three language classes the formula tables are keyed by
-CLASS_OF = {
-    "left-ideal": "left-ideal",
-    "left-ideal-alt": "left-ideal",
-    "suffix-closed": "suffix-closed",
-    "suffix-free-5": "suffix-free",
-    "suffix-free-n": "suffix-free",
-    "suffix-free-3": "suffix-free",
-    "suffix-free-2star": "suffix-free",
-}
-
 
 def _check_family(family: str, n: int) -> None:
     if family not in FAMILIES:
@@ -169,19 +159,19 @@ class Claim:
     """One claimed bound and the witness rows that meet it.
 
     ``formula(m, n)`` is the claimed complexity; m is None unless the
-    claim has a mode (the binary quantities).  The harness measures
-    ``dialect1`` of the family's witness at n, or for a binary claim
-    ``dialect1`` at m against ``dialect2_at(m, n)`` at n, for every size
-    in ``rows``; a claim without rows is stated but never measured.
-    ``exclude(m, n)`` names why the claim leaves a row out, or is "".
-    Atom claims carry no formula: per-atom bounds are
-    measures.atom_formula.
+    claim has a mode (the binary quantities).  An atom claim's is
+    ``formula(n, key)``, the key naming the atom by the witness's states.
+    The harness measures ``dialect1`` of the family's witness at n, or
+    for a binary claim ``dialect1`` at m against ``dialect2_at(m, n)`` at
+    n, for every size in ``rows``; a claim without rows is stated but
+    never measured.  ``exclude(m, n)`` names why the claim leaves a row
+    out, or is "".
     """
 
     family: str
     tag: str
     mode: str | None = None
-    formula: Callable[[int | None, int], int] | None = None
+    formula: Callable[[int | None, int], int] | Callable[[int, frozenset], int] | None = None
     dialect1: tuple | None = None  # None means the full witness
     dialect2: tuple | None = None
     rows: tuple[int, int] | None = None  # n, and m for a binary claim
@@ -204,14 +194,65 @@ def _booleans(family, mode, formulas, dialect1, dialect2, rows=(4, 6), **kw) -> 
     )
 
 
-def _ideal(family, reverse_dialect, star_dialect, star_formula) -> tuple:
-    """The unary claims shared by the left-ideal and suffix-closed streams."""
+def atom_formula(language_class: str, n: int, key) -> int:
+    """Closed-form atom complexity for the three witness classes."""
+    s = frozenset(key)
+    if not s <= frozenset(range(n)):
+        raise InputError(f"atom key {sorted(s)} outside 0..{n - 1}")
+    size = len(s)
+
+    if language_class == "left-ideal":
+        if size == n:
+            return n
+        if size == 0:
+            return 2 ** (n - 1)
+        return 1 + sum(
+            math.comb(n - 1, x) * math.comb(n - x - 1, y - 1)
+            for x in range(1, size + 1)
+            for y in range(1, n - size + 1)
+        )
+
+    if language_class == "suffix-closed":
+        if size == 0:
+            return n
+        if size == n:
+            return 2 ** (n - 1)
+        if 0 in s:
+            return 1 + sum(
+                math.comb(n - 1, y) * math.comb(n - y - 1, x - 1)
+                for x in range(1, size + 1)
+                for y in range(1, n - size + 1)
+            )
+        raise InputError(f"no suffix-closed atom formula for key {sorted(s)}")
+
+    if language_class == "suffix-free":
+        if size == 0:
+            return 2 ** (n - 2) + 1
+        if s == frozenset({0}):
+            return n
+        if s <= frozenset(range(1, n - 1)):
+            return 1 + sum(
+                math.comb(n - 2, x) * math.comb(n - 2 - x, y)
+                for x in range(1, size + 1)
+                for y in range(0, n - 2 - size + 1)
+            )
+        raise InputError(f"no suffix-free atom formula for key {sorted(s)}")
+
+    raise InputError(
+        f"unknown language class {language_class!r}; "
+        "choose left-ideal, suffix-closed, or suffix-free"
+    )
+
+
+def _ideal(family, language_class, reverse_dialect, star_dialect, star_formula) -> tuple:
+    """The unary claims shared by the left-ideal and suffix-closed streams;
+    their atoms meet the formulas of language_class."""
     reverse = lambda m, n: 2 ** (n - 1) + 1
     return (
         Claim(family, "semigroup", formula=lambda m, n: n ** (n - 1) + n - 1, rows=(4, 7)),
         Claim(family, "reverse", formula=reverse, dialect1=reverse_dialect, rows=(4, 8)),
         Claim(family, "atoms-count", formula=reverse, dialect1=reverse_dialect, rows=(4, 8)),
-        Claim(family, "atom", rows=(4, 6)),
+        Claim(family, "atom", formula=partial(atom_formula, language_class), rows=(4, 6)),
         Claim(family, "star", formula=star_formula, dialect1=star_dialect, rows=(4, 8)),
     )
 
@@ -270,7 +311,7 @@ CLAIMS: tuple[Claim, ...] = (
     *_booleans("regular", "restricted", _RESTRICTED, _d("a,b"), _d("b,a"), rows=(3, 5)),
     *_booleans("regular", "unrestricted", _UNRESTRICTED, None, None, rows=None),
 
-    *_ideal("left-ideal", _d("a,-,c,d,e"), _d("a,-,-,-,e"), lambda m, n: n + 1),
+    *_ideal("left-ideal", "left-ideal", _d("a,-,c,d,e"), _d("a,-,-,-,e"), lambda m, n: n + 1),
     Claim(
         "left-ideal", "product", "restricted", lambda m, n: m + n - 1,
         _d("a,-,-,-,e"), _d("a,-,-,-,e"), rows=(4, 6),
@@ -282,13 +323,13 @@ CLAIMS: tuple[Claim, ...] = (
     *_booleans("left-ideal", "restricted", _RESTRICTED, _d("a,-,c,-,e"), _d("a,-,e,-,c")),
     *_booleans("left-ideal", "unrestricted", _UNRESTRICTED, *_SIX_LETTER_PAIR),
 
-    *_ideal("left-ideal-alt", _d("a,-,-,d,e"), _d("a,-,-,d,e"), lambda m, n: n + 1),
+    *_ideal("left-ideal-alt", "left-ideal", _d("a,-,-,d,e"), _d("a,-,-,d,e"), lambda m, n: n + 1),
     Claim("left-ideal-alt", "product", "restricted", rows=(4, 6), exclude=_no_product_bound),
     Claim("left-ideal-alt", "product", "unrestricted", rows=(4, 6), exclude=_no_product_bound),
     *_booleans("left-ideal-alt", "restricted", _RESTRICTED, *_SWAPPED_PAIR),
     *_booleans("left-ideal-alt", "unrestricted", _UNRESTRICTED, *_SIX_LETTER_PAIR),
 
-    *_ideal("suffix-closed", _d("a,-,-,d,e"), _d("a,-,-,d,e"), lambda m, n: n),
+    *_ideal("suffix-closed", "suffix-closed", _d("a,-,-,d,e"), _d("a,-,-,d,e"), lambda m, n: n),
     Claim(
         "suffix-closed", "product", "restricted", lambda m, n: m * n - n + 1,
         *_SWAPPED_PAIR, rows=(4, 6),
@@ -306,7 +347,7 @@ CLAIMS: tuple[Claim, ...] = (
     ),
     Claim("suffix-free-5", "reverse", formula=_SF_REVERSE, dialect1=_SF5_REVERSE, rows=(4, 8)),
     Claim("suffix-free-5", "atoms-count", formula=_SF_REVERSE, dialect1=_SF5_REVERSE, rows=(4, 8)),
-    Claim("suffix-free-5", "atom", rows=(4, 6)),
+    Claim("suffix-free-5", "atom", formula=partial(atom_formula, "suffix-free"), rows=(4, 6)),
     *_booleans(
         "suffix-free-5", "restricted", _SUFFIX_FREE, *_SF5_PAIR, dialect2_overrides=_SF5_AT_44
     ),
@@ -325,7 +366,7 @@ CLAIMS: tuple[Claim, ...] = (
     ),
 )
 
-# atom claims carry no formula; per-atom bounds are measures.atom_formula
+# an atom claim's formula takes (n, key), and expected takes no key
 _FORMULA_CLAIMS = {(c.family, c.quantity): c for c in CLAIMS if c.tag != "atom"}
 
 

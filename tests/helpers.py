@@ -29,6 +29,8 @@ from suffixconvex.classifiers import ClassReport, Word, _letter_prefixed
 from suffixconvex.errors import InputError
 from suffixconvex.operations import _TRUTH
 from suffixconvex.transformations import Transformation
+from suffixconvex.verify import _atom_items
+from suffixconvex.witnesses import CLAIMS, make_witness
 
 EPSILON = None  # transition label for the empty word
 
@@ -660,6 +662,14 @@ def naive_atom_complexity(d: Dfa, key) -> int:
     """Quotient complexity of the atom A_S: its own atom automaton,
     minimizing L(d) for every key."""
     return minimize(naive_atom_automaton(minimize(d), key)).n
+
+
+def witness_atom_items(family: str, n: int) -> list[tuple[frozenset, int, int]]:
+    """(definition key, measured complexity, formula value) per non-empty
+    atom of the family's witness at n, as the harness reports them: the
+    formula is the family's atom claim's."""
+    claim = next(c for c in CLAIMS if c.family == family and c.tag == "atom")
+    return _atom_items(make_witness(family, n), claim, n)
 
 
 # --- classifiers: the per-test product searches ``classifiers._first_word``

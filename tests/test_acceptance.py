@@ -9,13 +9,12 @@ from contextlib import contextmanager
 from dataclasses import replace
 from random import Random
 
-from helpers import random_dfa
+from helpers import random_dfa, witness_atom_items
 
 from suffixconvex.automata import complexity, minimize, occurring_letters
 from suffixconvex.classifiers import classify
 from suffixconvex.measures import atom_complexity, atoms, transition_semigroup
 from suffixconvex.operations import equivalent, reverse, star
-from suffixconvex.verify import witness_atom_items
 from suffixconvex.witnesses import MIN_N, make_dialect, make_witness
 
 

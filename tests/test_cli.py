@@ -131,6 +131,18 @@ def test_non_positive_semigroup_cap_exits_2(capsys, tmp_path):
             assert f"{cap!r} is not a positive integer" in captured.err
 
 
+def test_cap_with_another_measurement_exits_2(capsys, tmp_path):
+    f = _write(tmp_path, "w.json", make_witness("left-ideal", 4))
+    for what in ("complexity", "quotients", "atoms", "atom-complexities", "reverse-complexity"):
+        code, out, err = run_cli(capsys, "measure", what, f, "--cap", "1")
+        assert code == 2 and out == ""
+        assert "--cap applies to the semigroup measurement only" in err
+        assert run_cli(capsys, "measure", what, f)[0] == 0
+    # without --cap, semigroup counts up to the default cap
+    code, out, _ = run_cli(capsys, "measure", "semigroup", f)
+    assert code == 0 and json.loads(out) == {"semigroup_size": 67, "truncated": False}
+
+
 def test_measure_semigroup_over_state_bound_exits_2(capsys, tmp_path):
     # minimal with 257 states, one more than a byte-packed element can hold
     f = _write(tmp_path, "cycle.json", cycle_dfa(257))

@@ -15,9 +15,10 @@ from helpers import (
     random_dfa_with_edge_finals,
     random_generators_dfa,
     revalidated,
+    witness_atom_items,
 )
 
-from suffixconvex import measures
+from suffixconvex import automata, measures
 from suffixconvex.automata import Dfa, complexity, minimize
 from suffixconvex.errors import InputError, LimitError
 from suffixconvex.measures import (
@@ -27,15 +28,13 @@ from suffixconvex.measures import (
     atom_automaton,
     atom_complexities,
     atom_complexity,
-    atom_formula,
     atoms,
     quotient_complexities,
     syntactic_semigroup_size,
     transition_semigroup,
 )
 from suffixconvex.operations import boolean_unrestricted, complement, equivalent, reverse
-from suffixconvex.verify import witness_atom_items
-from suffixconvex.witnesses import make_dialect, make_witness
+from suffixconvex.witnesses import atom_formula, make_dialect, make_witness
 
 
 def test_transition_semigroup_sizes():
@@ -424,10 +423,10 @@ def test_atom_automaton_matches_naive_atom_automaton_on_corpus():
                 assert atom_automaton(m, s) == naive_atom_automaton(m, s)  # numbering included
                 built += 1
             else:
-                for build in (atom_automaton, naive_atom_automaton):
+                for build in (atom_automaton, naive_atom_automaton, atom_complexity):
                     with pytest.raises(InputError, match="is empty"):
                         build(m, s)
-        for build in (atom_automaton, naive_atom_automaton):
+        for build in (atom_automaton, naive_atom_automaton, atom_complexity):
             with pytest.raises(InputError, match="outside"):
                 build(m, frozenset({m.n}))
     assert built >= 1000
@@ -448,6 +447,32 @@ def test_atom_complexities_refines_once(monkeypatch):
     with pytest.raises(LimitError):  # the atom limit is checked before any refinement
         atom_complexities(make_witness("left-ideal", 13))
     assert sizes == []
+
+
+def test_atom_complexity_refines_once_and_builds_no_dfa(monkeypatch):
+    w = make_witness("left-ideal", 6)
+    m = minimize(w)
+    want = atom_complexities(w)
+    states = {key: len(measures._atom_pairs(m, [key])[0]) for key in want}
+    sizes = []
+    refine = measures._hopcroft
+    monkeypatch.setattr(
+        measures, "_hopcroft", lambda n, rows, finals: sizes.append(n) or refine(n, rows, finals)
+    )
+
+    def fail(*args):
+        raise AssertionError("atom_complexity built or walked an automaton")
+
+    # minimize walks, so it hands back m: any walk left is atom_complexity's
+    monkeypatch.setattr(measures, "minimize", lambda d: m)
+    monkeypatch.setattr(automata, "_walk", fail)
+    monkeypatch.setattr(measures, "atom_automaton", fail)
+    for key, value in want.items():
+        sizes.clear()
+        assert atom_complexity(w, key) == value
+        # one refinement of the one-seed pair automaton, every pair of which
+        # is reachable from the seed
+        assert sizes == [states[key]]
 
 
 def test_atom_complexities_minimizes_once(monkeypatch):

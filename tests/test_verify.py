@@ -3,6 +3,7 @@ import weakref
 from dataclasses import replace
 
 import pytest
+from helpers import witness_atom_items
 
 from suffixconvex import verify
 from suffixconvex.automata import complexity
@@ -14,7 +15,6 @@ from suffixconvex.verify import (
     report_to_json,
     report_to_table,
     run_verification,
-    witness_atom_items,
 )
 from suffixconvex.serialization import write_dfa
 from suffixconvex.witnesses import CLAIMS, FAMILIES, MIN_N, expected, make_dialect, make_witness
@@ -80,6 +80,7 @@ def test_witness_atom_items_use_definition_coordinates():
 
 def test_a_run_builds_each_operand_and_product_once(monkeypatch):
     builds, products, alive_at_build, sizes = [], [], [], []
+    operands = []  # (family, weak reference) per operand built
     make_w, make_d = verify.make_witness, verify.make_dialect
     build_product, size = verify._boolean_product, verify.complexity
 
@@ -89,11 +90,18 @@ def test_a_run_builds_each_operand_and_product_once(monkeypatch):
         products.append(weakref.ref(product))
         return product
 
+    def counted_operand(family, n, pi, d):
+        # the memo drops a family's operands before the next family's first
+        assert {f for f, ref in operands if ref() is not None} <= {family}
+        builds.append((family, n, pi))
+        operands.append((family, weakref.ref(d)))
+        return d
+
     monkeypatch.setattr(
-        verify, "make_witness", lambda f, n: builds.append((f, n, None)) or make_w(f, n)
+        verify, "make_witness", lambda f, n: counted_operand(f, n, None, make_w(f, n))
     )
     monkeypatch.setattr(
-        verify, "make_dialect", lambda f, n, pi: builds.append((f, n, pi)) or make_d(f, n, pi)
+        verify, "make_dialect", lambda f, n, pi: counted_operand(f, n, pi, make_d(f, n, pi))
     )
     monkeypatch.setattr(verify, "_boolean_product", counted_product)
     monkeypatch.setattr(verify, "complexity", lambda d: sizes.append(d.n) or size(d))
@@ -107,11 +115,12 @@ def test_a_run_builds_each_operand_and_product_once(monkeypatch):
     # measured, and none outlives the run
     assert max(alive_at_build) <= 8
     assert all(ref() is None for ref in products)
+    assert all(ref() is None for _, ref in operands)
     # and each row still takes its own complexity
     sized = {"reverse", "star", "product", *BOOL_OPS}
     assert len(sizes) == sum(e.quantity in sized and e.measured is not None for e in report.entries)
     first = (set(builds), len(builds), len(products), len(sizes))
-    for log in (builds, products, sizes):
+    for log in (builds, products, operands, sizes):
         log.clear()
     # a second run builds everything again: no memo outlives its run
     run_verification()

@@ -6,6 +6,7 @@ from suffixconvex.errors import InputError
 from suffixconvex.measures import quotient_complexities
 from suffixconvex.operations import complement, equivalent, star
 from suffixconvex.witnesses import (
+    CLAIMS,
     FAMILIES,
     MIN_N,
     expected,
@@ -202,6 +203,22 @@ def test_expected_rejections():
         expected("left-ideal", "union-restricted", None, 4)
     with pytest.raises(InputError):
         expected("left-ideal", "semigroup", None, 3)
+
+
+def test_every_measured_claim_states_its_formula():
+    # a claim with rows carries its bound, the atom claims included (theirs
+    # is per key), unless it excludes every row it would measure
+    for claim in CLAIMS:
+        if claim.rows is None or claim.formula is not None:
+            continue
+        sizes = range(max(claim.rows[0], MIN_N[claim.family]), claim.rows[1] + 1)
+        ms = sizes if claim.mode is not None else [None]
+        assert all(claim.exclude(m, n) for m in ms for n in sizes), (claim.family, claim.quantity)
+    atom = {claim.family: claim.formula for claim in CLAIMS if claim.tag == "atom"}
+    assert sorted(atom) == ["left-ideal", "left-ideal-alt", "suffix-closed", "suffix-free-5"]
+    assert atom["left-ideal"](4, {1}) == atom["left-ideal-alt"](4, {1}) == 13
+    assert atom["suffix-closed"](4, {0}) == 8
+    assert atom["suffix-free-5"](4, {1}) == 5
 
 
 def test_regular_witness_pair_meets_restricted_product_bound():
