@@ -233,10 +233,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, LimitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (InputError, LimitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -164,84 +164,52 @@ def _cyclic_points(t: Transformation) -> set[int]:
     return points
 
 
-def _format_send(sources: list[int], target: int, n: int) -> str:
-    if set(sources) | {target} == set(range(n)):
-        return f"(Q->{target})"
-    if len(sources) == 1:
-        return f"({sources[0]}->{target})"
-    inner = ",".join(str(p) for p in sorted(sources))
-    return f"({{{inner}}}->{target})"
-
-
 def format_notation(t: Transformation) -> str:
     """Canonical notation text; parse_notation inverts it exactly.
 
-    Cycle atoms come from the cyclic part of t; the remaining moved
-    points are grouped into collapses by target.  Atoms are emitted in
-    an order that makes sequential application reproduce t (a collapse
-    into r must follow whatever atom moves r), smallest moved point
-    first among the unconstrained.
+    One atom per cycle of t, read from its least point, and one
+    collapse per target of the remaining moved points, its sources in
+    ascending order.  Atoms are emitted in an order that makes
+    sequential application reproduce t (a collapse into r follows the
+    one atom that moves r), least moved point first among the ready.
     """
-    n = t.n
-    if t.is_identity():
-        return "1"
-
+    image = t.image
+    n = len(image)
     cyclic = _cyclic_points(t)
-    atoms: list[tuple[str, frozenset[int], object]] = []
-    moved_by: dict[int, int] = {}
-
-    seen: set[int] = set()
-    for q in sorted(cyclic):
-        if q in seen or t.image[q] == q:
+    head: dict[int, int] = {}  # point on a cycle -> the cycle's least point
+    ready: list[tuple[int, str]] = []  # (least moved point, atom text)
+    sources: dict[int, list[int]] = {}
+    for q, r in enumerate(image):
+        if r == q or q in head:
+            continue
+        if q not in cyclic:
+            sources.setdefault(r, []).append(q)
             continue
         cyc = [q]
-        r = t.image[q]
         while r != q:
             cyc.append(r)
-            r = t.image[r]
-        seen.update(cyc)
-        idx = len(atoms)
-        atoms.append(("cycle", frozenset(cyc), tuple(cyc)))
-        for p in cyc:
-            moved_by[p] = idx
-
-    by_target: dict[int, list[int]] = {}
-    for q in range(n):
-        if q not in cyclic and t.image[q] != q:
-            by_target.setdefault(t.image[q], []).append(q)
-    for target, sources in by_target.items():
-        idx = len(atoms)
-        atoms.append(("send", frozenset(sources), target))
-        for p in sources:
-            moved_by[p] = idx
-
-    # topological order: the atom moving a collapse's target goes first
-    succs: dict[int, list[int]] = {i: [] for i in range(len(atoms))}
-    indeg = [0] * len(atoms)
-    for i, (kind, _moved, payload) in enumerate(atoms):
-        if kind == "send" and payload in moved_by:
-            succs[moved_by[payload]].append(i)
-            indeg[i] += 1
-    ready = [(min(atoms[i][1]), i) for i in range(len(atoms)) if indeg[i] == 0]
-    heapq.heapify(ready)
-    ordered: list[int] = []
-    while ready:
-        _, i = heapq.heappop(ready)
-        ordered.append(i)
-        for j in succs[i]:
-            indeg[j] -= 1
-            if indeg[j] == 0:
-                heapq.heappush(ready, (min(atoms[j][1]), j))
-
-    parts = []
-    for i in ordered:
-        kind, _moved, payload = atoms[i]
-        if kind == "cycle":
-            cyc = list(payload)
-            k = cyc.index(min(cyc))
-            rotated = cyc[k:] + cyc[:k]
-            parts.append("(" + ",".join(str(q) for q in rotated) + ")")
+            r = image[r]
+        head.update(dict.fromkeys(cyc, q))
+        ready.append((q, "(" + ",".join(map(str, cyc)) + ")"))
+    # least point of the atom that moves r -> the collapses into r
+    waiting: dict[int, list[tuple[int, str]]] = {}
+    for r, ps in sources.items():
+        if len(ps) == n - 1:
+            atom = (ps[0], f"(Q->{r})")
+        elif len(ps) == 1:
+            atom = (ps[0], f"({ps[0]}->{r})")
         else:
-            sources = sorted(_moved)
-            parts.append(_format_send(sources, payload, n))
-    return "".join(parts)
+            atom = (ps[0], "({" + ",".join(map(str, ps)) + f"}}->{r})")
+        if image[r] == r:
+            ready.append(atom)
+        else:  # r lies on a cycle or is a source of the collapse into image[r]
+            mover = head[r] if r in head else sources[image[r]][0]
+            waiting.setdefault(mover, []).append(atom)
+    heapq.heapify(ready)
+    parts = []
+    while ready:
+        least, text = heapq.heappop(ready)
+        parts.append(text)
+        for atom in waiting.pop(least, ()):
+            heapq.heappush(ready, atom)
+    return "".join(parts) or "1"

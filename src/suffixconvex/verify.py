@@ -96,7 +96,6 @@ def _atom_items(witness: Dfa, claim: Claim, n: int) -> list[tuple[frozenset, int
     for key, measured in atom_complexities(witness).items():
         definition_key = frozenset(order[i] for i in key)
         items.append((definition_key, measured, claim.formula(n, definition_key)))
-    items.sort(key=lambda item: (len(item[0]), sorted(item[0])))
     return items
 
 
@@ -128,7 +127,8 @@ def run_verification(
     Defaults run every claim at its configured resource range; requested
     values beyond a claim's range are reported as SKIP rather than
     attempted.  Claims without a range are never measured.  A
-    semigroup_cap below 1 is rejected before anything is measured.
+    semigroup_cap below 1 is rejected before anything is measured, and
+    a selection that yields no row is rejected too.
     """
     check_semigroup_cap(semigroup_cap)
     if families:
@@ -152,6 +152,12 @@ def run_verification(
                 entries.extend(_run_claim(claim, n_range, m_range, memo))
             memo.products.clear()
         memo.operands.clear()
+    if not entries:
+        raise InputError(
+            f"no claim row matches families {families or 'all'}, "
+            f"quantities {quantities or 'all'}, n range {n_range or 'default'} "
+            f"and m range {m_range or 'default'}"
+        )
 
     entries.sort(
         key=lambda e: (

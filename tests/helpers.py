@@ -9,6 +9,7 @@ differential tests.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from collections import deque
 from dataclasses import dataclass, replace
@@ -928,3 +929,105 @@ def naive_cyclic_points(t: Transformation) -> set[int]:
             s = t.image[s]
         on_cycle |= cyc
     return on_cycle
+
+
+# --- transformations: the formatter ``transformations.format_notation``
+# replaced.  It tags atoms by kind, rotates each cycle to its least point,
+# sorts each collapse's sources, and orders the atoms by a topological
+# sort with in-degree counts.
+
+
+def _naive_format_send(sources: list[int], target: int, n: int) -> str:
+    if set(sources) | {target} == set(range(n)):
+        return f"(Q->{target})"
+    if len(sources) == 1:
+        return f"({sources[0]}->{target})"
+    inner = ",".join(str(p) for p in sorted(sources))
+    return f"({{{inner}}}->{target})"
+
+
+def naive_format_notation(t: Transformation) -> str:
+    """The canonical notation text of t: cycle atoms from the cyclic part
+    of t, the remaining moved points grouped into collapses by target,
+    emitted so that a collapse into r follows whatever atom moves r,
+    smallest moved point first among the unconstrained."""
+    n = t.n
+    if t.is_identity():
+        return "1"
+
+    cyclic = naive_cyclic_points(t)
+    atoms: list[tuple[str, frozenset[int], object]] = []
+    moved_by: dict[int, int] = {}
+
+    seen: set[int] = set()
+    for q in sorted(cyclic):
+        if q in seen or t.image[q] == q:
+            continue
+        cyc = [q]
+        r = t.image[q]
+        while r != q:
+            cyc.append(r)
+            r = t.image[r]
+        seen.update(cyc)
+        idx = len(atoms)
+        atoms.append(("cycle", frozenset(cyc), tuple(cyc)))
+        for p in cyc:
+            moved_by[p] = idx
+
+    by_target: dict[int, list[int]] = {}
+    for q in range(n):
+        if q not in cyclic and t.image[q] != q:
+            by_target.setdefault(t.image[q], []).append(q)
+    for target, sources in by_target.items():
+        idx = len(atoms)
+        atoms.append(("send", frozenset(sources), target))
+        for p in sources:
+            moved_by[p] = idx
+
+    # topological order: the atom moving a collapse's target goes first
+    succs: dict[int, list[int]] = {i: [] for i in range(len(atoms))}
+    indeg = [0] * len(atoms)
+    for i, (kind, _moved, payload) in enumerate(atoms):
+        if kind == "send" and payload in moved_by:
+            succs[moved_by[payload]].append(i)
+            indeg[i] += 1
+    ready = [(min(atoms[i][1]), i) for i in range(len(atoms)) if indeg[i] == 0]
+    heapq.heapify(ready)
+    ordered: list[int] = []
+    while ready:
+        _, i = heapq.heappop(ready)
+        ordered.append(i)
+        for j in succs[i]:
+            indeg[j] -= 1
+            if indeg[j] == 0:
+                heapq.heappush(ready, (min(atoms[j][1]), j))
+
+    parts = []
+    for i in ordered:
+        kind, moved, payload = atoms[i]
+        if kind == "cycle":
+            cyc = list(payload)
+            k = cyc.index(min(cyc))
+            rotated = cyc[k:] + cyc[:k]
+            parts.append("(" + ",".join(str(q) for q in rotated) + ")")
+        else:
+            parts.append(_naive_format_send(sorted(moved), payload, n))
+    return "".join(parts)
+
+
+def random_map_with_cycles_and_tails(rng: Random, n: int) -> Transformation:
+    """A random self-map of n >= 3 states with both a cycle through two or
+    more states and a tail: a random permutation, not the identity, of k
+    states (2 <= k < n), and each other state mapped to one placed before
+    it, half the time the one just before, so tails are often long."""
+    order = rng.sample(range(n), n)
+    k = rng.randint(2, n - 1)
+    perm = order[:k]
+    while perm == order[:k]:
+        perm = rng.sample(order[:k], k)
+    image = [0] * n
+    for p, r in zip(order[:k], perm):
+        image[p] = r
+    for i in range(k, n):
+        image[order[i]] = order[i - 1] if rng.random() < 0.5 else order[rng.randrange(i)]
+    return Transformation(tuple(image))

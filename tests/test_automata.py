@@ -81,6 +81,10 @@ def test_dfa_validation():
         Dfa(2, ("a",), {"a": (0, 1)}, 5, frozenset())
     with pytest.raises(InputError):
         Dfa(2, ("a",), {"a": (0, 1)}, 0, frozenset({3}))
+    with pytest.raises(InputError, match="a DFA needs at least one state"):
+        Dfa(0, (), {}, 0, frozenset())
+    with pytest.raises(InputError, match="transformation of 'a' has size 3, expected 2"):
+        Dfa(2, ("a",), {"a": (0, 1, 1)}, 0, frozenset())
 
 
 def test_determinize_reversal_of_left_ideal_dialect():
@@ -357,6 +361,8 @@ def test_complete_over():
     assert complete_over(d7, ("a", "b", "c", "d")).n == 5
     with pytest.raises(InputError):
         complete_over(d, ("a", "b"))
+    with pytest.raises(InputError, match="sigma letters must be unique"):
+        complete_over(d, ("a", "b", "c", "d", "e", "a"))
 
 
 def test_complete_over_reorders_without_sink():

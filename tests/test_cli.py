@@ -118,7 +118,7 @@ def test_measure_semigroup_cap(capsys, tmp_path):
 
 def test_non_positive_semigroup_cap_exits_2(capsys, tmp_path):
     f = _write(tmp_path, "w.json", make_witness("left-ideal", 5))
-    for cap in ("0", "-3"):
+    for cap, problem in (("0", "a positive integer"), ("-3", "a positive integer"), ("x", "an integer")):
         for argv in (
             ("measure", "semigroup", f, "--cap", cap),
             ("verify", "--family", "left-ideal", "--quantity", "semigroup", "--cap", cap),
@@ -128,7 +128,7 @@ def test_non_positive_semigroup_cap_exits_2(capsys, tmp_path):
             assert exit_info.value.code == 2
             captured = capsys.readouterr()
             assert captured.out == ""
-            assert f"{cap!r} is not a positive integer" in captured.err
+            assert f"{cap!r} is not {problem}" in captured.err
 
 
 def test_cap_with_another_measurement_exits_2(capsys, tmp_path):
@@ -231,6 +231,23 @@ def test_verify_beyond_range_is_skipped(capsys):
     )
     assert code == 0
     assert "beyond the configured resource range" in out
+
+
+def test_verify_range_arguments(capsys):
+    # one value is a range of one size
+    code, out, _ = run_cli(capsys, "verify", "--family", "suffix-free-3", "--quantity", "star", "--n", "5")
+    assert code == 0
+    assert "passed 1, failed 0, skipped 0" in out
+    for text, problem in (("4..x", "is not of the form A..B"), ("5..3", "is empty")):
+        code, out, err = run_cli(capsys, "verify", "--n", text)
+        assert code == 2 and out == ""
+        assert f"error: range {text!r} {problem}" in err
+
+
+def test_verify_selection_with_no_row_exits_2(capsys):
+    code, out, err = run_cli(capsys, "verify", "--family", "suffix-free-n")
+    assert code == 2 and out == ""
+    assert err.startswith("error: no claim row matches")
 
 
 def test_verify_unknown_quantity_exits_2(capsys):

@@ -1,7 +1,8 @@
+import itertools
 from random import Random
 
 import pytest
-from helpers import naive_cyclic_points
+from helpers import naive_cyclic_points, naive_format_notation, random_map_with_cycles_and_tails
 from hypothesis import given, strategies as st
 
 from suffixconvex.errors import InputError, NotationError
@@ -135,6 +136,16 @@ def test_format_parse_round_trip(data):
     image = data.draw(st.tuples(*[st.integers(0, n - 1) for _ in range(n)]))
     t = Transformation(image)
     assert parse_notation(n, format_notation(t)) == t
+
+
+def test_format_matches_naive_format():
+    # every map of at most 5 states, then random maps with cycles and tails
+    maps = [Transformation(image) for n in range(1, 6) for image in itertools.product(range(n), repeat=n)]
+    assert len(maps) == 3413
+    rng = Random(53)
+    maps += [random_map_with_cycles_and_tails(rng, rng.randint(6, 40)) for _ in range(2000)]
+    for t in maps:
+        assert format_notation(t) == naive_format_notation(t), t
 
 
 def test_cyclic_points_match_naive_walk():

@@ -31,6 +31,19 @@ def test_family_and_quantity_selection():
         run_verification(quantities=["entropy"])
 
 
+@pytest.mark.parametrize(
+    "selection",
+    [
+        dict(families=["suffix-free-n"]),  # a family with no claim
+        dict(families=["regular"], quantities=["atom"]),  # no atom claim for the family
+        dict(families=["left-ideal"], n_range=(0, 2)),  # every size below the family's least
+    ],
+)
+def test_selection_with_no_row_is_rejected(selection):
+    with pytest.raises(InputError, match="no claim row matches"):
+        run_verification(**selection)
+
+
 def test_semigroup_cap_is_checked_before_any_row(monkeypatch):
     message = "semigroup cap must be a positive integer, got 0"
     # no semigroup row selected: the cap is still rejected

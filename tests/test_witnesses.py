@@ -203,6 +203,8 @@ def test_expected_rejections():
         expected("left-ideal", "union-restricted", None, 4)
     with pytest.raises(InputError):
         expected("left-ideal", "semigroup", None, 3)
+    with pytest.raises(InputError, match="family 'left-ideal' needs m >= 4, got 3"):
+        expected("left-ideal", "union-restricted", 3, 4)
 
 
 def test_every_measured_claim_states_its_formula():
