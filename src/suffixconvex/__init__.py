@@ -7,7 +7,6 @@ from .automata import (
     Dfa,
     accepts,
     apply_word,
-    complete_over,
     complexity,
     determinize,
     minimize,

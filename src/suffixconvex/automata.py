@@ -417,32 +417,6 @@ def minimize(d: Dfa) -> Dfa:
     return Dfa._trusted(count, d.alphabet, out, 0, out_finals)
 
 
-def complete_over(d: Dfa, sigma: Sequence[str]) -> Dfa:
-    """Extend d to the alphabet sigma, sending new letters to a fresh sink.
-
-    If sigma equals d's alphabet the automaton is returned unchanged; a
-    permutation of the same letters only reorders the alphabet.
-    """
-    sigma = tuple(sigma)
-    if len(set(sigma)) != len(sigma):
-        raise InputError("sigma letters must be unique")
-    missing = set(d.alphabet) - set(sigma)
-    if missing:
-        raise InputError(f"sigma is missing letters {sorted(missing)} of the automaton")
-    if sigma == d.alphabet:
-        return d
-    if set(sigma) == set(d.alphabet):
-        return Dfa(d.n, sigma, dict(d.delta), d.initial, d.finals)
-    sink = d.n
-    delta = {}
-    for letter in sigma:
-        if letter in d.delta:
-            delta[letter] = Transformation(d.delta[letter].image + (sink,))
-        else:
-            delta[letter] = Transformation((sink,) * (d.n + 1))
-    return Dfa(d.n + 1, sigma, delta, d.initial, d.finals)
-
-
 def union_alphabet(d1: Dfa, d2: Dfa) -> tuple[str, ...]:
     """d1's letters in order, then d2's letters not already present."""
     return d1.alphabet + tuple(l for l in d2.alphabet if l not in d1.alphabet)

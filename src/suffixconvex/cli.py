@@ -188,8 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--unrestricted",
         action="store_true",
-        help="boolean operations only: sink-complete both operands over the union "
-        "alphabet (concat always works over the union alphabet)",
+        help="boolean operations only: read both operands over the union alphabet, "
+        "a letter one lacks leading to its sink (concat always works over the union alphabet)",
     )
     p.set_defaults(func=_cmd_op)
 

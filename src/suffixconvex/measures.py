@@ -219,19 +219,13 @@ def transition_semigroup(d: Dfa, cap: int = DEFAULT_SEMIGROUP_CAP) -> SemigroupS
 
     # per component: (R-class size, stabilizer chain of G, keys of the
     # R-classes found); per image set: the table onto its component's labels
-    # 0..m-1, or None in a singleton with trivial G
+    # 0..m-1
     classes: list = [None] * count
     relabel: list = [None] * len(sets)
 
     def component(i: int) -> tuple:
         c = comp[i]
-        points = sets[i]
-        if all(comp[row[i]] != c or points.translate(table) == points for table, row in letters):
-            # no letter moves i inside its component, or any point of i: i
-            # is the whole component and G is trivial
-            classes[c] = (1, [], set())  # keys are the elements themselves
-            return classes[c]
-        points = bytes(dict.fromkeys(points))
+        points = bytes(dict.fromkeys(sets[i]))
         m = len(points)
         labels = _IDENTITY[:m]
         points_of = {i: points}  # points_of[b][x]: the point of b labelled x
@@ -268,18 +262,14 @@ def transition_semigroup(d: Dfa, cap: int = DEFAULT_SEMIGROUP_CAP) -> SemigroupS
         for f in candidates:
             i = index[states.translate(None, f)]
             size, chain, keys = classes[comp[i]] or component(i)
-            table = relabel[i]
-            if table is None:
-                key = f
-            else:
-                # f at the component's labels is its kernel (the labels in
-                # order of first appearance), then a permutation sigma; two
-                # such are R-related exactly when their kernels agree and
-                # their sigma^-1 lie in one coset G·tau
-                h = f.translate(table)
-                first = bytes(dict.fromkeys(h))
-                tau = bytes.maketrans(first, _IDENTITY[: len(first)])
-                key = h.translate(tau) + _least_in_coset(chain, tau)[: len(first)]
+            # f at the component's labels is its kernel (the labels in order
+            # of first appearance), then a permutation sigma; two such are
+            # R-related exactly when their kernels agree and their sigma^-1
+            # lie in one coset G·tau
+            h = f.translate(relabel[i])
+            first = bytes(dict.fromkeys(h))
+            tau = bytes.maketrans(first, _IDENTITY[: len(first)])
+            key = h.translate(tau) + _least_in_coset(chain, tau)[: len(first)]
             if key not in keys:
                 keys.add(key)
                 reps.append(f)

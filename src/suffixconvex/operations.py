@@ -4,8 +4,9 @@ reversal, complement, and language equivalence.
 Concatenation, star and reversal hand their nondeterministic moves to
 ``automata.determinize`` as bitmask steps, epsilon moves folded in.  The
 direct product is built here only: one pair search per operand pair
-(``_product``, operands sink-completed over the union alphabet when
-unrestricted) serves the four boolean operations and ``equivalent``.
+(``_boolean_product``) serves the four boolean operations and
+``equivalent`` in both modes; unrestricted, it reads a letter an operand
+lacks as a move to that operand's sink, and no operand is completed.
 Operation outputs are trimmed to reachable states but never minimized
 here; ``automata.complexity`` is the single place where minimization
 and occurring-letter reduction happen, so tests can inspect the raw
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from .automata import Dfa, _preimages, complete_over, determinize, union_alphabet
+from .automata import Dfa, _preimages, determinize, union_alphabet
 from .errors import InputError
 
 _TRUTH = {
@@ -68,25 +69,36 @@ def apply_dialect(d: Dfa, pi: LetterMap) -> Dfa:
     return Dfa(d.n, alphabet, delta, d.initial, d.finals)
 
 
-def _product(d1: Dfa, d2: Dfa) -> Callable[[str], Dfa]:
-    """Reachable part of the direct product; alphabets must agree as sets.
+def _boolean_product(d1: Dfa, d2: Dfa, mode: str) -> Callable[[str], Dfa]:
+    """Reachable part of the direct product of the operands as the mode
+    reads them: restricted operands must share their letters, unrestricted
+    ones are read over the union alphabet, where a letter one side lacks
+    takes that side to its sink, the non-final state d.n.
 
     The pair BFS runs once; the result maps a boolean operation to the
     product accepting by it, so the four operations of one operand pair
     share one construction.  The pair (p, q) is coded as the int
-    p * d2.n + q.
+    p * (d2.n + 1) + q.
     """
-    sigma = d1.alphabet
-    n2 = d2.n
-    images = [(d1.delta[l].image, d2.delta[l].image) for l in sigma]
-    start = d1.initial * n2 + d2.initial
+    if mode == "restricted" and set(d1.alphabet) != set(d2.alphabet):
+        raise InputError(
+            f"alphabets {list(d1.alphabet)} and {list(d2.alphabet)} differ; "
+            "use the unrestricted mode"
+        )
+    sigma = union_alphabet(d1, d2)
+    width = d2.n + 1
+    images = [
+        [(d.delta[l].image if l in d.delta else (d.n,) * d.n) + (d.n,) for d in (d1, d2)]
+        for l in sigma
+    ]
+    start = d1.initial * width + d2.initial
     index = {start: 0}
     order = [start]
     rows: list[list[int]] = [[] for _ in sigma]
     for code in order:  # the list grows while it is read: a FIFO queue
-        p, q = divmod(code, n2)
+        p, q = divmod(code, width)
         for (image1, image2), row in zip(images, rows):
-            target = image1[p] * n2 + image2[q]
+            target = image1[p] * width + image2[q]
             j = index.get(target)
             if j is None:
                 j = index[target] = len(order)
@@ -98,26 +110,11 @@ def _product(d1: Dfa, d2: Dfa) -> Callable[[str], Dfa]:
         decide = _TRUTH[op]
         finals = frozenset(
             i for i, code in enumerate(order)
-            if decide(code // n2 in finals1, code % n2 in finals2)
+            if decide(code // width in finals1, code % width in finals2)
         )
         return Dfa._trusted(len(order), sigma, rows, 0, finals)
 
     return with_finals
-
-
-def _boolean_product(d1: Dfa, d2: Dfa, mode: str) -> Callable[[str], Dfa]:
-    """``_product`` of the operands as the mode reads them: restricted
-    operands must share their letters, unrestricted ones are
-    sink-completed over the union alphabet."""
-    if mode == "restricted":
-        if set(d1.alphabet) != set(d2.alphabet):
-            raise InputError(
-                f"alphabets {list(d1.alphabet)} and {list(d2.alphabet)} differ; "
-                "use the unrestricted mode"
-            )
-        return _product(d1, d2)
-    sigma = union_alphabet(d1, d2)
-    return _product(complete_over(d1, sigma), complete_over(d2, sigma))
 
 
 def _check_op(op: str) -> None:
@@ -136,7 +133,7 @@ def boolean_restricted(d1: Dfa, d2: Dfa, op: str) -> Dfa:
 
 
 def boolean_unrestricted(d1: Dfa, d2: Dfa, op: str) -> Dfa:
-    """Boolean operation over the union alphabet, sink-completing each side."""
+    """Boolean operation over the union alphabet; a lacked letter leads to a sink."""
     _check_op(op)
     return _boolean_product(d1, d2, "unrestricted")(op)
 

@@ -91,6 +91,7 @@ def read_dfa(text: str) -> Dfa:
         "finals",
         f"must be a list of states in 0..{n - 1}",
     )
+    _require(len(set(finals)) == len(finals), "finals", "states must be unique")
 
     notation = doc.get("notation")
     if notation is not None:

@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass, replace
 from random import Random
 
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 from suffixconvex.automata import (
     Dfa,
@@ -468,11 +468,38 @@ def naive_prefixed(d: Dfa) -> Dfa:
     return naive_determinize(Nfa(d.n + 1, d.alphabet, moves, {d.n}, d.finals))
 
 
+def naive_complete_over(d: Dfa, sigma: Sequence[str]) -> Dfa:
+    """Extend d to the alphabet sigma, sending new letters to a fresh sink.
+
+    If sigma equals d's alphabet the automaton is returned unchanged; a
+    permutation of the same letters only reorders the alphabet.
+    """
+    sigma = tuple(sigma)
+    if len(set(sigma)) != len(sigma):
+        raise InputError("sigma letters must be unique")
+    missing = set(d.alphabet) - set(sigma)
+    if missing:
+        raise InputError(f"sigma is missing letters {sorted(missing)} of the automaton")
+    if sigma == d.alphabet:
+        return d
+    if set(sigma) == set(d.alphabet):
+        return Dfa(d.n, sigma, dict(d.delta), d.initial, d.finals)
+    sink = d.n
+    delta = {}
+    for letter in sigma:
+        if letter in d.delta:
+            delta[letter] = Transformation(d.delta[letter].image + (sink,))
+        else:
+            delta[letter] = Transformation((sink,) * (d.n + 1))
+    return Dfa(d.n + 1, sigma, delta, d.initial, d.finals)
+
+
 def naive_product(d1: Dfa, d2: Dfa, op: str) -> Dfa:
     """Reachable part of the direct product over tuple pairs.
 
     Alphabets must agree as sets; the reference for
-    ``operations._product``.
+    ``operations._boolean_product``, whose unrestricted mode it matches on
+    operands completed by ``naive_complete_over``.
     """
     decide = _TRUTH[op]
     sigma = d1.alphabet

@@ -6,6 +6,7 @@ from helpers import (
     Nfa,
     dfa_corpus,
     language_upto,
+    naive_complete_over,
     naive_complexity,
     naive_determinize,
     naive_minimize,
@@ -32,7 +33,6 @@ from suffixconvex.automata import (
     _reach_counts,
     accepts,
     apply_word,
-    complete_over,
     complexity,
     determinize,
     minimize,
@@ -351,23 +351,24 @@ def test_equivalent_over_different_alphabets():
 
 
 def test_complete_over():
+    # the oracle that completes the product test's operands
     d = make_witness("left-ideal-alt", 4)
-    done = complete_over(d, ("a", "b", "c", "d", "e", "f"))
+    done = naive_complete_over(d, ("a", "b", "c", "d", "e", "f"))
     assert done.n == 5
     assert done.delta["f"].image == (4, 4, 4, 4, 4)
     assert done.delta["a"].image == d.delta["a"].image + (4,)
-    assert complete_over(d, d.alphabet) is d
+    assert naive_complete_over(d, d.alphabet) is d
     d7 = make_witness("suffix-free-3", 4)
-    assert complete_over(d7, ("a", "b", "c", "d")).n == 5
+    assert naive_complete_over(d7, ("a", "b", "c", "d")).n == 5
     with pytest.raises(InputError):
-        complete_over(d, ("a", "b"))
+        naive_complete_over(d, ("a", "b"))
     with pytest.raises(InputError, match="sigma letters must be unique"):
-        complete_over(d, ("a", "b", "c", "d", "e", "a"))
+        naive_complete_over(d, ("a", "b", "c", "d", "e", "a"))
 
 
 def test_complete_over_reorders_without_sink():
     d = make_witness("regular", 3)
-    reordered = complete_over(d, ("c", "a", "b"))
+    reordered = naive_complete_over(d, ("c", "a", "b"))
     assert reordered.n == d.n
     assert reordered.alphabet == ("c", "a", "b")
     assert equivalent(d, reordered)
@@ -437,15 +438,15 @@ def test_equivalent_matches_exact_word_oracle():
     for d in corpus:
         if d.alphabet == ("a",):
             loop = Dfa(d.n, ("a", "b"), {**d.delta, "b": tuple(range(d.n))}, 0, d.finals)
-            pairs += [(d, complete_over(d, ("a", "b"))), (d, loop)]
+            pairs += [(d, naive_complete_over(d, ("a", "b"))), (d, loop)]
     compared = {"same letters": 0, "different letters": 0}
     for d1, d2 in pairs:
         if set(d1.alphabet) == set(d2.alphabet):
             compared["same letters"] += 1
             bound = d1.n * d2.n
         else:
-            # equivalent sink-completes both sides, to at most n + 1 states
-            # each; complete DFAs of N1 and N2 states that differ do so on
+            # equivalent reads each side with its sink, so at most n + 1
+            # states each; complete DFAs of N1 and N2 states that differ do so on
             # a word of length at most N1 + N2 - 2 (Moore's refinement of
             # their disjoint union), and the product bound (n1+1)(n2+1)
             # would mean 2^26 words for a pair of 4-state automata

@@ -5,6 +5,7 @@ from helpers import (
     dfa_corpus,
     finite_language_dfa,
     language_upto,
+    naive_complete_over,
     naive_concat,
     naive_prefixed,
     naive_product,
@@ -19,7 +20,6 @@ from helpers import (
 
 from suffixconvex.automata import (
     Dfa,
-    complete_over,
     complexity,
     minimize,
     union_alphabet,
@@ -106,25 +106,32 @@ def test_boolean_unrestricted_examples():
 
 def test_product_matches_naive_product_on_corpus():
     # same states, same numbering: the Dfa values are equal; one shared
-    # product per pair gives every operation, each equal to the public call
+    # product per pair gives every operation, each equal to the public call.
+    # One second operand in three is renamed into "abcd", so both sides can
+    # lack a letter, and disjoint alphabets reach (p, sink), (sink, q) and
+    # (sink, sink)
     rng = Random(53)
-    restricted = unrestricted = 0
+    restricted = unrestricted = both_lack = disjoint = 0
     for _ in range(600):
         d1 = random_dfa_any_start(rng, max_n=8)
         d2 = random_dfa_any_start(rng, max_n=8)
+        if rng.randrange(3) == 0:
+            d2 = _renamed(rng, d2)
         if set(d1.alphabet) == set(d2.alphabet):
             letters = list(d2.alphabet)
             rng.shuffle(letters)
-            d2 = complete_over(d2, letters)  # the same letters in another order
+            d2 = naive_complete_over(d2, letters)  # the same letters in another order
             c1, c2, mode, public = d1, d2, "restricted", boolean_restricted
             restricted += 1
         else:
             sigma = union_alphabet(d1, d2)
-            c1, c2 = complete_over(d1, sigma), complete_over(d2, sigma)
+            c1, c2 = naive_complete_over(d1, sigma), naive_complete_over(d2, sigma)
             mode, public = "unrestricted", boolean_unrestricted
             with pytest.raises(InputError):
                 _boolean_product(d1, d2, "restricted")
             unrestricted += 1
+            both_lack += c1.n > d1.n and c2.n > d2.n
+            disjoint += bool(d1.alphabet and d2.alphabet) and not set(d1.alphabet) & set(d2.alphabet)
         product = _boolean_product(d1, d2, mode)
         for op in BOOL_OPS:
             d = product(op)
@@ -132,6 +139,7 @@ def test_product_matches_naive_product_on_corpus():
             assert d == public(d1, d2, op)
             assert revalidated(d) == d  # the unchecked constructor built a valid Dfa
     assert restricted >= 100 and unrestricted >= 300
+    assert both_lack >= 40 and disjoint >= 20
 
 
 def _renamed(rng: Random, d: Dfa) -> Dfa:

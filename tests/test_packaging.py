@@ -46,7 +46,7 @@ def test_public_names_are_pinned():
         "Transformation", "accepts", "apply_dialect", "apply_word",
         "atom_complexities", "atom_complexity", "atom_formula", "atoms",
         "boolean_restricted", "boolean_unrestricted", "classify", "complement",
-        "complete_over", "complexity", "compose_many", "concat", "cycle",
+        "complexity", "compose_many", "concat", "cycle",
         "determinize", "equivalent", "expected", "export_dot", "format_notation",
         "is_left_ideal", "is_suffix_closed", "is_suffix_convex", "is_suffix_free",
         "make_dialect", "make_witness", "minimize", "occurring_letters",

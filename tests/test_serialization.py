@@ -60,6 +60,7 @@ def test_read_without_notation():
         (lambda doc: doc.__setitem__("finals", [0, 11]), "finals"),
         (lambda doc: doc["transitions"].pop("a"), "must match the alphabet"),
         (lambda doc: doc.__setitem__("alphabet", ["a", "a", "b", "c", "d"]), "unique"),
+        (lambda doc: doc.__setitem__("finals", [3, 3]), "finals: states must be unique"),
         (lambda doc: doc["notation"].__setitem__("a", "(1,2)"), "expands to"),
         (lambda doc: doc["notation"].__setitem__("a", "((1,2)"), "notation['a']"),
         (lambda doc: doc.__setitem__("states", 0), "positive integer"),
