@@ -14,9 +14,12 @@ that numbers the states reachable from a start, and ``_subsets`` is the
 one subset construction: its callers (reversal, star, concatenation,
 Suff(L), Σ⁺L, atoms) hand it the nondeterministic moves as bitmask
 steps, one mask per (letter, state), with any epsilon moves already
-folded in.  ``_hopcroft`` returns a refinement as the number of classes
-and the class of each state; ``_class_rows`` turns that into the
-quotient's rows, which ``minimize`` numbers with ``_walk``.
+folded in.  ``_hopcroft`` is the one refinement: Hopcroft's algorithm
+with a worklist of blocks, each popped block splitting the partition by
+its preimage under every letter, and an early exit once every class is
+a single state.  It returns the number of classes and the class of each
+state; ``_class_rows`` turns that into the quotient's rows, which
+``minimize`` numbers with ``_walk``.
 ``_components`` is the one strongly-connected-component pass: the
 semigroup count splits its orbit of image sets with it, and
 ``_reach_counts`` counts on it the states reachable from every state at
@@ -213,13 +216,17 @@ def _hopcroft(
     finite automaton", 1971) on the refinable partition of Valmari and
     Lehtinen ("Efficient minimization of DFAs with partial transition
     functions", STACS 2008).  Starting from finals / non-finals, a worklist
-    of (block, letter) splitters is drained: the preimage of a splitter's
-    block under its letter is grouped by the block each state sits in, and
-    only those blocks are split, at a cost of the states moved.  A split
-    block queues its smaller half for every letter, or both halves for a
-    letter it was already queued for.  Each state therefore lies in
-    O(log n) processed splitters per letter, and with k letters the whole
-    refinement takes O(k·n log n) time.
+    of blocks is drained.  A popped block is read once, as a snapshot of
+    its states, and splits the partition by its preimage under each letter
+    in turn: the preimage is grouped by the block each state sits in, and
+    only those blocks are split, at a cost of the states moved.  The
+    snapshot stays a union of blocks if the popped block itself splits
+    meanwhile, so each split is sound.  A split block that is queued
+    queues its new part too; one that is not queues its smaller half.  So
+    each time a state's block is popped, the block is at most half the size
+    it was the last time, and with k letters the whole refinement takes
+    O(k·n log n) time.  The refinement stops as soon as every class is a
+    single state.
     """
     # block 0 holds the finals, block 1 the rest
     block_of = [1] * n
@@ -238,57 +245,55 @@ def _hopcroft(
             table[q].append(p)
         pre.append(table)
 
-    # Block b holds elems[first[b]:end[b]]; while a splitter is processed,
-    # the block's states in the preimage are gathered in elems[first[b]:mid[b]].
+    # Block b holds elems[first[b]:end[b]]; while a preimage is gathered,
+    # the block's states in it are moved to elems[first[b]:mid[b]].
     loc = [0] * n
     for i, q in enumerate(elems):
         loc[q] = i
     first, end, mid = [0, cut], [cut, n], [0, cut]
 
-    # splitter (block b, letter c) is coded b * k + c
-    k = len(pre)
     smaller = 0 if cut <= n - cut else 1
-    waiting = [smaller * k + c for c in range(k)]
-    queued = [False] * (2 * k)
-    for code in waiting:
-        queued[code] = True
+    waiting = [smaller]
+    queued = [False, False]
+    queued[smaller] = True
 
-    while waiting:
-        code = waiting.pop()
-        queued[code] = False
-        b, c = divmod(code, k)
-        table = pre[c]
-        touched = []
-        for q in elems[first[b]:end[b]]:
-            for p in table[q]:
-                y = block_of[p]
-                j = mid[y]
-                if j == first[y]:
-                    touched.append(y)
-                i = loc[p]
-                other = elems[j]
-                elems[j], elems[i] = p, other
-                loc[p], loc[other] = j, i
-                mid[y] = j + 1
-        for y in touched:
-            f, m, e = first[y], mid[y], end[y]
-            mid[y] = f
-            if m == e:
-                continue
-            # the gathered states become a new block; y keeps the rest
-            new = len(first)
-            first.append(f)
-            end.append(m)
-            mid.append(f)
-            first[y] = mid[y] = m
-            for i in range(f, m):
-                block_of[elems[i]] = new
-            queued.extend([False] * k)
-            half = new if m - f <= e - m else y
-            for a in range(k):
-                code = (new if queued[y * k + a] else half) * k + a
-                queued[code] = True
-                waiting.append(code)
+    while waiting and len(first) < n:
+        b = waiting.pop()
+        queued[b] = False
+        splitter = elems[first[b]:end[b]]
+        for table in pre:
+            touched = []
+            for q in splitter:
+                for p in table[q]:
+                    y = block_of[p]
+                    j = mid[y]
+                    if j == first[y]:
+                        touched.append(y)
+                    i = loc[p]
+                    other = elems[j]
+                    elems[j], elems[i] = p, other
+                    loc[p], loc[other] = j, i
+                    mid[y] = j + 1
+            for y in touched:
+                f, m, e = first[y], mid[y], end[y]
+                mid[y] = f
+                if m == e:
+                    continue
+                # the gathered states become a new block; y keeps the rest
+                new = len(first)
+                first.append(f)
+                end.append(m)
+                mid.append(f)
+                first[y] = mid[y] = m
+                for i in range(f, m):
+                    block_of[elems[i]] = new
+                if queued[y] or m - f <= e - m:
+                    queued.append(True)
+                    waiting.append(new)
+                else:
+                    queued.append(False)
+                    queued[y] = True
+                    waiting.append(y)
     return len(first), block_of
 
 

@@ -11,13 +11,14 @@ rows beyond a record's range as SKIP without being attempted.
 
 One run builds each thing it measures once.  A memo that lives for one
 ``run_verification`` call holds the operands of the family being
-measured by (family, n, dialect), dropped when the family is done;
-every semigroup size by the witness's letter images; and the direct
-product of each operand pair of the boolean group being measured: the
-four boolean claims of one family and mode read their operations from
-that one product, and it is dropped when the group is done.  Every row
-still takes its own ``complexity``, and a full-witness row is labelled
-with the letters of the witness the memo holds.
+measured by (family, n, dialect), with the report's label of each,
+dropped when the family is done; every semigroup size by the witness's
+letter images; and the direct product of each operand pair of the
+boolean group being measured: the four boolean claims of one family and
+mode read their operations from that one product, and it is dropped
+when the group is done.  Every row still takes its own ``complexity``,
+and a full-witness row is labelled with the letters of the witness the
+memo holds.
 """
 
 from __future__ import annotations
@@ -152,6 +153,7 @@ def run_verification(
                 entries.extend(_run_claim(claim, n_range, m_range, memo))
             memo.products.clear()
         memo.operands.clear()
+        memo.labels.clear()
     if not entries:
         raise InputError(
             f"no claim row matches families {families or 'all'}, "
@@ -186,6 +188,7 @@ class _Memo:
     def __init__(self, semigroup_cap: int):
         self.semigroup_cap = semigroup_cap
         self.operands: dict[tuple, Dfa] = {}
+        self.labels: dict[tuple, str] = {}
         self.semigroups: dict[frozenset, tuple[int, bool]] = {}
         # (m, n, dialect pair) -> the pair's product; holds the products
         # of one family and mode only, so those are not in the key
@@ -201,9 +204,12 @@ class _Memo:
 
     def label(self, family: str, n: int, dialect: tuple | None) -> str:
         """The report's name for an operand: its letter map, or the witness's letters."""
-        if dialect is None:
-            dialect = self.operand(family, n, None).alphabet
-        return format_letter_map(dialect)
+        key = (family, n, dialect)
+        label = self.labels.get(key)
+        if label is None:
+            letters = self.operand(family, n, None).alphabet if dialect is None else dialect
+            label = self.labels[key] = format_letter_map(letters)
+        return label
 
     def semigroup(self, family: str, n: int) -> tuple[int, bool]:
         # streams that share their letters share the semigroup

@@ -64,7 +64,7 @@ class Nfa:
 def random_dfa(rng: Random, max_n: int = 6, max_letters: int = 3) -> Dfa:
     n = rng.randint(1, max_n)
     k = rng.randint(1, max_letters)
-    alphabet = tuple("abc"[:k])
+    alphabet = tuple("abcdefgh"[:k])
     delta = {l: tuple(rng.randrange(n) for _ in range(n)) for l in alphabet}
     finals = frozenset(q for q in range(n) if rng.random() < 0.4)
     return Dfa(n, alphabet, delta, 0, finals)
@@ -221,6 +221,100 @@ def naive_partition(n: int, rows: dict[str, Transformation], finals: frozenset[i
                 else:
                     worklist.add(inter if len(inter) <= len(rest) else rest)
     return list(partition)
+
+
+def letterwise_hopcroft(
+    n: int, rows: Sequence[Sequence[int]], finals: Iterable[int]
+) -> tuple[int, list[int]]:
+    """Partition {0,..,n-1} (n >= 1) into classes of equivalent states, with
+    a worklist of (block, letter) splitters: the kernel that the block
+    worklist of ``automata._hopcroft`` replaced, kept as its reference.
+
+    rows holds one image sequence per letter: rows[c][p] is the state
+    letter c takes p to.  Returns (count, block_of): the classes are
+    0..count-1, in no particular order, and block_of[q] is the class of q.
+
+    Hopcroft's algorithm ("An n log n algorithm for minimizing states in a
+    finite automaton", 1971) on the refinable partition of Valmari and
+    Lehtinen ("Efficient minimization of DFAs with partial transition
+    functions", STACS 2008).  Starting from finals / non-finals, a worklist
+    of (block, letter) splitters is drained: the preimage of a splitter's
+    block under its letter is grouped by the block each state sits in, and
+    only those blocks are split, at a cost of the states moved.  A split
+    block queues its smaller half for every letter, or both halves for a
+    letter it was already queued for.  Each state therefore lies in
+    O(log n) processed splitters per letter, and with k letters the whole
+    refinement takes O(k·n log n) time.
+    """
+    # block 0 holds the finals, block 1 the rest
+    block_of = [1] * n
+    for q in finals:
+        block_of[q] = 0
+    elems = [q for q in range(n) if not block_of[q]]
+    cut = len(elems)
+    if cut in (0, n):
+        return 1, [0] * n
+    elems += [q for q in range(n) if block_of[q]]
+
+    pre: list[list[list[int]]] = []
+    for image in rows:
+        table: list[list[int]] = [[] for _ in range(n)]
+        for p, q in enumerate(image):
+            table[q].append(p)
+        pre.append(table)
+
+    # Block b holds elems[first[b]:end[b]]; while a splitter is processed,
+    # the block's states in the preimage are gathered in elems[first[b]:mid[b]].
+    loc = [0] * n
+    for i, q in enumerate(elems):
+        loc[q] = i
+    first, end, mid = [0, cut], [cut, n], [0, cut]
+
+    # splitter (block b, letter c) is coded b * k + c
+    k = len(pre)
+    smaller = 0 if cut <= n - cut else 1
+    waiting = [smaller * k + c for c in range(k)]
+    queued = [False] * (2 * k)
+    for code in waiting:
+        queued[code] = True
+
+    while waiting:
+        code = waiting.pop()
+        queued[code] = False
+        b, c = divmod(code, k)
+        table = pre[c]
+        touched = []
+        for q in elems[first[b]:end[b]]:
+            for p in table[q]:
+                y = block_of[p]
+                j = mid[y]
+                if j == first[y]:
+                    touched.append(y)
+                i = loc[p]
+                other = elems[j]
+                elems[j], elems[i] = p, other
+                loc[p], loc[other] = j, i
+                mid[y] = j + 1
+        for y in touched:
+            f, m, e = first[y], mid[y], end[y]
+            mid[y] = f
+            if m == e:
+                continue
+            # the gathered states become a new block; y keeps the rest
+            new = len(first)
+            first.append(f)
+            end.append(m)
+            mid.append(f)
+            first[y] = mid[y] = m
+            for i in range(f, m):
+                block_of[elems[i]] = new
+            queued.extend([False] * k)
+            half = new if m - f <= e - m else y
+            for a in range(k):
+                code = (new if queued[y * k + a] else half) * k + a
+                queued[code] = True
+                waiting.append(code)
+    return len(first), block_of
 
 
 def naive_reachable_states(d: Dfa) -> list[int]:

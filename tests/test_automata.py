@@ -6,6 +6,7 @@ from helpers import (
     Nfa,
     dfa_corpus,
     language_upto,
+    letterwise_hopcroft,
     naive_complete_over,
     naive_complexity,
     naive_determinize,
@@ -42,6 +43,7 @@ from suffixconvex.automata import (
 from suffixconvex.errors import InputError
 from suffixconvex.operations import (
     boolean_restricted,
+    boolean_unrestricted,
     concat,
     equivalent,
     parse_letter_map,
@@ -280,12 +282,16 @@ def test_minimize_idempotent_and_equivalent_on_corpus():
         assert m.n == quotient_count_oracle(d)
 
 
-def hopcroft_partition(d: Dfa) -> list[frozenset[int]]:
-    """``_hopcroft``'s classes of d's states as a list of frozensets, after
-    checking that they are numbered 0..count-1 with none empty."""
-    count, block_of = _hopcroft(d.n, [t.image for t in d.delta.values()], d.finals)
+def hopcroft_partition(d: Dfa, refine=_hopcroft) -> list[frozenset[int]]:
+    """The classes of d's states that refine (``_hopcroft`` or its oracle)
+    returns, as a list of frozensets, after checking that they are numbered
+    0..count-1 with none empty."""
+    count, block_of = refine(d.n, [t.image for t in d.delta.values()], d.finals)
     assert set(block_of) == set(range(count))
-    return [frozenset(q for q in range(d.n) if block_of[q] == x) for x in range(count)]
+    blocks: list[set[int]] = [set() for _ in range(count)]
+    for q, x in enumerate(block_of):
+        blocks[x].add(q)
+    return [frozenset(block) for block in blocks]
 
 
 def test_hopcroft_matches_naive_partition_on_corpus():
@@ -326,6 +332,56 @@ def test_minimize_regular_product_beyond_default_caps(n, expected):
     # of quadratic refinement
     w = make_witness("regular", n)
     assert complexity(concat(w, w)) == expected
+
+
+def test_hopcroft_matches_letterwise_hopcroft_on_corpus():
+    corpus = dfa_corpus(seed=37, count=600, max_n=40, max_letters=5)
+    for d in corpus:
+        assert set(hopcroft_partition(d)) == set(hopcroft_partition(d, letterwise_hopcroft))
+    assert max(d.n for d in corpus) == 40
+    assert max(len(d.alphabet) for d in corpus) == 5
+    assert sum(len(reachable_states(d)) < d.n for d in corpus) > 100
+
+
+def _left_ideal_40(letters):
+    return make_dialect("left-ideal", 40, letters)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: concat(make_witness("regular", 8), make_witness("regular", 8)),
+        lambda: boolean_restricted(
+            _left_ideal_40(("a", None, "c", None, "e")), _left_ideal_40(("a", None, "e", None, "c")),
+            "union",
+        ),
+        lambda: boolean_unrestricted(
+            _left_ideal_40(("a", "b", "c", "d", "e")), _left_ideal_40(("a", "e", "f", "d", "b")),
+            "union",
+        ),
+        lambda: reverse(make_dialect("left-ideal", 11, ("a", None, "c", "d", "e"))),
+        lambda: star(make_witness("suffix-free-3", 12)),
+    ],
+    ids=["regular-concat-8x8", "left-ideal-union-restricted-40x40",
+         "left-ideal-union-unrestricted-40x40", "left-ideal-reverse-11", "suffix-free-3-star-12"],
+)
+def test_hopcroft_matches_letterwise_hopcroft_on_large_constructions(build):
+    # the raw constructions of the benchmark's ops-large workload: beyond
+    # the reach of quadratic naive_partition
+    d = build()
+    assert 1025 <= d.n <= 1920
+    assert set(hopcroft_partition(d)) == set(hopcroft_partition(d, letterwise_hopcroft))
+
+
+def test_hopcroft_splits_a_long_chain_into_singletons():
+    # a: q -> min(q+1, n-1), b: q -> 0, final n-1: state q first reaches the
+    # final state after n-1-q letters a, so all n states are distinct, and a
+    # refinement that split off one state per round would take n rounds
+    n = 30_000
+    a = [min(q + 1, n - 1) for q in range(n)]
+    count, block_of = _hopcroft(n, [a, [0] * n], [n - 1])
+    assert count == n
+    assert sorted(block_of) == list(range(n))
 
 
 def test_equivalent_examples():
@@ -383,8 +439,6 @@ def test_equivalent_with_empty_alphabet_side():
 
 
 def test_occurring_letters_on_unrestricted_products():
-    from suffixconvex.operations import boolean_unrestricted
-
     d1 = make_dialect("suffix-closed", 4, ("a", "b", "c", "d", "e"))
     d2 = make_dialect("suffix-closed", 4, ("a", "e", "f", "d", "b"))
     inter = boolean_unrestricted(d1, d2, "intersection")
@@ -404,7 +458,6 @@ def test_complexity_examples():
     # epsilon-only language over a letter that never occurs
     eps_only = Dfa(2, ("a",), {"a": (1, 1)}, 0, frozenset({0}))
     assert complexity(eps_only) == 1
-    from suffixconvex.operations import boolean_unrestricted
 
     d1 = make_dialect("suffix-closed", 4, ("a", "b", "c", "d", "e"))
     d2 = make_dialect("suffix-closed", 4, ("a", "e", "f", "d", "b"))
