@@ -10,7 +10,9 @@ reproducible bit for bit.
 The kernels (reachability, subset construction, minimization) work on
 plain ints: they index the ``image`` tuples of the transformations
 directly and hold subsets as int bitmasks.  ``_walk`` is the one walk
-that numbers the states reachable from a start, and ``_subsets`` is the
+that numbers the states reachable from a start; when that numbering is
+the identity, as for every output of ``determinize`` and the direct
+product, it hands the images back as the rows.  ``_subsets`` is the
 one subset construction: its callers (reversal, star, concatenation,
 Suff(L), Σ⁺L, atoms) hand it the nondeterministic moves as bitmask
 steps, one mask per (letter, state), with any epsilon moves already
@@ -29,7 +31,11 @@ product, the atom automaton) builds its result with ``Dfa._trusted``,
 which skips the checks of ``Dfa.__post_init__``; every other ``Dfa`` is
 validated.  A query that needs only a size (``complexity`` here, the
 quotient and atom complexities in ``measures``) counts states or
-refinement classes and builds no minimal ``Dfa`` for it.
+refinement classes and builds no minimal ``Dfa`` for it: ``complexity``
+is one walk and one refinement, and reads the letters that occur off
+the classes.  ``reverse_complexity`` runs no refinement at all: by
+Brzozowski's theorem the subset construction on the reversal of an
+accessible DFA is minimal, so it counts the subsets.
 """
 
 from __future__ import annotations
@@ -177,13 +183,13 @@ def _subsets(steps: Sequence[Sequence[int]], start: int) -> tuple[list[int], lis
     return order, rows
 
 
-def _preimages(d: Dfa) -> list[list[int]]:
-    """Bitmask steps of the reversed transitions: pre[c][q] is the mask of
-    the states p that letter c takes to q."""
+def _preimages(n: int, rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Bitmask steps of the reversed transitions of {0,..,n-1}: pre[c][q]
+    is the mask of the states p that rows[c] takes to q."""
     steps = []
-    for letter in d.alphabet:
-        pre = [0] * d.n
-        for p, q in enumerate(d.delta[letter].image):
+    for image in rows:
+        pre = [0] * n
+        for p, q in enumerate(image):
             pre[q] |= 1 << p
         steps.append(pre)
     return steps
@@ -299,26 +305,28 @@ def _hopcroft(
 
 def _walk(
     n: int, images: Sequence[Sequence[int]], initial: int, finals: Iterable[int]
-) -> tuple[list[int], list[list[int]], frozenset[int]]:
+) -> tuple[list[int], Sequence[Sequence[int]], frozenset[int]]:
     """Number the states reachable from initial by BFS discovery order,
     letters scanned in the order of images.
 
     Returns (order, rows, reached finals): order[i] is the i-th state
     found, rows[c][i] is the number of the state letter c takes order[i]
     to, and the reached finals are the numbers of the reachable finals.
+    When the numbering is the identity, as it is for every output of
+    ``determinize`` and of the direct product, rows is images itself.
     """
     number = [-1] * n
     number[initial] = 0
     order = [initial]
-    rows: list[list[int]] = [[] for _ in images]
     for p in order:  # the list grows while it is read: a FIFO queue
-        for image, row in zip(images, rows):
+        for image in images:
             q = image[p]
-            i = number[q]
-            if i < 0:
-                i = number[q] = len(order)
+            if number[q] < 0:
+                number[q] = len(order)
                 order.append(q)
-            row.append(i)
+    if order == list(range(n)):
+        return order, images, frozenset(finals)
+    rows = [[number[image[p]] for p in order] for image in images]
     return order, rows, frozenset(number[q] for q in finals if number[q] >= 0)
 
 
@@ -427,7 +435,7 @@ def union_alphabet(d1: Dfa, d2: Dfa) -> tuple[str, ...]:
     return d1.alphabet + tuple(l for l in d2.alphabet if l not in d1.alphabet)
 
 
-def _occurring(d: Dfa) -> tuple[int, list[list[int]], frozenset[int], list[bool]]:
+def _occurring(d: Dfa) -> tuple[int, Sequence[Sequence[int]], frozenset[int], list[bool]]:
     """One walk over the reachable states, (n, rows, finals) as ``_walk``
     numbers them, and per letter whether it occurs in an accepted word:
     whether it takes some reachable state into a co-reachable one."""
@@ -451,10 +459,42 @@ def complexity(d: Dfa) -> int:
     so L = a* over {a, b} has complexity 1: its sink is unreachable once
     b is gone.  ``measures.syntactic_semigroup_size`` keeps the full
     alphabet instead (2 for the same language).
+
+    One walk and one refinement over all letters.  The empty language is
+    at most one class, the non-final one every letter keeps, and a letter
+    occurs when it takes some reachable state out of it; the initial
+    state's successor settles most letters.  A reachable state's language
+    has no word with a letter that never occurs, so dropping letters
+    leaves the classes reachable from the initial one over the rest.
+    """
+    images = [d.delta[letter].image for letter in d.alphabet]
+    order, rows, finals = _walk(d.n, images, d.initial, d.finals)
+    count, block_of = _hopcroft(len(order), rows, finals)
+    occurs = []
+    for row in rows:
+        s = row[0]  # the initial state's successor
+        x = block_of[s]
+        # s is out of the empty language when final or moved to another
+        # class; else x is the empty language and the row decides
+        occurs.append(
+            s in finals or any(block_of[other[s]] != x for other in rows)
+            or any(block_of[q] != x for q in row)
+        )
+    if all(occurs):
+        return count
+    kept = _class_rows([row for row, ok in zip(rows, occurs) if ok], count, block_of)
+    return len(_walk(count, kept, block_of[0], ())[0])
+
+
+def reverse_complexity(d: Dfa) -> int:
+    """``complexity(reverse(d))`` with no refinement: the subset
+    construction on the reversal of an accessible DFA is minimal
+    (Brzozowski, "Canonical regular expressions and minimal state graphs
+    for definite events", 1962), so this counts the subsets reachable
+    from the finals under the reversed steps of the occurring letters.
+    Only states with a non-empty language enter a subset, and those are
+    reachable over the occurring letters, so the walk stays accessible.
     """
     n, rows, finals, occurs = _occurring(d)
-    if not all(occurs):
-        # a dropped letter may have been the only way into some states
-        order, rows, finals = _walk(n, [r for r, ok in zip(rows, occurs) if ok], 0, finals)
-        n = len(order)
-    return _hopcroft(n, rows, finals)[0]
+    steps = _preimages(n, [row for row, ok in zip(rows, occurs) if ok])
+    return len(_subsets(steps, sum(1 << q for q in finals))[0])

@@ -7,10 +7,11 @@ verification comparison fails, 2 on usage or input errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
-from .automata import complexity
+from .automata import complexity, reverse_complexity
 from .classifiers import classify
 from .errors import InputError, LimitError
 from .measures import (
@@ -31,7 +32,7 @@ from .operations import (
     star,
 )
 from .serialization import export_dot, read_dfa, write_dfa
-from .verify import report_to_json, report_to_table, run_verification
+from .verify import report_json_chunks, report_to_table, run_verification
 from .witnesses import FAMILIES, make_dialect, make_witness
 
 
@@ -105,7 +106,7 @@ def _cmd_measure(args) -> int:
             ]
         }
     else:  # reverse-complexity
-        payload = {"reverse_complexity": complexity(reverse(dfa))}
+        payload = {"reverse_complexity": reverse_complexity(dfa)}
     sys.stdout.write(json.dumps(payload, indent=2) + "\n")
     return 0
 
@@ -159,10 +160,15 @@ def _cmd_verify(args) -> int:
         m_range=_parse_range(args.m) if args.m else None,
         semigroup_cap=args.cap,
     )
-    text = report_to_json(report) if args.format == "structured" else report_to_table(report)
-    sys.stdout.write(text)
-    if args.report:
-        _emit(text, args.report)
+    if args.format == "structured":
+        chunks = report_json_chunks(report)  # written as encoded, never joined
+    else:
+        chunks = [report_to_table(report)]
+    with open(args.report, "w", encoding="utf-8") if args.report else contextlib.nullcontext() as copy:
+        for chunk in chunks:
+            sys.stdout.write(chunk)
+            if copy:
+                copy.write(chunk)
     return 0 if report.ok else 1
 
 

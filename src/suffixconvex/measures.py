@@ -310,7 +310,8 @@ def _atom_keys(m: Dfa, limit: int = DEFAULT_ATOM_STATE_LIMIT) -> frozenset[AtomK
     """``atoms`` of the minimal DFA m, which it does not minimize again."""
     if m.n > limit:
         raise LimitError(f"atom enumeration over {m.n} states exceeds the limit {limit}")
-    order, _ = _subsets(_preimages(m), sum(1 << q for q in m.finals))
+    steps = _preimages(m.n, [m.delta[letter].image for letter in m.alphabet])
+    order, _ = _subsets(steps, sum(1 << q for q in m.finals))
     return frozenset(frozenset(q for q in range(m.n) if mask >> q & 1) for mask in order)
 
 

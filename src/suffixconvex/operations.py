@@ -8,9 +8,9 @@ direct product is built here only: one pair search per operand pair
 ``equivalent`` in both modes; unrestricted, it reads a letter an operand
 lacks as a move to that operand's sink, and no operand is completed.
 Operation outputs are trimmed to reachable states but never minimized
-here; ``automata.complexity`` is the single place where minimization
-and occurring-letter reduction happen, so tests can inspect the raw
-constructions.
+here; ``automata.complexity`` and ``automata.reverse_complexity`` are
+where minimal sizes are counted and occurring letters reduced, so tests
+can inspect the raw constructions.
 """
 
 from __future__ import annotations
@@ -186,7 +186,8 @@ def reverse(d: Dfa) -> Dfa:
     """Language reversal: flip every transition, swap initial and finals,
     determinize."""
     start = sum(1 << f for f in d.finals)
-    return determinize(d.alphabet, _preimages(d), start, 1 << d.initial)
+    steps = _preimages(d.n, [d.delta[letter].image for letter in d.alphabet])
+    return determinize(d.alphabet, steps, start, 1 << d.initial)
 
 
 def complement(d: Dfa) -> Dfa:

@@ -34,10 +34,21 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict, rejecting a key that appears twice."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            _require(key not in seen, "document", f"repeated key {key!r}")
+            seen.add(key)
+    return doc
+
+
 def read_dfa(text: str) -> Dfa:
     """Parse and validate a DFA document; inverse of write_dfa."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"not valid JSON: {exc}") from exc
     _require(isinstance(doc, dict), "document", "top level must be an object")

@@ -59,10 +59,6 @@ class Transformation:
         return f"Transformation({list(self.image)})"
 
 
-def identity(n: int) -> Transformation:
-    return Transformation(tuple(range(n)))
-
-
 def cycle(n: int, states: Sequence[int]) -> Transformation:
     """The k-cycle sending states[i] to states[i+1 mod k], identity elsewhere."""
     if len(states) < 2:
@@ -112,25 +108,28 @@ def _parse_int(text: str, n: int, where: str) -> int:
     return q
 
 
-def _parse_atom(body: str, n: int) -> Transformation:
+def _parse_atom(body: str, n: int) -> tuple[list[int] | None, list[int]]:
+    """The atom as (points, sources): it moves each points[i] to where
+    sources[i] goes next.  A collapse of every state, (Q->r), is (None, [r])."""
     where = f"({body})"
     if "->" in body:
         lhs, _, rhs = body.partition("->")
         target = _parse_int(rhs, n, where)
         if lhs == "Q":
-            return send_to(n, range(n), target)
+            return None, [target]
         if lhs.startswith("{") and lhs.endswith("}"):
             members = [_parse_int(p, n, where) for p in lhs[1:-1].split(",") if p]
             if not members:
                 raise NotationError(f"empty source set in {where}")
-            return send_to(n, members, target)
-        return send_to(n, [_parse_int(lhs, n, where)], target)
+        else:
+            members = [_parse_int(lhs, n, where)]
+        return members, [target] * len(members)
     states = [_parse_int(p, n, where) for p in body.split(",")]
     if len(states) < 2:
         raise NotationError(f"cycle {where} needs at least two states")
     if len(set(states)) != len(states):
         raise NotationError(f"cycle {where} repeats a state")
-    return cycle(n, states)
+    return states, states[1:] + states[:1]
 
 
 def parse_notation(n: int, text: str) -> Transformation:
@@ -139,20 +138,34 @@ def parse_notation(n: int, text: str) -> Transformation:
     Accepted atoms: ``(q0,q1,...)``, ``(p->q)``, ``({p1,p2}->q)``,
     ``(Q->q)``, and ``1`` for the identity.  Overlapping atoms are legal
     and compose sequentially.
+
+    The atoms are parsed left to right, so the first malformed one is
+    reported, and composed from the last back: prepending an atom only
+    rewrites the points it moves, and a collapse of every state ends the
+    composition, since nothing before it matters.  So the cost is linear
+    in the text, plus n for the result.
     """
     text = text.strip()
     if not text:
         raise NotationError("empty transformation text")
-    result = identity(n)
+    atoms = []
     pos = 0
     while pos < len(text):
         m = _ATOM_RE.match(text, pos)
         if m is None:
             raise NotationError(f"malformed notation at {text[pos:]!r}")
         if m.group(0) != "1":
-            result = result.then(_parse_atom(m.group(1), n))
+            atoms.append(_parse_atom(m.group(1), n))
         pos = m.end()
-    return result
+    image = list(range(n))  # the composition of the atoms after the current one
+    for points, sources in reversed(atoms):
+        if points is None:
+            image = [image[sources[0]]] * n
+            break
+        moved = [image[r] for r in sources]
+        for p, r in zip(points, moved):
+            image[p] = r
+    return Transformation._trusted(tuple(image))
 
 
 def _cyclic_points(t: Transformation) -> set[int]:

@@ -16,20 +16,21 @@ dropped when the family is done; every semigroup size by the witness's
 letter images; and the direct product of each operand pair of the
 boolean group being measured: the four boolean claims of one family and
 mode read their operations from that one product, and it is dropped
-when the group is done.  Every row still takes its own ``complexity``,
-and a full-witness row is labelled with the letters of the witness the
+when the group is done.  Every row still takes its own count (a reversal
+row counts subsets with ``reverse_complexity``, no refinement), and a
+full-witness row is labelled with the letters of the witness the
 memo holds.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from itertools import groupby
-from typing import Callable
+from typing import Callable, Iterator
 
 from . import __version__
-from .automata import Dfa, complexity, reachable_states
+from .automata import Dfa, complexity, reachable_states, reverse_complexity
 from .errors import InputError
 from .measures import (
     DEFAULT_SEMIGROUP_CAP,
@@ -42,7 +43,6 @@ from .operations import (
     _boolean_product,
     concat,
     format_letter_map,
-    reverse,
     star,
 )
 from .witnesses import (
@@ -232,7 +232,7 @@ class _Memo:
 
 
 _UNARY = {
-    "reverse": lambda d: complexity(reverse(d)),
+    "reverse": reverse_complexity,
     "atoms-count": lambda d: len(atoms(d)),
     "star": lambda d: complexity(star(d)),
 }
@@ -289,17 +289,31 @@ def _run_claim(claim, n_range, m_range, memo: _Memo) -> list[ReportEntry]:
     return entries
 
 
-def report_to_json(report: ComplexityReport) -> str:
-    doc = {
+def report_json_chunks(report: ComplexityReport) -> Iterator[str]:
+    """The report's JSON document, ``json.dumps(doc, indent=2)`` and a
+    newline, one entry per chunk, so a caller can write it out without
+    holding it whole.  Each entry is encoded on its own and indented to
+    its depth in the document, which is sound since an encoded string
+    holds no raw newline."""
+    encoder = json.JSONEncoder(indent=2)
+    head = encoder.encode({
         "version": report.version,
         "passed": report.passed,
         "failed": report.failed,
         "skipped": report.skipped,
-        "entries": [
-            dict(asdict(e), **{"pass": e.status == PASS}) for e in report.entries
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+        "entries": [],
+    })
+    yield head[:-len("]\n}")]
+    separator = "\n    "
+    for e in report.entries:
+        entry = {**vars(e), "pass": e.status == PASS}  # the fields in their order
+        yield separator + encoder.encode(entry).replace("\n", "\n    ")
+        separator = ",\n    "
+    yield ("\n  ]" if report.entries else "]") + "\n}\n"
+
+
+def report_to_json(report: ComplexityReport) -> str:
+    return "".join(report_json_chunks(report))
 
 
 def report_to_table(report: ComplexityReport) -> str:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import re
 from collections import deque
 from dataclasses import dataclass, replace
 from random import Random
@@ -19,6 +20,8 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from suffixconvex.automata import (
     Dfa,
+    _hopcroft,
+    _occurring,
     _walk,
     accepts,
     coreachable_states,
@@ -27,9 +30,9 @@ from suffixconvex.automata import (
     union_alphabet,
 )
 from suffixconvex.classifiers import ClassReport, Word, _letter_prefixed
-from suffixconvex.errors import InputError
+from suffixconvex.errors import InputError, NotationError
 from suffixconvex.operations import _TRUTH
-from suffixconvex.transformations import Transformation
+from suffixconvex.transformations import Transformation, cycle, send_to
 from suffixconvex.verify import _atom_items
 from suffixconvex.witnesses import CLAIMS, make_witness
 
@@ -144,6 +147,26 @@ def walk_reach_counts(n: int, rows) -> list[int]:
     ``automata._reach_counts`` replaced in ``measures.quotient_complexities``
     and ``measures.atom_complexities``."""
     return [len(_walk(n, rows, q, ())[0]) for q in range(n)]
+
+
+def appending_walk(
+    n: int, images: Sequence[Sequence[int]], initial: int, finals: Iterable[int]
+) -> tuple[list[int], list[list[int]], frozenset[int]]:
+    """The ``automata._walk`` that appended each row entry while it numbered
+    the states, and always built new rows."""
+    number = [-1] * n
+    number[initial] = 0
+    order = [initial]
+    rows: list[list[int]] = [[] for _ in images]
+    for p in order:
+        for image, row in zip(images, rows):
+            q = image[p]
+            i = number[q]
+            if i < 0:
+                i = number[q] = len(order)
+                order.append(q)
+            row.append(i)
+    return order, rows, frozenset(number[q] for q in finals if number[q] >= 0)
 
 
 def reachable_oracle(d: Dfa) -> set[int]:
@@ -732,6 +755,17 @@ def naive_complexity(d: Dfa) -> int:
     return minimize(restrict_to_occurring(d)).n
 
 
+def occurring_route_complexity(d: Dfa) -> int:
+    """``automata.complexity`` as it was before it read the occurring
+    letters off its refinement: a co-reachability pass finds them, and a
+    second walk drops the states that only a dropped letter reached."""
+    n, rows, finals, occurs = _occurring(d)
+    if not all(occurs):
+        order, rows, finals = _walk(n, [r for r, ok in zip(rows, occurs) if ok], 0, finals)
+        n = len(order)
+    return _hopcroft(n, rows, finals)[0]
+
+
 def naive_quotient_complexities(d: Dfa) -> tuple[int, ...]:
     """Complexity of each state's language in the minimal DFA of L(d).
 
@@ -1134,6 +1168,87 @@ def naive_format_notation(t: Transformation) -> str:
         else:
             parts.append(_naive_format_send(sorted(moved), payload, n))
     return "".join(parts)
+
+
+def identity(n: int) -> Transformation:
+    return Transformation(tuple(range(n)))
+
+
+# --- transformations: the parser ``transformations.parse_notation``
+# replaced, which composed the atoms left to right, building a whole
+# transformation per atom.
+
+_NAIVE_ATOM_RE = re.compile(r"1|\(([^()]*)\)")
+_NAIVE_INT_RE = re.compile(r"-?\d+")
+
+
+def _naive_parse_int(text: str, n: int, where: str) -> int:
+    if not _NAIVE_INT_RE.fullmatch(text):
+        raise NotationError(f"expected a state number in {where}, got {text!r}")
+    q = int(text)
+    if not 0 <= q < n:
+        raise NotationError(f"state {q} in {where} outside 0..{n - 1}")
+    return q
+
+
+def _naive_parse_atom(body: str, n: int) -> Transformation:
+    where = f"({body})"
+    if "->" in body:
+        lhs, _, rhs = body.partition("->")
+        target = _naive_parse_int(rhs, n, where)
+        if lhs == "Q":
+            return send_to(n, range(n), target)
+        if lhs.startswith("{") and lhs.endswith("}"):
+            members = [_naive_parse_int(p, n, where) for p in lhs[1:-1].split(",") if p]
+            if not members:
+                raise NotationError(f"empty source set in {where}")
+            return send_to(n, members, target)
+        return send_to(n, [_naive_parse_int(lhs, n, where)], target)
+    states = [_naive_parse_int(p, n, where) for p in body.split(",")]
+    if len(states) < 2:
+        raise NotationError(f"cycle {where} needs at least two states")
+    if len(set(states)) != len(states):
+        raise NotationError(f"cycle {where} repeats a state")
+    return cycle(n, states)
+
+
+def naive_parse_notation(n: int, text: str) -> Transformation:
+    """The atoms of text composed one at a time with ``Transformation.then``."""
+    text = text.strip()
+    if not text:
+        raise NotationError("empty transformation text")
+    result = identity(n)
+    pos = 0
+    while pos < len(text):
+        m = _NAIVE_ATOM_RE.match(text, pos)
+        if m is None:
+            raise NotationError(f"malformed notation at {text[pos:]!r}")
+        if m.group(0) != "1":
+            result = result.then(_naive_parse_atom(m.group(1), n))
+        pos = m.end()
+    return result
+
+
+def random_notation(rng: Random, n: int) -> str:
+    """A notation of up to 8 atoms on n >= 2 states, each drawn from every
+    kind the parser accepts: a cycle (often overlapping earlier ones), a
+    collapse of one state, of a set (repeats allowed) or of every state,
+    and the identity 1."""
+    atoms = []
+    for _ in range(rng.randint(1, 8)):
+        kind = rng.randrange(5)
+        if kind == 0:
+            atoms.append("(" + ",".join(map(str, rng.sample(range(n), rng.randint(2, n)))) + ")")
+        elif kind == 1:
+            atoms.append(f"({rng.randrange(n)}->{rng.randrange(n)})")
+        elif kind == 2:
+            members = [rng.randrange(n) for _ in range(rng.randint(1, n))]
+            atoms.append("({" + ",".join(map(str, members)) + f"}}->{rng.randrange(n)})")
+        elif kind == 3:
+            atoms.append(f"(Q->{rng.randrange(n)})")
+        else:
+            atoms.append("1")
+    return "".join(atoms)
 
 
 def random_map_with_cycles_and_tails(rng: Random, n: int) -> Transformation:

@@ -1,9 +1,11 @@
+from dataclasses import replace
 from random import Random
 
 import pytest
 from helpers import (
     EPSILON,
     Nfa,
+    appending_walk,
     dfa_corpus,
     language_upto,
     letterwise_hopcroft,
@@ -15,6 +17,7 @@ from helpers import (
     naive_partition,
     naive_reachable_states,
     nfa_steps,
+    occurring_route_complexity,
     quotient_count_oracle,
     random_dfa_any_start,
     random_dfa_with_edge_finals,
@@ -32,13 +35,16 @@ from suffixconvex.automata import (
     _components,
     _hopcroft,
     _reach_counts,
+    _walk,
     accepts,
     apply_word,
     complexity,
+    coreachable_states,
     determinize,
     minimize,
     occurring_letters,
     reachable_states,
+    reverse_complexity,
 )
 from suffixconvex.errors import InputError
 from suffixconvex.operations import (
@@ -246,8 +252,10 @@ def test_minimize_matches_naive_minimize_on_corpus():
 def test_complexity_matches_naive_complexity_on_corpus():
     rng = Random(47)
     corpus = [random_dfa_with_edge_finals(rng) for _ in range(1200)]
-    for d in corpus:
-        assert complexity(d) == naive_complexity(d)
+    # raw constructions, numbered by their own search: the walk reuses them
+    raw = [op(d) for d in corpus[:300] for op in (reverse, star)]
+    for d in corpus + raw:
+        assert complexity(d) == naive_complexity(d) == occurring_route_complexity(d)
         assert occurring_letters(d) == naive_occurring_letters(d)
     assert {len(d.alphabet) for d in corpus} == {0, 1, 2, 3}
     assert max(d.n for d in corpus) == 8
@@ -260,6 +268,45 @@ def test_complexity_matches_naive_complexity_on_corpus():
         for d in corpus
     )
     assert rewalked >= 100
+    # each branch of complexity: a dropped letter; a letter that occurs
+    # although it takes the initial state into the empty language, so its
+    # row is scanned; and numberings that are and are not the identity
+    for ds, floor in ((corpus, 250), (raw, 100)):
+        assert sum(naive_occurring_letters(d) != frozenset(d.alphabet) for d in ds) >= floor
+    scanned = 0
+    for d in corpus + raw:
+        live, occurring = coreachable_states(d), naive_occurring_letters(d)
+        scanned += any(d.delta[c](d.initial) not in live and c in occurring for c in d.alphabet)
+    assert scanned >= 15
+    identity = [reachable_states(d) == list(range(d.n)) for d in corpus + raw]
+    assert sum(identity) >= 600 and identity.count(False) >= 700
+
+
+def test_walk_matches_appending_walk_on_corpus():
+    rng = Random(59)
+    corpus = [random_dfa_any_start(rng, 10, 3) for _ in range(600)]
+    corpus += [op(d) for d in corpus[:200] for op in (reverse, star)]
+    reused = renumbered = 0
+    for d in corpus:
+        images = [d.delta[letter].image for letter in d.alphabet]
+        for start in {d.initial, 0}:
+            order, rows, finals = _walk(d.n, images, start, d.finals)
+            want = appending_walk(d.n, images, start, d.finals)
+            assert (order, [list(row) for row in rows], finals) == want
+            reused += rows is images
+            renumbered += rows is not images
+    assert reused >= 400 and renumbered >= 700
+
+
+def test_reverse_complexity_matches_complexity_of_reversal():
+    rng = Random(67)
+    corpus = [random_dfa_with_edge_finals(rng) for _ in range(1500)]
+    corpus += [star(d) for d in corpus[:200]]
+    for d in corpus:
+        assert reverse_complexity(d) == complexity(reverse(d))
+    # unreachable states, and letters dropped though they reach some state
+    assert sum(len(reachable_states(d)) < d.n for d in corpus) >= 300
+    assert sum(occurring_letters(d) != frozenset(d.alphabet) for d in corpus) >= 300
 
 
 def test_minimize_with_unreachable_only_final_state():
@@ -462,6 +509,11 @@ def test_complexity_examples():
     d1 = make_dialect("suffix-closed", 4, ("a", "b", "c", "d", "e"))
     d2 = make_dialect("suffix-closed", 4, ("a", "e", "f", "d", "b"))
     assert complexity(boolean_unrestricted(d1, d2, "union")) == 25
+
+    # L = {ba}: a takes the initial state into the empty language, yet occurs
+    ba = Dfa(4, ("a", "b"), {"a": (3, 2, 3, 3), "b": (1, 3, 3, 3)}, 0, frozenset({2}))
+    assert complexity(ba) == 4 and occurring_letters(ba) == frozenset("ab")
+    assert complexity(replace(ba, finals=frozenset({1}))) == 3  # L = {b}: a is dropped
 
 
 def test_complement_preserves_minimal_size_on_corpus():

@@ -64,13 +64,26 @@ def test_read_without_notation():
         (lambda doc: doc["notation"].__setitem__("a", "(1,2)"), "expands to"),
         (lambda doc: doc["notation"].__setitem__("a", "((1,2)"), "notation['a']"),
         (lambda doc: doc.__setitem__("states", 0), "positive integer"),
+        # a mutation that returns text edits the document as written: a key
+        # repeated in any object is rejected, not overwritten by the last one
+        (lambda doc: json.dumps(doc)[:-1] + ', "finals": [0]}', "repeated key 'finals'"),
+        (
+            lambda doc: json.dumps(doc).replace('"notation": {', '"notation": {"a": "(0->1)", '),
+            "repeated key 'a'",
+        ),
+        (
+            lambda doc: json.dumps(doc).replace('"transitions": {', '"transitions": {"e": [0, 0, 0, 0], '),
+            "repeated key 'e'",
+        ),
     ],
 )
 def test_read_rejects_bad_documents(mutation, fragment):
     doc = json.loads(write_dfa(make_witness("left-ideal", 4)))
-    mutation(doc)
+    text = mutation(doc)
+    if not isinstance(text, str):
+        text = json.dumps(doc)
     with pytest.raises(DocumentError) as err:
-        read_dfa(json.dumps(doc))
+        read_dfa(text)
     assert fragment in str(err.value)
 
 

@@ -1,8 +1,16 @@
 import itertools
+import re
 from random import Random
 
 import pytest
-from helpers import naive_cyclic_points, naive_format_notation, random_map_with_cycles_and_tails
+from helpers import (
+    identity,
+    naive_cyclic_points,
+    naive_format_notation,
+    naive_parse_notation,
+    random_map_with_cycles_and_tails,
+    random_notation,
+)
 from hypothesis import given, strategies as st
 
 from suffixconvex.errors import InputError, NotationError
@@ -12,7 +20,6 @@ from suffixconvex.transformations import (
     compose_many,
     cycle,
     format_notation,
-    identity,
     parse_notation,
     send_to,
 )
@@ -120,6 +127,38 @@ def test_parse_applies_overlapping_atoms_left_to_right():
 def test_parse_rejects_malformed(text):
     with pytest.raises(NotationError):
         parse_notation(4, text)
+
+
+def test_parse_matches_naive_parse():
+    rng = Random(61)
+    texts = [(n, random_notation(rng, n)) for n in (2, 3, 5, 8) for _ in range(500)]
+    texts += [(n, format_notation(random_map_with_cycles_and_tails(rng, n))) for n in range(3, 40)]
+    for n, text in texts:
+        assert parse_notation(n, text) == naive_parse_notation(n, text), (n, text)
+    def having(pattern):
+        return sum(bool(re.search(pattern, text)) for _, text in texts)
+
+    # every atom kind, the identity 1 included, and (Q->r) after other atoms
+    assert min(having(r"\(Q->"), having(r"\(\{"), having(r"(^|\))1"), having(r".\(Q->")) >= 200
+    # at n = 3 any two cycles share a point
+    cycles = re.compile(r"\(\d+(,\d+)+\)")
+    assert sum(n == 3 and len(cycles.findall(text)) >= 2 for n, text in texts) >= 100
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "", "  ", "(1,2", "(1,,2)", "(1,1,2)", "(9,1)", "(x->1)", "({}->1)", "(1->9)", "foo",
+        "(1)(2,3)", "(0,1)(2,9)", "(0,1)x(1,2)", "(Q->4)", "({1,x}->2)", "(0->1)(1)",
+        "(Q->1)(0,7)", "1 1", "(0,1)(-1,2)", "((0,1))", "(0,1)(2->)",
+    ],
+)
+def test_parse_errors_match_naive_parse(text):
+    with pytest.raises(NotationError) as fast:
+        parse_notation(4, text)
+    with pytest.raises(NotationError) as naive:
+        naive_parse_notation(4, text)
+    assert str(fast.value) == str(naive.value)
 
 
 def test_format_examples():

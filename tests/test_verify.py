@@ -8,7 +8,7 @@ from helpers import witness_atom_items
 from suffixconvex import verify
 from suffixconvex.automata import complexity
 from suffixconvex.errors import InputError
-from suffixconvex.operations import BOOL_OPS, boolean_restricted, boolean_unrestricted
+from suffixconvex.operations import BOOL_OPS, boolean_restricted, boolean_unrestricted, reverse
 from suffixconvex.verify import (
     ComplexityReport,
     ReportEntry,
@@ -118,6 +118,8 @@ def test_a_run_builds_each_operand_and_product_once(monkeypatch):
     )
     monkeypatch.setattr(verify, "_boolean_product", counted_product)
     monkeypatch.setattr(verify, "complexity", lambda d: sizes.append(d.n) or size(d))
+    count = verify.reverse_complexity
+    monkeypatch.setitem(verify._UNARY, "reverse", lambda d: sizes.append(d.n) or count(d))
     report = run_verification()
     # labels of full-witness rows read the memo: nothing is built for a label
     assert len(builds) == len(set(builds)) == 111
@@ -129,7 +131,7 @@ def test_a_run_builds_each_operand_and_product_once(monkeypatch):
     assert max(alive_at_build) <= 8
     assert all(ref() is None for ref in products)
     assert all(ref() is None for _, ref in operands)
-    # and each row still takes its own complexity
+    # and each row still takes its own complexity, or its reversal count
     sized = {"reverse", "star", "product", *BOOL_OPS}
     assert len(sizes) == sum(e.quantity in sized and e.measured is not None for e in report.entries)
     first = (set(builds), len(builds), len(products), len(sizes))
@@ -171,6 +173,18 @@ def test_widened_boolean_grid_matches_products_built_directly(monkeypatch):
         assert e.measured == complexity(public[e.mode](d1, d2, e.quantity)), e
     # 25 (m, n) rows per claim, suffix-free-3 excluding (4, 4)
     assert len(measured) == 3 * 2 * 4 * 25 - 8
+
+
+def test_reverse_rows_count_what_the_reversal_minimizes_to(monkeypatch):
+    # every reverse row of the default profile, counted as the harness
+    # counts it and by minimizing the reversal
+    operands = []
+    count = verify.reverse_complexity
+    monkeypatch.setitem(verify._UNARY, "reverse", lambda d: operands.append(d) or count(d))
+    report = run_verification(quantities=["reverse"])
+    assert len(operands) == report.passed == 24 and report.failed == 0
+    for d in operands:
+        assert count(d) == complexity(reverse(d))
 
 
 def test_truncated_semigroup_is_a_skip_row():
