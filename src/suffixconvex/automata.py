@@ -30,17 +30,18 @@ valid by construction (determinize, minimize, the direct
 product, the atom automaton) builds its result with ``Dfa._trusted``,
 which skips the checks of ``Dfa.__post_init__``; every other ``Dfa`` is
 validated.  A query that needs only a size (``complexity`` here, the
-quotient and atom complexities in ``measures``) counts states or
-refinement classes and builds no minimal ``Dfa`` for it: ``complexity``
-is one walk and one refinement, and reads the letters that occur off
-the classes.  ``reverse_complexity`` runs no refinement at all: by
-Brzozowski's theorem the subset construction on the reversal of an
-accessible DFA is minimal, so it counts the subsets.
+quotient and atom complexities in ``measures``) counts states,
+refinement classes or atom quotients and builds no minimal ``Dfa`` for
+it: ``complexity`` is one walk and one refinement, and reads the
+letters that occur off the classes.  ``reverse_complexity`` runs no
+refinement at all: by Brzozowski's theorem the subset construction on
+the reversal of an accessible DFA is minimal, so it counts the subsets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 from .errors import InputError
@@ -385,19 +386,28 @@ def _reach_counts(n: int, rows: Sequence[Sequence[int]]) -> list[int]:
 
     One pass over the components, sinks first: a component's reach mask is
     its members OR'd with the masks of the components it has edges into,
-    all of which are complete by then.
+    all of which are complete by then.  A mask has one bit per state, the
+    members of a component one run of bits, and a component takes each
+    successor's mask once, so the work on masks follows the edges between
+    components, not between states.
     """
     count, comp = _components(n, rows)
-    reach = [0] * count
-    for q in range(n):
-        reach[comp[q]] |= 1 << q
+    size = [0] * count
+    for x in comp:
+        size[x] += 1
+    reach = [(1 << k) - 1 << start for k, start in zip(size, accumulate(size, initial=0))]
+    took = [-1] * count  # took[y]: the component whose mask last took y's
     for q in sorted(range(n), key=comp.__getitem__):
         x = comp[q]
         mask = reach[x]
         for row in rows:
-            mask |= reach[comp[row[q]]]
+            y = comp[row[q]]
+            if took[y] != x:
+                took[y] = x
+                mask |= reach[y]
         reach[x] = mask
-    return [reach[x].bit_count() for x in comp]
+    counts = [mask.bit_count() for mask in reach]
+    return [counts[x] for x in comp]
 
 
 def _class_rows(

@@ -28,23 +28,21 @@ atomata", 2014), so atoms are enumerated by ``automata._subsets`` on
 the reversed transitions, the kernel that ``operations.reverse``
 determinizes with, in time proportional to their number.
 
-Atom complexity runs on the image-pair automaton: the quotient of A_S by
-a word w is determined by the pair (Sw, S'w) where S' is the complement
-of S, a pair is accepting when Sw lies inside the final states and S'w
-avoids them, and a pair whose components overlap can never accept again
-and is pruned to a sink.  Two atoms that reach the same pair share that
-quotient and every one after it, so ``atom_complexities`` builds one pair
-automaton per DFA, seeded with the start pair of every atom, and refines
-it once.  ``atom_automaton`` is the same kernel with one seed, and
-``atom_complexity`` counts the classes of that one-seed automaton.
+Every quotient of an atom is a union of atoms (Brzozowski and Tamm): the
+quotient of A_S by w is the union of the A_T with Sw inside T and S'w
+outside it, S' the complement of S.  Atoms are non-empty and pairwise
+disjoint, so that set of atoms names the quotient exactly, and distinct
+names are distinct languages: counting an atom's quotients needs no
+refinement.  ``_atom_quotients`` is one breadth-first search over the
+pairs (Sw, S'w) that expands each name once.  ``atom_complexities``
+seeds it with every atom, so atoms that reach the same quotient share
+it and all after it; ``atom_complexity`` and ``atom_automaton``, with one.
 
-Sizes are counted, not built: the states of a minimal DFA, like the
-classes of a refinement, are pairwise distinguishable, so a quotient's
-complexity is the number of states of the minimal DFA reachable from it,
-and an atom's is the number of classes of the shared pair automaton
-reachable from its seed's class.  ``automata._reach_counts`` gives both
-for every state at once, from one pass over the strongly connected
-components.
+Sizes are counted, not built: the states of a minimal DFA are pairwise
+distinguishable, so a quotient's complexity is the number of states of
+the minimal DFA reachable from it, and an atom's is the number of names
+reachable from its own.  ``automata._reach_counts`` gives both for every
+state at once, from one pass over the strongly connected components.
 """
 
 from __future__ import annotations
@@ -55,9 +53,7 @@ from typing import Iterable, Sequence
 
 from .automata import (
     Dfa,
-    _class_rows,
     _components,
-    _hopcroft,
     _preimages,
     _reach_counts,
     _subsets,
@@ -306,13 +302,14 @@ def quotient_complexities(d: Dfa) -> tuple[int, ...]:
     return tuple(_reach_counts(m.n, [m.delta[letter].image for letter in m.alphabet]))
 
 
-def _atom_keys(m: Dfa, limit: int = DEFAULT_ATOM_STATE_LIMIT) -> frozenset[AtomKey]:
-    """``atoms`` of the minimal DFA m, which it does not minimize again."""
-    if m.n > limit:
+def _atom_masks(m: Dfa, limit: int | None) -> list[int]:
+    """The non-empty atoms of the minimal DFA m as masks of its states, in
+    ``_subsets`` order, so atom 0 is the finals' own; over limit states
+    (None: no limit) LimitError, before any enumeration."""
+    if limit is not None and m.n > limit:
         raise LimitError(f"atom enumeration over {m.n} states exceeds the limit {limit}")
     steps = _preimages(m.n, [m.delta[letter].image for letter in m.alphabet])
-    order, _ = _subsets(steps, sum(1 << q for q in m.finals))
-    return frozenset(frozenset(q for q in range(m.n) if mask >> q & 1) for mask in order)
+    return _subsets(steps, sum(1 << q for q in m.finals))[0]
 
 
 def atoms(d: Dfa, limit: int = DEFAULT_ATOM_STATE_LIMIT) -> frozenset[AtomKey]:
@@ -321,37 +318,41 @@ def atoms(d: Dfa, limit: int = DEFAULT_ATOM_STATE_LIMIT) -> frozenset[AtomKey]:
     The subset construction from S = F over the reversed transitions: the
     set for the word aw is {q : q.a in S}, where S is the set for w.
     """
-    return _atom_keys(minimize(d), limit)
+    m = minimize(d)
+    return frozenset(
+        frozenset(q for q in range(m.n) if mask >> q & 1) for mask in _atom_masks(m, limit)
+    )
 
 
-def _atom_pairs(
-    m: Dfa, keys: Sequence[AtomKey]
-) -> tuple[list[int], list[list[int]], frozenset[int]]:
-    """The image-pair automaton shared by the atoms of the minimal DFA m
-    named by keys.
+def _atom_quotients(
+    m: Dfa, atoms: Sequence[int], seeds: Sequence[int]
+) -> tuple[list[int], list[list[int]]]:
+    """The distinct quotients of the atoms (the masks of ``_atom_masks``)
+    of the minimal DFA m that seeds index, each named by its atoms.
 
-    A pair (X, Y) of state sets is coded as the int X | Y << n.  The seeds
-    (S, complement of S) are states 0.. in the order of keys, and the pairs
-    reachable from them follow in BFS order, letters in alphabet order;
-    overlapping pairs collapse into one sink, coded as ({0}, {0}), which
-    overlaps again after every letter.  Returns (order, rows, finals), rows
-    holding one image list per letter.
+    The quotient of A_S by w is coded by its pair (Sw, S'w) as the int
+    X | Y << n, and named by the AND of held[q], the atoms holding q, over
+    q in X and of their complement over q in Y: an overlapping pair gets
+    the empty name by itself.  The k-th seed is class k, named
+    1 << seeds[k]; new names follow in BFS order, letters in alphabet
+    order, each expanded once from the first pair found with it.  A code
+    is looked up in a code -> class cache first, and named only on a miss.
+    Returns (names, rows), rows[c][j] the class letter c takes class j to.
     """
     n = m.n
-    full = (1 << n) - 1
-    sink = 1 | 1 << n
+    full = (1 << len(atoms)) - 1
+    held = [sum(1 << i for i, mask in enumerate(atoms) if mask >> q & 1) for q in range(n)]
+    # factor[p]: the mask a code's bit p ANDs into its name
+    factor = held + [full ^ h for h in held]
     # steps[c][p]: the bit of p's image, in the X half for p < n, else in Y
-    steps = []
-    for letter in m.alphabet:
-        image = m.delta[letter].image
-        steps.append([1 << q for q in image] + [1 << q + n for q in image])
-    order = []
-    for key in keys:
-        x = sum(1 << q for q in key)
-        order.append(x | (full ^ x) << n)
-    index = {code: i for i, code in enumerate(order)}
+    images = [m.delta[letter].image for letter in m.alphabet]
+    steps = [[1 << q for q in image] + [1 << q + n for q in image] for image in images]
+    codes = [atoms[i] | (atoms[i] ^ (1 << n) - 1) << n for i in seeds]
+    names = [1 << i for i in seeds]
+    cache = {code: j for j, code in enumerate(codes)}  # code -> class
+    index = {name: j for j, name in enumerate(names)}  # name -> class
     rows: list[list[int]] = [[] for _ in steps]
-    for code in order:  # the list grows while it is read: a FIFO queue
+    for code in codes:  # the list grows while it is read: a FIFO queue
         members = []
         rest = code
         while rest:
@@ -362,66 +363,63 @@ def _atom_pairs(
             target = 0
             for p in members:
                 target |= step[p]
-            if target & target >> n:  # X and Y overlap
-                target = sink
-            j = index.get(target)
+            j = cache.get(target)
             if j is None:
-                j = index[target] = len(order)
-                order.append(target)
+                name = full
+                rest = target
+                while rest:
+                    low = rest & -rest
+                    name &= factor[low.bit_length() - 1]
+                    rest ^= low
+                j = index.get(name)
+                if j is None:
+                    j = index[name] = len(codes)
+                    codes.append(target)
+                    names.append(name)
+                cache[target] = j
             row.append(j)
-    # a pair accepts when X lies inside the finals and Y avoids them, which
-    # no overlapping pair, the sink included, can do
-    final_mask = sum(1 << q for q in m.finals)
-    reject = (full ^ final_mask) | final_mask << n
-    finals = frozenset(i for i, code in enumerate(order) if not code & reject)
-    return order, rows, finals
+    return names, rows
 
 
-def _atom_seed(m: Dfa, key) -> tuple[list[int], list[list[int]], frozenset[int]]:
-    """``_atom_pairs`` of the minimal DFA m with key as its only seed;
+def _atom_search(m: Dfa, key) -> tuple[list[int], list[list[int]]]:
+    """``_atom_quotients`` of the minimal DFA m from the atom of key alone;
     rejects a key outside m's states and an empty atom."""
     s = frozenset(key)
     if not s <= frozenset(range(m.n)):
         raise InputError(f"atom key {sorted(s)} outside the minimal DFA's states")
-    order, rows, finals = _atom_pairs(m, [s])
-    if not finals:
+    x = sum(1 << q for q in s)
+    masks = _atom_masks(m, None)
+    if x not in masks:
         raise InputError(f"atom for key {sorted(s)} is empty")
-    return order, rows, finals
+    return _atom_quotients(m, masks, [masks.index(x)])
 
 
 def atom_automaton(m: Dfa, key) -> Dfa:
-    """DFA recognizing the atom A_S of the minimal DFA m.
-
-    m must be minimal (as ``minimize`` returns it): the key names its
-    states.  States are the image pairs reachable from (S, complement of
-    S), numbered as ``_atom_pairs`` numbers them with S the only seed;
-    overlapping pairs collapse into one sink.  Rejects empty atoms.
-    """
-    order, rows, finals = _atom_seed(m, key)
-    return Dfa._trusted(len(order), m.alphabet, rows, 0, finals)
+    """The minimal DFA of the atom A_S of the minimal DFA m, whose states
+    the key names: the atom's quotients, numbered as ``minimize`` numbers
+    them, a quotient accepting the empty word when it holds A_F, atom 0.
+    Rejects empty atoms."""
+    names, rows = _atom_search(m, key)
+    return Dfa._trusted(
+        len(names), m.alphabet, rows, 0, frozenset(j for j, name in enumerate(names) if name & 1)
+    )
 
 
 def atom_complexity(d: Dfa, key) -> int:
     """Quotient complexity of the atom A_S of the minimal DFA of L(d),
-    over the full alphabet: the classes of one refinement of the one-seed
-    pair automaton, every pair of which is reachable from the seed."""
-    order, rows, finals = _atom_seed(minimize(d), key)
-    return _hopcroft(len(order), rows, finals)[0]
+    over the full alphabet: the number of its distinct quotients."""
+    return len(_atom_search(minimize(d), key)[0])
 
 
 def atom_complexities(d: Dfa) -> dict[AtomKey, int]:
     """atom_complexity of every non-empty atom (keyed as ``atoms`` keys
-    them, under its default limit).
-
-    d is minimized once and every atom is counted on one shared pair
-    automaton with one refinement: its classes are distinct languages, so
-    an atom's complexity is the number of classes reachable from its
-    seed's class.
-    """
+    them, under its default limit): d is minimized once and every atom
+    seeds one shared search, an atom's complexity the number of quotients
+    reachable from its own."""
     m = minimize(d)
-    keys = list(_atom_keys(m))
-    order, rows, finals = _atom_pairs(m, keys)
-    count, block_of = _hopcroft(len(order), rows, finals)
-    reach = _reach_counts(count, _class_rows(rows, count, block_of))
-    # the seeds are states 0..len(keys)-1
-    return {key: reach[block_of[i]] for i, key in enumerate(keys)}
+    masks = _atom_masks(m, DEFAULT_ATOM_STATE_LIMIT)
+    names, rows = _atom_quotients(m, masks, range(len(masks)))
+    reach = _reach_counts(len(names), rows)  # the seeds are classes 0..
+    return {
+        frozenset(q for q in range(m.n) if mask >> q & 1): reach[i] for i, mask in enumerate(masks)
+    }

@@ -20,8 +20,10 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from suffixconvex.automata import (
     Dfa,
+    _class_rows,
     _hopcroft,
     _occurring,
+    _reach_counts,
     _walk,
     accepts,
     coreachable_states,
@@ -31,6 +33,7 @@ from suffixconvex.automata import (
 )
 from suffixconvex.classifiers import ClassReport, Word, _letter_prefixed
 from suffixconvex.errors import InputError, NotationError
+from suffixconvex.measures import atoms
 from suffixconvex.operations import _TRUTH
 from suffixconvex.transformations import Transformation, cycle, send_to
 from suffixconvex.verify import _atom_items
@@ -728,8 +731,8 @@ def naive_atoms(d: Dfa) -> frozenset[frozenset[int]]:
 # --- size queries: the routines ``automata.complexity``,
 # ``automata.occurring_letters``, ``measures.quotient_complexities`` and
 # ``measures.atom_complexities`` replaced, each building a full minimal DFA
-# for every size it reads, and the one-atom pair automaton that
-# ``measures._atom_pairs`` replaced.
+# for every size it reads, and the one-atom pair automaton, with a sink for
+# the overlapping pairs, that ``measures.atom_automaton`` once numbered.
 
 
 def naive_occurring_letters(d: Dfa) -> frozenset[str]:
@@ -783,7 +786,7 @@ def naive_atom_automaton(m: Dfa, key) -> Dfa:
     as frozenset pairs and numbered by BFS discovery order with letters in
     alphabet order; overlapping pairs collapse into one sink (None).  A
     pair accepts when its first set lies inside the finals and its second
-    avoids them.  The reference for ``measures.atom_automaton``.
+    avoids them.  Minimized, the reference for ``measures.atom_automaton``.
     """
     s = frozenset(key)
     full = frozenset(range(m.n))
@@ -818,6 +821,82 @@ def naive_atom_complexity(d: Dfa, key) -> int:
     """Quotient complexity of the atom A_S: its own atom automaton,
     minimizing L(d) for every key."""
     return minimize(naive_atom_automaton(minimize(d), key)).n
+
+
+# --- the image-pair route to atom complexity that
+# ``measures._atom_quotients`` replaced: one pair automaton, overlapping
+# pairs collapsed into a sink, refined with ``_hopcroft``.
+
+
+def refined_atom_pairs(
+    m: Dfa, keys: Sequence[frozenset[int]]
+) -> tuple[list[int], list[list[int]], frozenset[int]]:
+    """The image-pair automaton shared by the atoms of the minimal DFA m
+    named by keys.
+
+    A pair (X, Y) of state sets is coded as the int X | Y << n.  The seeds
+    (S, complement of S) are states 0.. in the order of keys, and the pairs
+    reachable from them follow in BFS order, letters in alphabet order;
+    overlapping pairs collapse into one sink, coded as ({0}, {0}), which
+    overlaps again after every letter.  Returns (order, rows, finals), rows
+    holding one image list per letter.
+    """
+    n = m.n
+    full = (1 << n) - 1
+    sink = 1 | 1 << n
+    steps = []
+    for letter in m.alphabet:
+        image = m.delta[letter].image
+        steps.append([1 << q for q in image] + [1 << q + n for q in image])
+    order = []
+    for key in keys:
+        x = sum(1 << q for q in key)
+        order.append(x | (full ^ x) << n)
+    index = {code: i for i, code in enumerate(order)}
+    rows: list[list[int]] = [[] for _ in steps]
+    for code in order:
+        members = [p for p in range(2 * n) if code >> p & 1]
+        for step, row in zip(steps, rows):
+            target = 0
+            for p in members:
+                target |= step[p]
+            if target & target >> n:
+                target = sink
+            j = index.get(target)
+            if j is None:
+                j = index[target] = len(order)
+                order.append(target)
+            row.append(j)
+    # a pair accepts when X lies inside the finals and Y avoids them, which
+    # no overlapping pair, the sink included, can do
+    final_mask = sum(1 << q for q in m.finals)
+    reject = (full ^ final_mask) | final_mask << n
+    finals = frozenset(i for i, code in enumerate(order) if not code & reject)
+    return order, rows, finals
+
+
+def refined_atom_complexities(d: Dfa) -> dict[frozenset[int], int]:
+    """Every atom's complexity from one refinement of the pair automaton
+    seeded with all atoms: the classes reachable from its seed's class."""
+    m = minimize(d)
+    keys = list(atoms(m, limit=m.n))
+    order, rows, finals = refined_atom_pairs(m, keys)
+    count, block_of = _hopcroft(len(order), rows, finals)
+    reach = _reach_counts(count, _class_rows(rows, count, block_of))
+    return {key: reach[block_of[i]] for i, key in enumerate(keys)}
+
+
+def refined_atom_complexity(d: Dfa, key) -> int:
+    """One atom's complexity: the classes of one refinement of its own
+    pair automaton, every pair of which is reachable from the seed."""
+    m = minimize(d)
+    s = frozenset(key)
+    if not s <= frozenset(range(m.n)):
+        raise InputError(f"atom key {sorted(s)} outside the minimal DFA's states")
+    order, rows, finals = refined_atom_pairs(m, [s])
+    if not finals:
+        raise InputError(f"atom for key {sorted(s)} is empty")
+    return _hopcroft(len(order), rows, finals)[0]
 
 
 def witness_atom_items(family: str, n: int) -> list[tuple[frozenset, int, int]]:

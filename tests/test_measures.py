@@ -14,6 +14,8 @@ from helpers import (
     naive_semigroup,
     random_dfa_with_edge_finals,
     random_generators_dfa,
+    refined_atom_complexities,
+    refined_atom_complexity,
     revalidated,
     witness_atom_items,
 )
@@ -420,7 +422,8 @@ def test_atom_automaton_matches_naive_atom_automaton_on_corpus():
         for bits in range(2**m.n):
             s = frozenset(q for q in range(m.n) if bits >> q & 1)
             if s in keys:
-                assert atom_automaton(m, s) == naive_atom_automaton(m, s)  # numbering included
+                # the minimal atom DFA, numbering included
+                assert atom_automaton(m, s) == minimize(naive_atom_automaton(m, s))
                 built += 1
             else:
                 for build in (atom_automaton, naive_atom_automaton, atom_complexity):
@@ -432,47 +435,116 @@ def test_atom_automaton_matches_naive_atom_automaton_on_corpus():
     assert built >= 1000
 
 
+def test_atom_complexities_match_refined_pair_automaton_on_corpus():
+    # n <= 9, beyond naive_atom_complexity's reach; the classes' names are
+    # checked against their definition at each class's representative pair
+    rng = Random(71)
+    corpus = [random_dfa_with_edge_finals(rng, max_n=9) for _ in range(150)]
+    corpus += dfa_corpus(seed=73, count=40, max_n=9)
+    corpus += [Dfa(1, (), {}, 0, finals) for finals in (frozenset(), frozenset({0}))]
+    floors = {"miss on a known name": 0, "empty from a disjoint pair": 0,
+              "one state": 0, "no letters": 0, "eight states or more": 0}
+    for d in corpus:
+        m = minimize(d)
+        floors["one state"] += m.n == 1
+        floors["no letters"] += not m.alphabet
+        floors["eight states or more"] += m.n >= 8
+        got = atom_complexities(d)
+        assert got == refined_atom_complexities(d)
+        masks = measures._atom_masks(m, None)
+        keys = [frozenset(q for q in range(m.n) if x >> q & 1) for x in masks]
+        assert keys[0] == m.finals and set(keys) == set(got)
+        for key in keys:
+            assert atom_complexity(m, key) == refined_atom_complexity(m, key) == got[key]
+        names, rows = measures._atom_quotients(m, masks, range(len(masks)))
+
+        def name_of(x, y):  # the atoms T with x inside T and y outside it
+            return sum(1 << i for i, t in enumerate(keys) if x <= t and not y & t)
+
+        # each class's representative is its seed, or the first pair found
+        # with its name: its discoverer's representative after one letter
+        full = frozenset(range(m.n))
+        reps = [(key, full - key) for key in keys]
+        for j in range(len(names)):
+            x, y = reps[j]
+            assert names[j] == name_of(x, y)
+            for letter, row in zip(m.alphabet, rows):
+                t = m.delta[letter]
+                succ = (frozenset(map(t, x)), frozenset(map(t, y)))
+                assert names[row[j]] == name_of(*succ)
+                if row[j] == len(reps):
+                    reps.append(succ)
+                elif succ != reps[row[j]]:
+                    floors["miss on a known name"] += 1
+                if not names[row[j]] and not succ[0] & succ[1]:
+                    floors["empty from a disjoint pair"] += 1
+        assert len(reps) == len(names)
+    assert min(floors.values()) >= 2, floors
+
+
+def _spy_on_atom_search(monkeypatch, m):
+    """Patch measures so that refining, walking or building an automaton
+    fails, minimize hands back m, and every ``_atom_quotients`` call records
+    the number of classes it expanded; returns the list of those numbers."""
+
+    def fail(*args):
+        raise AssertionError("the atom search refined, walked or built an automaton")
+
+    # minimize refines and walks, so it hands back m: any call left is the search's
+    monkeypatch.setattr(measures, "minimize", lambda d: m)
+    monkeypatch.setattr(automata, "_hopcroft", fail)
+    monkeypatch.setattr(automata, "_walk", fail)
+    monkeypatch.setattr(measures, "atom_automaton", fail)
+    expanded = []
+    search = measures._atom_quotients
+
+    def spy(m, atoms, seeds):
+        names, rows = search(m, atoms, seeds)
+        # each expanded pair adds one entry to every row
+        expanded.append({len(names)} | {len(row) for row in rows})
+        return names, rows
+
+    monkeypatch.setattr(measures, "_atom_quotients", spy)
+    return expanded
+
+
 def test_atom_complexities_refines_once(monkeypatch):
+    # the one pass shared by all 33 atoms is a search, not a refinement:
+    # every name it expands is a distinct quotient
     w = make_witness("left-ideal", 6)
-    sizes = []
-    refine = measures._hopcroft
-    monkeypatch.setattr(
-        measures, "_hopcroft", lambda n, rows, finals: sizes.append(n) or refine(n, rows, finals)
-    )
-    got = atom_complexities(w)
-    assert len(got) == 2**5 + 1
-    # one refinement of the one pair automaton shared by the 33 atoms
-    assert sizes == [len(measures._atom_pairs(minimize(w), list(got))[0])]
-    sizes.clear()
-    with pytest.raises(LimitError):  # the atom limit is checked before any refinement
-        atom_complexities(make_witness("left-ideal", 13))
-    assert sizes == []
+    m = minimize(w)
+    want = refined_atom_complexities(w)
+    assert len(want) == 2**5 + 1
+    assert not hasattr(measures, "_hopcroft")
+    expanded = _spy_on_atom_search(monkeypatch, m)
+    assert atom_complexities(w) == want
+    assert len(expanded) == 1 and len(expanded[0]) == 1
 
 
 def test_atom_complexity_refines_once_and_builds_no_dfa(monkeypatch):
     w = make_witness("left-ideal", 6)
     m = minimize(w)
-    want = atom_complexities(w)
-    states = {key: len(measures._atom_pairs(m, [key])[0]) for key in want}
-    sizes = []
-    refine = measures._hopcroft
-    monkeypatch.setattr(
-        measures, "_hopcroft", lambda n, rows, finals: sizes.append(n) or refine(n, rows, finals)
-    )
-
-    def fail(*args):
-        raise AssertionError("atom_complexity built or walked an automaton")
-
-    # minimize walks, so it hands back m: any walk left is atom_complexity's
-    monkeypatch.setattr(measures, "minimize", lambda d: m)
-    monkeypatch.setattr(automata, "_walk", fail)
-    monkeypatch.setattr(measures, "atom_automaton", fail)
+    want = refined_atom_complexities(w)
     for key, value in want.items():
-        sizes.clear()
+        assert atom_automaton(m, key).n == value
+    expanded = _spy_on_atom_search(monkeypatch, m)
+    for key, value in want.items():
+        expanded.clear()
         assert atom_complexity(w, key) == value
-        # one refinement of the one-seed pair automaton, every pair of which
-        # is reachable from the seed
-        assert sizes == [states[key]]
+        # one search from the key's atom, expanding exactly its quotients
+        assert expanded == [{value}]
+
+
+def test_atom_limit_comes_before_any_enumeration(monkeypatch):
+    def fail(*args):
+        raise AssertionError("atoms were enumerated past the limit")
+
+    monkeypatch.setattr(measures, "_preimages", fail)
+    monkeypatch.setattr(measures, "_subsets", fail)
+    w = make_witness("left-ideal", 13)
+    for count in (atoms, atom_complexities):
+        with pytest.raises(LimitError, match="exceeds the limit 12"):
+            count(w)
 
 
 def test_atom_complexities_minimizes_once(monkeypatch):
