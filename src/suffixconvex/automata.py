@@ -12,30 +12,33 @@ plain ints: they index the ``image`` tuples of the transformations
 directly and hold subsets as int bitmasks.  ``_walk`` is the one walk
 that numbers the states reachable from a start; when that numbering is
 the identity, as for every output of ``determinize`` and the direct
-product, it hands the images back as the rows.  ``_subsets`` is the
+product, it hands the images back as the rows.  ``_occurring`` adds
+co-reachability over the walked states: the one pass that finds a DFA's
+useful part and its occurring letters, for Suff(L),
+``occurring_letters`` and ``reverse_complexity``.  ``_subsets`` is the
 one subset construction: its callers (reversal, star, concatenation,
 Suff(L), Σ⁺L, atoms) hand it the nondeterministic moves as bitmask
 steps, one mask per (letter, state), with any epsilon moves already
 folded in.  ``_hopcroft`` is the one refinement: Hopcroft's algorithm
 with a worklist of blocks, each popped block splitting the partition by
-its preimage under every letter, and an early exit once every class is
-a single state.  It returns the number of classes and the class of each
+its preimage under every letter, and an early exit once every class is a
+single state.  It returns the number of classes and the class of each
 state; ``_class_rows`` turns that into the quotient's rows, which
-``minimize`` numbers with ``_walk``.
-``_components`` is the one strongly-connected-component pass: the
-semigroup count splits its orbit of image sets with it, and
-``_reach_counts`` counts on it the states reachable from every state at
-once, for the quotient and atom complexities.  A kernel whose rows are
-valid by construction (determinize, minimize, the direct
-product, the atom automaton) builds its result with ``Dfa._trusted``,
-which skips the checks of ``Dfa.__post_init__``; every other ``Dfa`` is
-validated.  A query that needs only a size (``complexity`` here, the
-quotient and atom complexities in ``measures``) counts states,
-refinement classes or atom quotients and builds no minimal ``Dfa`` for
-it: ``complexity`` is one walk and one refinement, and reads the
-letters that occur off the classes.  ``reverse_complexity`` runs no
-refinement at all: by Brzozowski's theorem the subset construction on
-the reversal of an accessible DFA is minimal, so it counts the subsets.
+``minimize`` numbers with ``_walk``.  ``_components`` is the one
+strongly-connected-component pass: the semigroup count splits its orbit
+of image sets with it, and ``_reach_counts`` counts on it the states
+reachable from every state at once, for the quotient and atom
+complexities.  A kernel whose rows are valid by construction
+(determinize, minimize, the direct product, ΣL, the atom automaton)
+builds its result with ``Dfa._trusted``, which skips the checks of
+``Dfa.__post_init__``; every other ``Dfa`` is validated.  A query that
+needs only a size (``complexity`` here, the quotient and atom
+complexities in ``measures``) counts states, refinement classes or atom
+quotients and builds no minimal ``Dfa`` for it: ``complexity`` is one
+walk and one refinement, and reads the letters that occur off the
+classes.  ``reverse_complexity`` runs no refinement at all: by
+Brzozowski's theorem the subset construction on the reversal of an
+accessible DFA is minimal, so it counts the subsets.
 """
 
 from __future__ import annotations
@@ -143,12 +146,6 @@ def _coreachable(n: int, rows: Sequence[Sequence[int]], finals: Iterable[int]) -
                 live[p] = True
                 stack.append(p)
     return live
-
-
-def coreachable_states(d: Dfa) -> frozenset[int]:
-    """States from which some final state can be reached."""
-    live = _coreachable(d.n, [t.image for t in d.delta.values()], d.finals)
-    return frozenset(q for q in range(d.n) if live[q])
 
 
 def _subsets(steps: Sequence[Sequence[int]], start: int) -> tuple[list[int], list[list[int]]]:
@@ -445,20 +442,22 @@ def union_alphabet(d1: Dfa, d2: Dfa) -> tuple[str, ...]:
     return d1.alphabet + tuple(l for l in d2.alphabet if l not in d1.alphabet)
 
 
-def _occurring(d: Dfa) -> tuple[int, Sequence[Sequence[int]], frozenset[int], list[bool]]:
-    """One walk over the reachable states, (n, rows, finals) as ``_walk``
-    numbers them, and per letter whether it occurs in an accepted word:
-    whether it takes some reachable state into a co-reachable one."""
+def _occurring(
+    d: Dfa,
+) -> tuple[int, Sequence[Sequence[int]], frozenset[int], list[bool], list[bool]]:
+    """One walk over the reachable states: (n, rows, finals) as ``_walk``
+    numbers them, live[q] for whether a final state can be reached from q,
+    and per letter whether it occurs in an accepted word: whether it takes
+    some reachable state into a live one."""
     images = [d.delta[letter].image for letter in d.alphabet]
     order, rows, finals = _walk(d.n, images, d.initial, d.finals)
-    n = len(order)
-    live = _coreachable(n, rows, finals)
-    return n, rows, finals, [any(live[q] for q in row) for row in rows]
+    live = _coreachable(len(order), rows, finals)
+    return len(order), rows, finals, live, [any(live[q] for q in row) for row in rows]
 
 
 def occurring_letters(d: Dfa) -> frozenset[str]:
     """Letters appearing in at least one accepted word."""
-    occurs = _occurring(d)[3]
+    occurs = _occurring(d)[4]
     return frozenset(letter for letter, ok in zip(d.alphabet, occurs) if ok)
 
 
@@ -505,6 +504,6 @@ def reverse_complexity(d: Dfa) -> int:
     Only states with a non-empty language enter a subset, and those are
     reachable over the occurring letters, so the walk stays accessible.
     """
-    n, rows, finals, occurs = _occurring(d)
+    n, rows, finals, _, occurs = _occurring(d)
     steps = _preimages(n, [row for row, ok in zip(rows, occurs) if ok])
     return len(_subsets(steps, sum(1 << q for q in finals))[0])

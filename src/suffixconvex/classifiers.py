@@ -13,12 +13,13 @@ matches a wanted pattern:
     suffix-free    (L, Σ⁺L)             accept, accept          L∩Σ⁺L
     suffix-convex  (Σ⁺L, Suff(L), L)    accept, accept, reject  Σ⁺L∩Suff(L)∖L
 
-A left ideal must also be non-empty: the same search over (L,) for an
-accepted word.  ΣL is built directly as an (n+1)-state DFA, so the
-left-ideal test needs no subset construction; Σ⁺L and Suff(L) are
-subset constructions on d's transitions, handed to
-``automata.determinize`` as bitmask steps, and ``classify`` builds each
-of them once.
+A left ideal must also be non-empty: the walk over d's reachable
+states (``automata._walk``) reaches a final state.  ΣL is built directly
+as an (n+1)-state DFA, so the left-ideal test needs no subset
+construction; Σ⁺L and Suff(L) are subset constructions on d's
+transitions, handed to ``automata.determinize`` as bitmask steps, and
+``classify`` builds each of them once, Suff(L) from the useful states of
+one walk (``automata._occurring``).
 
 Two identities make these the counterexamples of the definitions:
 
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 from operator import getitem
 from typing import Optional, Sequence
 
-from .automata import Dfa, coreachable_states, determinize, reachable_states
+from .automata import Dfa, _occurring, _walk, determinize
 
 Word = tuple[str, ...]
 
@@ -85,34 +86,32 @@ def _first_word(alphabet, dfas: Sequence[Dfa], want: Sequence[bool]) -> Optional
     return None
 
 
-def _steps(d: Dfa) -> list[list[int]]:
-    """d's transitions as bitmask steps: one mask per (letter, state)."""
-    return [[1 << q for q in d.delta[letter].image] for letter in d.alphabet]
-
-
 def suffix_language(d: Dfa) -> Dfa:
     """DFA for the suffixes of words of L(d).
 
     The subset construction on d's transitions from the set of states
-    that are both reachable and co-reachable.
+    that are both reachable and co-reachable, all read off one walk over
+    the reachable states, in its numbering.
     """
-    useful = frozenset(reachable_states(d)) & coreachable_states(d)
-    return determinize(
-        d.alphabet, _steps(d), sum(1 << q for q in useful), sum(1 << f for f in d.finals)
-    )
+    _, rows, finals, live, _ = _occurring(d)
+    steps = [[1 << q for q in row] for row in rows]
+    start = sum(1 << q for q, ok in enumerate(live) if ok)
+    return determinize(d.alphabet, steps, start, sum(1 << f for f in finals))
 
 
 def _letter_prefixed(d: Dfa) -> Dfa:
     """DFA for ΣL: a fresh initial state n that every letter takes to d's."""
-    delta = {letter: d.delta[letter].image + (d.initial,) for letter in d.alphabet}
-    return Dfa(d.n + 1, d.alphabet, delta, d.n, d.finals)
+    rows = [d.delta[letter].image + (d.initial,) for letter in d.alphabet]
+    return Dfa._trusted(d.n + 1, d.alphabet, rows, d.n, d.finals)
 
 
 def _prefixed(d: Dfa) -> Dfa:
     """DFA for Σ⁺L: the subset construction on ΣL with a loop on every
     letter at its initial state n."""
     guess = 1 << d.n
-    steps = [row + [guess | 1 << d.initial] for row in _steps(d)]
+    steps = [
+        [1 << q for q in d.delta[letter].image] + [guess | 1 << d.initial] for letter in d.alphabet
+    ]
     return determinize(d.alphabet, steps, guess, sum(1 << f for f in d.finals))
 
 
@@ -145,7 +144,7 @@ def is_left_ideal(d: Dfa) -> tuple[bool, Optional[Word]]:
     The counterexample, if any, is the smallest word of the form lw with
     w accepted and lw rejected.
     """
-    if _first_word(d.alphabet, (d,), (True,)) is None:
+    if not _walk(d.n, [t.image for t in d.delta.values()], d.initial, d.finals)[2]:
         return False, None
     return _run("left-ideal", d, {})
 

@@ -26,12 +26,10 @@ from suffixconvex.automata import (
     _reach_counts,
     _walk,
     accepts,
-    coreachable_states,
     minimize,
-    reachable_states,
     union_alphabet,
 )
-from suffixconvex.classifiers import ClassReport, Word, _letter_prefixed
+from suffixconvex.classifiers import ClassReport, Word
 from suffixconvex.errors import InputError, NotationError
 from suffixconvex.measures import atoms
 from suffixconvex.operations import _TRUTH
@@ -363,6 +361,22 @@ def naive_reachable_states(d: Dfa) -> list[int]:
     return order
 
 
+def naive_coreachable_states(d: Dfa) -> frozenset[int]:
+    """States from which some final state can be reached: a DFS from the
+    finals along the reversed transitions, listed per state up front."""
+    pre = {q: set() for q in range(d.n)}
+    for letter in d.alphabet:
+        for p in range(d.n):
+            pre[d.delta[letter](p)].add(p)
+    seen = set(d.finals)
+    stack = list(seen)
+    while stack:
+        for p in pre[stack.pop()] - seen:
+            seen.add(p)
+            stack.append(p)
+    return frozenset(seen)
+
+
 def _renumber(d: Dfa) -> Dfa:
     """Relabel states in BFS discovery order; requires all states reachable."""
     order = naive_reachable_states(d)
@@ -577,14 +591,15 @@ def naive_suffix_language(d: Dfa) -> Dfa:
     NFA whose initial states are the states of d that are both reachable
     and co-reachable, determinized.
     """
-    useful = frozenset(reachable_states(d)) & coreachable_states(d)
+    useful = frozenset(naive_reachable_states(d)) & naive_coreachable_states(d)
     return naive_determinize(Nfa(d.n, d.alphabet, _moves(d), useful, d.finals))
 
 
 def naive_prefixed(d: Dfa) -> Dfa:
     """DFA for Σ⁺L: ΣL with a loop on every letter at its initial state,
-    determinized."""
-    moves = _moves(_letter_prefixed(d)) | {(d.n, letter, d.n) for letter in d.alphabet}
+    determinized.  ΣL is d with a fresh initial state n that every letter
+    takes to d's initial state."""
+    moves = _moves(d) | {(d.n, letter, q) for letter in d.alphabet for q in (d.initial, d.n)}
     return naive_determinize(Nfa(d.n + 1, d.alphabet, moves, {d.n}, d.finals))
 
 
@@ -737,8 +752,8 @@ def naive_atoms(d: Dfa) -> frozenset[frozenset[int]]:
 
 def naive_occurring_letters(d: Dfa) -> frozenset[str]:
     """Letters appearing in at least one accepted word."""
-    reach = reachable_states(d)
-    core = coreachable_states(d)
+    reach = naive_reachable_states(d)
+    core = naive_coreachable_states(d)
     return frozenset(
         letter for letter in d.alphabet if any(d.delta[letter].image[p] in core for p in reach)
     )
@@ -762,7 +777,7 @@ def occurring_route_complexity(d: Dfa) -> int:
     """``automata.complexity`` as it was before it read the occurring
     letters off its refinement: a co-reachability pass finds them, and a
     second walk drops the states that only a dropped letter reached."""
-    n, rows, finals, occurs = _occurring(d)
+    n, rows, finals, _, occurs = _occurring(d)
     if not all(occurs):
         order, rows, finals = _walk(n, [r for r, ok in zip(rows, occurs) if ok], 0, finals)
         n = len(order)
@@ -907,6 +922,25 @@ def witness_atom_items(family: str, n: int) -> list[tuple[frozenset, int, int]]:
     return _atom_items(make_witness(family, n), claim, n)
 
 
+# --- dialects: the exhaustive searches behind the claims table's statements
+# that no dialect meets a bound
+
+
+def injective_dialects(width: int, targets: str, kept: Iterable[int]) -> Iterable[tuple]:
+    """Every letter map over a witness of width letters that keeps k of its
+    letters, for each k in kept, and renames them injectively onto the
+    letters of targets; a dropped letter is None.  Kept positions in
+    lexicographic order, then target tuples in ``itertools.permutations``
+    order."""
+    for k in kept:
+        for positions in itertools.combinations(range(width), k):
+            for names in itertools.permutations(targets, k):
+                pi = [None] * width
+                for position, name in zip(positions, names):
+                    pi[position] = name
+                yield tuple(pi)
+
+
 # --- classifiers: the per-test product searches ``classifiers._first_word``
 # replaced; each predicate builds its own product, and the left-ideal test
 # searches once per letter.
@@ -932,7 +966,7 @@ def _shortest_word(alphabet, start, step, hit) -> Optional[Word]:
 
 
 def _is_empty(d: Dfa) -> bool:
-    return not (set(reachable_states(d)) & d.finals)
+    return not (set(naive_reachable_states(d)) & d.finals)
 
 
 def _prefixed_nfa(d: Dfa, allow_empty_prefix: bool) -> Nfa:

@@ -11,6 +11,7 @@ from helpers import (
     letterwise_hopcroft,
     naive_complete_over,
     naive_complexity,
+    naive_coreachable_states,
     naive_determinize,
     naive_minimize,
     naive_occurring_letters,
@@ -33,13 +34,13 @@ from hypothesis import given, settings, strategies as st
 from suffixconvex.automata import (
     Dfa,
     _components,
+    _coreachable,
     _hopcroft,
     _reach_counts,
     _walk,
     accepts,
     apply_word,
     complexity,
-    coreachable_states,
     determinize,
     minimize,
     occurring_letters,
@@ -275,7 +276,7 @@ def test_complexity_matches_naive_complexity_on_corpus():
         assert sum(naive_occurring_letters(d) != frozenset(d.alphabet) for d in ds) >= floor
     scanned = 0
     for d in corpus + raw:
-        live, occurring = coreachable_states(d), naive_occurring_letters(d)
+        live, occurring = naive_coreachable_states(d), naive_occurring_letters(d)
         scanned += any(d.delta[c](d.initial) not in live and c in occurring for c in d.alphabet)
     assert scanned >= 15
     identity = [reachable_states(d) == list(range(d.n)) for d in corpus + raw]
@@ -610,9 +611,17 @@ def test_reachability_matches_oracle():
     for d in dfa_corpus(seed=7, count=40):
         assert set(reachable_states(d)) == reachable_oracle(d)
     rng = Random(47)
+    live_counts = []
     for _ in range(300):
         d = random_dfa_any_start(rng)
         assert reachable_states(d) == naive_reachable_states(d)
+        live = _coreachable(d.n, [d.delta[letter].image for letter in d.alphabet], d.finals)
+        assert {q for q in range(d.n) if live[q]} == naive_coreachable_states(d)
+        live_counts.append((sum(live), d.n))
+    # empty, partial and full co-reachable sets all occur
+    assert sum(k == 0 for k, _ in live_counts) >= 30
+    assert sum(0 < k < n for k, n in live_counts) >= 80
+    assert sum(k == n for k, n in live_counts) >= 100
 
 
 def test_language_of_minimized_matches_brute_force():

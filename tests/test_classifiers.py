@@ -14,6 +14,7 @@ from helpers import (
     naive_is_suffix_free,
     random_dfa,
     random_dfa_any_start,
+    revalidated,
     words_upto,
 )
 
@@ -133,6 +134,8 @@ def test_classifiers_match_naive_classifiers():
         for predicate, naive in pairs:
             assert predicate(d) == naive(d)
         assert classify(d) == naive_classify(d)
+        sigma_l = classifiers._letter_prefixed(d)
+        assert revalidated(sigma_l) == sigma_l  # the unchecked constructor built a valid Dfa
 
 
 def test_subset_constructions_per_call(monkeypatch):

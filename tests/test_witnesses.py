@@ -1,10 +1,20 @@
 import pytest
+from helpers import injective_dialects
 
 from suffixconvex.automata import complexity, minimize
 from suffixconvex.classifiers import classify
 from suffixconvex.errors import InputError
 from suffixconvex.measures import quotient_complexities
-from suffixconvex.operations import complement, equivalent, star
+from suffixconvex.operations import (
+    BOOL_OPS,
+    boolean_restricted,
+    boolean_unrestricted,
+    complement,
+    concat,
+    equivalent,
+    reverse,
+    star,
+)
 from suffixconvex.witnesses import (
     CLAIMS,
     FAMILIES,
@@ -226,8 +236,6 @@ def test_every_measured_claim_states_its_formula():
 def test_regular_witness_pair_meets_restricted_product_bound():
     # the regular product claims have no harness rows; the restricted one
     # is met by the witness against itself
-    from suffixconvex.operations import concat
-
     for m in range(3, 7):
         for n in range(3, 7):
             product = concat(make_witness("regular", m), make_witness("regular", n))
@@ -248,11 +256,71 @@ def test_every_witness_numbering_is_reachable():
 
 def test_formulas_continue_past_the_default_ranges():
     # spot checks one size beyond the harness caps
-    from suffixconvex.operations import concat, reverse
-
     d = make_dialect("suffix-closed", 9, ("a", None, None, "d", "e"))
     assert complexity(reverse(d)) == 2**8 + 1
     assert complexity(star(make_witness("suffix-free-3", 9))) == 2**7 + 1
     p1 = make_dialect("left-ideal", 7, ("a", None, None, None, "e"))
     p2 = make_dialect("left-ideal", 7, ("a", None, None, None, "e"))
     assert complexity(concat(p1, p2)) == 13
+
+
+# --- the negative statements of the claims table, checked by searching
+# dialects exhaustively at small sizes
+
+
+def _claim(family, quantity):
+    (claim,) = [c for c in CLAIMS if (c.family, c.quantity) == (family, quantity)]
+    return claim
+
+
+def test_three_letter_boolean_pair_meets_no_bound_at_44():
+    # why suffix-free-3's boolean claims skip (m,n)=(4,4): with the witness
+    # as first operand, no permutation of a, b, c as second dialect meets a
+    # boolean bound there, in either mode (one alphabet, so they agree)
+    first = make_witness("suffix-free-3", 4)
+    seconds = [make_dialect("suffix-free-3", 4, pi) for pi in injective_dialects(3, "abc", [3])]
+    assert len(seconds) == 6
+    for mode, boolean in (("restricted", boolean_restricted), ("unrestricted", boolean_unrestricted)):
+        claims = {op: _claim("suffix-free-3", f"{op}-{mode}") for op in BOOL_OPS}
+        assert all(claim.exclude(4, 4) for claim in claims.values())
+        bounds = {op: claim.formula(4, 4) for op, claim in claims.items()}
+        best = {op: max(complexity(boolean(first, d, op)) for d in seconds) for op in BOOL_OPS}
+        assert bounds == {"union": 10, "symdiff": 10, "difference": 8, "intersection": 6}
+        assert best == {"union": 6, "symdiff": 6, "difference": 4, "intersection": 4}
+
+
+def test_left_ideal_alt_meets_no_product_bound_at_44():
+    # why left-ideal-alt's product claims skip every row, against the
+    # left-ideal product bounds: with the full witness as first operand at
+    # (4,4), no second dialect over a..e keeping at least one letter reaches
+    # mn+m+n, and none over the same five letters reaches m+n-1
+    first = make_witness("left-ideal-alt", 4)
+    sizes = {
+        pi: complexity(concat(first, make_dialect("left-ideal-alt", 4, pi)))
+        for pi in injective_dialects(5, "abcde", range(1, 6))
+    }
+    same_alphabet = [size for pi, size in sizes.items() if None not in pi]
+    assert (len(sizes), len(same_alphabet)) == (1545, 120)
+    for mode in ("restricted", "unrestricted"):
+        assert all(
+            _claim("left-ideal-alt", f"product-{mode}").exclude(m, n)
+            for m in range(4, 7) for n in range(4, 7)
+        )
+    assert _claim("left-ideal", "product-unrestricted").formula(4, 4) == 24
+    assert max(sizes.values()) == 17
+    assert _claim("left-ideal", "product-restricted").formula(4, 4) == 7
+    assert max(same_alphabet) == 5
+
+
+def test_no_two_letter_dialect_of_suffix_free_3_meets_the_star_bound():
+    # the star bound 2^(n-2)+1 needs all three letters of suffix-free-3
+    claim = _claim("suffix-free-3", "star")
+    best = {
+        n: max(
+            complexity(star(make_dialect("suffix-free-3", n, pi)))
+            for pi in injective_dialects(3, "ab", [2])
+        )
+        for n in range(6, 10)
+    }
+    assert {n: claim.formula(None, n) for n in best} == {6: 17, 7: 33, 8: 65, 9: 129}
+    assert best == {6: 15, 7: 23, 8: 33, 9: 45}
