@@ -15,10 +15,6 @@ from .automata import (
 from .classifiers import (
     ClassReport,
     classify,
-    is_left_ideal,
-    is_suffix_closed,
-    is_suffix_convex,
-    is_suffix_free,
     suffix_language,
 )
 from .errors import DocumentError, InputError, LimitError, NotationError

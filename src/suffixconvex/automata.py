@@ -29,7 +29,7 @@ strongly-connected-component pass: the semigroup count splits its orbit
 of image sets with it, and ``_reach_counts`` counts on it the states
 reachable from every state at once, for the quotient and atom
 complexities.  A kernel whose rows are valid by construction
-(determinize, minimize, the direct product, ΣL, the atom automaton)
+(determinize, minimize, the direct product, the atom automaton)
 builds its result with ``Dfa._trusted``, which skips the checks of
 ``Dfa.__post_init__``; every other ``Dfa`` is validated.  A query that
 needs only a size (``complexity`` here, the quotient and atom

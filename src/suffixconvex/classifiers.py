@@ -1,30 +1,31 @@
 """Decision procedures for the suffix-convex language classes.
 
-Each predicate answers at the automaton level and, on failure, returns
-the length-lexicographically smallest counterexample word (letters
-compared in alphabet order).  All four tests are one breadth-first
-search, ``_first_word``, over tuples of states of at most three DFAs
-derived from d, for the first word w whose acceptance by each automaton
-matches a wanted pattern:
+``classify`` decides the four classes at the automaton level and, for
+each class that L(d) is not in, returns the length-lexicographically
+smallest counterexample word (letters compared in alphabet order).  It
+is one breadth-first search, ``_first_words``, over tuples of states of
+(Σ⁺L, Suff(L), L), for the first word of each membership pattern (·
+for either):
 
-    test           automata searched    wanted pattern          fails on a word of
-    left ideal     (ΣL, L)              accept, reject          ΣL∖L
-    suffix-closed  (Suff(L), L)         accept, reject          Suff(L)∖L
-    suffix-free    (L, Σ⁺L)             accept, accept          L∩Σ⁺L
-    suffix-convex  (Σ⁺L, Suff(L), L)    accept, accept, reject  Σ⁺L∩Suff(L)∖L
+    class          Σ⁺L     Suff(L)  L       fails on a word of
+    left ideal     accept  ·        reject  Σ⁺L∖L
+    suffix-closed  ·       accept   reject  Suff(L)∖L
+    suffix-free    accept  ·        accept  L∩Σ⁺L
+    suffix-convex  accept  accept   reject  Σ⁺L∩Suff(L)∖L
 
-A left ideal must also be non-empty: the walk over d's reachable
-states (``automata._walk``) reaches a final state.  ΣL is built directly
-as an (n+1)-state DFA, so the left-ideal test needs no subset
-construction; Σ⁺L and Suff(L) are subset constructions on d's
-transitions, handed to ``automata.determinize`` as bitmask steps, and
-``classify`` builds each of them once, Suff(L) from the useful states of
-one walk (``automata._occurring``).
+A left ideal must also be non-empty: Suff(L) accepts the empty word.
+Σ⁺L and Suff(L) are subset constructions on d's transitions, handed to
+``automata.determinize`` as bitmask steps, each built once, Suff(L)
+from the useful states of one walk (``automata._occurring``).
 
-Two identities make these the counterexamples of the definitions:
+Three identities make these the counterexamples of the definitions:
 
-- {lw : w ∈ L, lw ∉ L} is exactly ΣL∖L, so one search returns the
-  smallest counterexample over all prefixed letters l.
+- {lw : w ∈ L, lw ∉ L} is exactly ΣL∖L, the left-ideal counterexamples
+  over all prefixed letters l.
+- ΣL∖L and Σ⁺L∖L have the same least word: let w be the least word of
+  Σ⁺L∖L, z its longest proper suffix in L and l the letter before z;
+  then lz ∉ L, as z is the longest, and w = lz, since otherwise lz
+  would be a shorter word of ΣL∖L ⊆ Σ⁺L∖L.
 - Σ*L∖L = Σ⁺L∖L, so the convex test ("z and xyz accepted imply yz
   accepted": a rejected word with an accepted suffix that is itself a
   suffix of an accepted word) needs no Σ*L.
@@ -33,10 +34,11 @@ Two identities make these the counterexamples of the definitions:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import getitem
-from typing import Optional, Sequence
+from functools import reduce
+from operator import and_, getitem
+from typing import Collection, Optional, Sequence
 
-from .automata import Dfa, _occurring, _walk, determinize
+from .automata import Dfa, _occurring, determinize
 
 Word = tuple[str, ...]
 
@@ -56,34 +58,47 @@ class ClassReport:
     counterexamples: dict[str, Word]
 
 
-def _first_word(alphabet, dfas: Sequence[Dfa], want: Sequence[bool]) -> Optional[Word]:
-    """Length-lex smallest word w with (w in L(dfas[i])) == want[i] for
-    every i, or None.
+def _first_words(
+    alphabet, dfas: Sequence[Dfa], patterns: Collection[Sequence[Optional[bool]]]
+) -> list[Optional[Word]]:
+    """For each pattern, the length-lex smallest word w with
+    (w in L(dfas[i])) == pattern[i] for every i where pattern[i] is not
+    None, or None when there is no such word.
 
-    BFS over tuples of states, one per automaton, scanning letters in
-    alphabet order; parent pointers rebuild the word.
+    One BFS over tuples of states, one per automaton, scanning letters
+    in alphabet order, so tuples are met in the order of their least
+    words.  Each state carries the mask of the patterns it agrees with,
+    a tuple the AND of its states' masks; the search stops once every
+    pattern has its word, and parent pointers rebuild each word.
     """
-    good = [[(q in a.finals) == wanted for q in range(a.n)] for a, wanted in zip(dfas, want)]
+    masks = []
+    for i, a in enumerate(dfas):
+        accept = sum(1 << j for j, p in enumerate(patterns) if p[i] is not False)
+        reject = sum(1 << j for j, p in enumerate(patterns) if p[i] is not True)
+        masks.append([accept if q in a.finals else reject for q in range(a.n)])
     steps = [(letter, [a.delta[letter].image for a in dfas]) for letter in alphabet]
+    words: list[Optional[Word]] = [None] * len(patterns)
+    todo = (1 << len(patterns)) - 1  # the patterns still without a word
     start = tuple(a.initial for a in dfas)
-    if all(map(getitem, good, start)):
-        return ()
     parent = {start: None}
     queue = [start]
     for state in queue:  # the list grows while it is read: a FIFO queue
+        if found := reduce(and_, map(getitem, masks, state), todo):
+            word, node = [], state
+            while (link := parent[node]) is not None:
+                node, letter = link
+                word.append(letter)
+            for j in range(len(patterns)):
+                if found >> j & 1:
+                    words[j] = tuple(reversed(word))
+            if not (todo := todo ^ found):
+                break
         for letter, images in steps:
             nxt = tuple(map(getitem, images, state))
-            if nxt in parent:
-                continue
-            parent[nxt] = (state, letter)
-            if all(map(getitem, good, nxt)):
-                word = []
-                while (link := parent[nxt]) is not None:
-                    nxt, letter = link
-                    word.append(letter)
-                return tuple(reversed(word))
-            queue.append(nxt)
-    return None
+            if nxt not in parent:
+                parent[nxt] = (state, letter)
+                queue.append(nxt)
+    return words
 
 
 def suffix_language(d: Dfa) -> Dfa:
@@ -99,12 +114,6 @@ def suffix_language(d: Dfa) -> Dfa:
     return determinize(d.alphabet, steps, start, sum(1 << f for f in finals))
 
 
-def _letter_prefixed(d: Dfa) -> Dfa:
-    """DFA for ΣL: a fresh initial state n that every letter takes to d's."""
-    rows = [d.delta[letter].image + (d.initial,) for letter in d.alphabet]
-    return Dfa._trusted(d.n + 1, d.alphabet, rows, d.n, d.finals)
-
-
 def _prefixed(d: Dfa) -> Dfa:
     """DFA for Σ⁺L: the subset construction on ΣL with a loop on every
     letter at its initial state n."""
@@ -115,78 +124,24 @@ def _prefixed(d: Dfa) -> Dfa:
     return determinize(d.alphabet, steps, guess, sum(1 << f for f in d.finals))
 
 
-def _language(d: Dfa) -> Dfa:
-    return d
-
-
-# each test: (the automata searched, built from d) and the wanted pattern
-_TESTS = {
-    "left-ideal": ((_letter_prefixed, _language), (True, False)),
-    "suffix-closed": ((suffix_language, _language), (True, False)),
-    "suffix-free": ((_language, _prefixed), (True, True)),
-    "suffix-convex": ((_prefixed, suffix_language, _language), (True, True, False)),
+# each class: the membership a counterexample has in (Σ⁺L, Suff(L), L)
+_PATTERNS = {
+    "left-ideal": (True, None, False),
+    "suffix-closed": (None, True, False),
+    "suffix-free": (True, None, True),
+    "suffix-convex": (True, True, False),
 }
 
 
-def _run(tag: str, d: Dfa, built: dict) -> tuple[bool, Optional[Word]]:
-    """The test named tag; built caches the derived automata across tests."""
-    builders, want = _TESTS[tag]
-    for build in builders:
-        if build not in built:
-            built[build] = build(d)
-    word = _first_word(d.alphabet, tuple(built[build] for build in builders), want)
-    return (word is None), word
-
-
-def is_left_ideal(d: Dfa) -> tuple[bool, Optional[Word]]:
-    """Non-empty and closed under prefixing a single letter.
-
-    The counterexample, if any, is the smallest word of the form lw with
-    w accepted and lw rejected.
-    """
-    if not _walk(d.n, [t.image for t in d.delta.values()], d.initial, d.finals)[2]:
-        return False, None
-    return _run("left-ideal", d, {})
-
-
-def is_suffix_closed(d: Dfa) -> tuple[bool, Optional[Word]]:
-    """Every suffix of every accepted word is accepted.
-
-    The counterexample is the smallest suffix of an accepted word that
-    is itself rejected.
-    """
-    return _run("suffix-closed", d, {})
-
-
-def is_suffix_free(d: Dfa) -> tuple[bool, Optional[Word]]:
-    """No accepted word is a proper suffix of another accepted word.
-
-    The counterexample is the smallest accepted word that also has a
-    shorter accepted suffix.
-    """
-    return _run("suffix-free", d, {})
-
-
-def is_suffix_convex(d: Dfa) -> tuple[bool, Optional[Word]]:
-    """Whenever z and xyz are accepted, so is yz.
-
-    Equivalent automaton-level test: every word that has an accepted
-    suffix and is itself a suffix of an accepted word must be accepted.
-    """
-    return _run("suffix-convex", d, {})
-
-
 def classify(d: Dfa) -> ClassReport:
-    """All four tests, building Σ⁺L and Suff(L) once each."""
-    built: dict = {}
-    results = {
-        tag: is_left_ideal(d) if tag == "left-ideal" else _run(tag, d, built)
-        for tag in _TESTS
-    }
+    """All four tests in one search over (Σ⁺L, Suff(L), L)."""
+    suff = suffix_language(d)
+    words = _first_words(d.alphabet, (_prefixed(d), suff, d), _PATTERNS.values())
+    found = {tag: word for tag, word in zip(_PATTERNS, words) if word is not None}
     return ClassReport(
-        is_left_ideal=results["left-ideal"][0],
-        is_suffix_closed=results["suffix-closed"][0],
-        is_suffix_free=results["suffix-free"][0],
-        is_suffix_convex=results["suffix-convex"][0],
-        counterexamples={tag: word for tag, (_, word) in results.items() if word is not None},
+        is_left_ideal=suff.initial in suff.finals and "left-ideal" not in found,
+        is_suffix_closed="suffix-closed" not in found,
+        is_suffix_free="suffix-free" not in found,
+        is_suffix_convex="suffix-convex" not in found,
+        counterexamples=found,
     )

@@ -52,9 +52,6 @@ class Transformation:
             raise InputError(f"cannot compose maps of sizes {self.n} and {other.n}")
         return Transformation(tuple(other.image[r] for r in self.image))
 
-    def is_identity(self) -> bool:
-        return all(r == q for q, r in enumerate(self.image))
-
     def __repr__(self):
         return f"Transformation({list(self.image)})"
 

@@ -312,10 +312,6 @@ def report_json_chunks(report: ComplexityReport) -> Iterator[str]:
     yield ("\n  ]" if report.entries else "]") + "\n}\n"
 
 
-def report_to_json(report: ComplexityReport) -> str:
-    return "".join(report_json_chunks(report))
-
-
 def report_to_table(report: ComplexityReport) -> str:
     headers = ("status", "family", "quantity", "mode", "m", "n", "expected", "measured", "dialects", "reason")
     rows = [headers]

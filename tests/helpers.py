@@ -29,7 +29,7 @@ from suffixconvex.automata import (
     minimize,
     union_alphabet,
 )
-from suffixconvex.classifiers import ClassReport, Word
+from suffixconvex.classifiers import ClassReport, Word, classify
 from suffixconvex.errors import InputError, NotationError
 from suffixconvex.measures import atoms
 from suffixconvex.operations import _TRUTH
@@ -941,9 +941,9 @@ def injective_dialects(width: int, targets: str, kept: Iterable[int]) -> Iterabl
                 yield tuple(pi)
 
 
-# --- classifiers: the per-test product searches ``classifiers._first_word``
+# --- classifiers: the one multi-pattern search ``classifiers._first_words``
 # replaced; each predicate builds its own product, and the left-ideal test
-# searches once per letter.
+# searches ΣL∖L once per letter rather than reading Σ⁺L∖L.
 
 
 def _shortest_word(alphabet, start, step, hit) -> Optional[Word]:
@@ -1097,6 +1097,13 @@ def naive_classify(d: Dfa) -> ClassReport:
     )
 
 
+def class_verdict(d: Dfa, tag: str) -> tuple[bool, Optional[Word]]:
+    """One class's answer from ``classify`` in the naive predicates' form:
+    (membership, least counterexample or None)."""
+    report = classify(d)
+    return getattr(report, "is_" + tag.replace("-", "_")), report.counterexamples.get(tag)
+
+
 def brute_force_language(d: Dfa, max_len: int) -> set[tuple[str, ...]]:
     """All accepted words of length at most max_len, by trie walk."""
     out: set[tuple[str, ...]] = set()
@@ -1220,7 +1227,7 @@ def naive_format_notation(t: Transformation) -> str:
     emitted so that a collapse into r follows whatever atom moves r,
     smallest moved point first among the unconstrained."""
     n = t.n
-    if t.is_identity():
+    if t.image == tuple(range(t.n)):
         return "1"
 
     cyclic = naive_cyclic_points(t)

@@ -4,30 +4,19 @@ from random import Random
 
 from helpers import (
     brute_force_language,
+    class_verdict,
     dfa_corpus,
     finite_language_dfa,
     language_upto,
     naive_classify,
-    naive_is_left_ideal,
-    naive_is_suffix_closed,
-    naive_is_suffix_convex,
-    naive_is_suffix_free,
     random_dfa,
     random_dfa_any_start,
-    revalidated,
     words_upto,
 )
 
 from suffixconvex import classifiers
 from suffixconvex.automata import Dfa, accepts, determinize, minimize
-from suffixconvex.classifiers import (
-    classify,
-    is_left_ideal,
-    is_suffix_closed,
-    is_suffix_convex,
-    is_suffix_free,
-    suffix_language,
-)
+from suffixconvex.classifiers import classify, suffix_language
 from suffixconvex.operations import complement, equivalent
 from suffixconvex.witnesses import FAMILIES, MIN_N, make_witness
 
@@ -51,17 +40,17 @@ def test_suffix_language_of_empty():
 
 
 def test_left_ideal_examples():
-    ok, _ = is_left_ideal(make_witness("left-ideal-alt", 4))
+    ok, _ = class_verdict(make_witness("left-ideal-alt", 4), "left-ideal")
     assert ok
-    ok, word = is_left_ideal(make_witness("regular", 4))
+    ok, word = class_verdict(make_witness("regular", 4), "left-ideal")
     assert not ok
     assert word == ("a", "a", "a", "a")  # a^3 accepted, a.a^3 rejected
-    assert is_left_ideal(EMPTY) == (False, None)
+    assert class_verdict(EMPTY, "left-ideal") == (False, None)
 
 
 def test_left_ideal_counterexample_is_valid_and_minimal():
     for d in dfa_corpus(seed=61, count=50, max_n=5):
-        ok, word = is_left_ideal(d)
+        ok, word = class_verdict(d, "left-ideal")
         if ok or word is None:
             continue
         assert not accepts(d, word)
@@ -98,19 +87,16 @@ def _bad_word_tests(d, longest):
 
 
 def test_counterexamples_are_bad_and_minimal():
-    predicates = {
-        "suffix-closed": is_suffix_closed,
-        "suffix-free": is_suffix_free,
-        "suffix-convex": is_suffix_convex,
-    }
+    tags = ("suffix-closed", "suffix-free", "suffix-convex")
     rng = Random(83)
-    failures = dict.fromkeys(predicates, 0)
+    failures = dict.fromkeys(tags, 0)
     for _ in range(200):
         d = random_dfa_any_start(rng, max_n=5)
-        for tag, predicate in predicates.items():
-            ok, word = predicate(d)
-            if ok:
+        counterexamples = classify(d).counterexamples
+        for tag in tags:
+            if tag not in counterexamples:
                 continue
+            word = counterexamples[tag]
             failures[tag] += 1
             bad = _bad_word_tests(d, len(word))[tag]
             assert bad(word)
@@ -124,60 +110,53 @@ def test_classifiers_match_naive_classifiers():
     corpus = [random_dfa_any_start(rng, max_n=8) for _ in range(2000)]
     corpus += [replace(d, finals=finals) for d in corpus[:300] for finals in (set(), range(d.n))]
     corpus += [make_witness(f, n) for f in FAMILIES for n in range(MIN_N[f], 10)]
-    pairs = (
-        (is_left_ideal, naive_is_left_ideal),
-        (is_suffix_closed, naive_is_suffix_closed),
-        (is_suffix_free, naive_is_suffix_free),
-        (is_suffix_convex, naive_is_suffix_convex),
-    )
     for d in corpus:
-        for predicate, naive in pairs:
-            assert predicate(d) == naive(d)
         assert classify(d) == naive_classify(d)
-        sigma_l = classifiers._letter_prefixed(d)
-        assert revalidated(sigma_l) == sigma_l  # the unchecked constructor built a valid Dfa
 
 
 def test_subset_constructions_per_call(monkeypatch):
     calls = []
+    first_words = classifiers._first_words
     monkeypatch.setattr(
-        classifiers, "determinize", lambda *args: calls.append(args) or determinize(*args)
+        classifiers, "determinize", lambda *args: calls.append("determinize") or determinize(*args)
+    )
+    monkeypatch.setattr(
+        classifiers, "_first_words", lambda *args: calls.append("search") or first_words(*args)
     )
     for d in (make_witness("suffix-free-n", 6), make_witness("regular", 4), EMPTY):
         calls.clear()
-        is_left_ideal(d)
-        assert not calls  # ΣL is built directly
         classify(d)
-        assert len(calls) == 2  # Σ⁺L and Suff(L), once each
+        # Σ⁺L and Suff(L), once each, then one search for all four classes
+        assert sorted(calls) == ["determinize", "determinize", "search"]
 
 
 def test_suffix_closed_examples():
-    ok, _ = is_suffix_closed(make_witness("suffix-closed", 5))
+    ok, _ = class_verdict(make_witness("suffix-closed", 5), "suffix-closed")
     assert ok
-    ok, word = is_suffix_closed(make_witness("left-ideal", 4))
+    ok, word = class_verdict(make_witness("left-ideal", 4), "suffix-closed")
     assert not ok
     assert word == ()  # the empty word is a suffix of eaa but not accepted
-    assert is_suffix_closed(EPSILON_ONLY) == (True, None)
-    assert is_suffix_closed(EMPTY) == (True, None)
+    assert class_verdict(EPSILON_ONLY, "suffix-closed") == (True, None)
+    assert class_verdict(EMPTY, "suffix-closed") == (True, None)
 
 
 def test_suffix_free_examples():
-    ok, _ = is_suffix_free(make_witness("suffix-free-5", 4))
+    ok, _ = class_verdict(make_witness("suffix-free-5", 4), "suffix-free")
     assert ok
-    ok, word = is_suffix_free(make_witness("regular", 4))
+    ok, word = class_verdict(make_witness("regular", 4), "suffix-free")
     assert not ok
     assert word == ("c", "a", "a", "a")  # accepted, with accepted suffix aaa
-    assert is_suffix_free(EPSILON_ONLY) == (True, None)
-    assert is_suffix_free(EMPTY) == (True, None)
+    assert class_verdict(EPSILON_ONLY, "suffix-free") == (True, None)
+    assert class_verdict(EMPTY, "suffix-free") == (True, None)
 
 
 def test_suffix_convex_examples():
-    ok, _ = is_suffix_convex(make_witness("left-ideal-alt", 4))
+    ok, _ = class_verdict(make_witness("left-ideal-alt", 4), "suffix-convex")
     assert ok
-    ok, _ = is_suffix_convex(make_witness("suffix-free-5", 5))
+    ok, _ = class_verdict(make_witness("suffix-free-5", 5), "suffix-convex")
     assert ok
     d = finite_language_dfa(["a", "aba"], ("a", "b"))
-    ok, word = is_suffix_convex(d)
+    ok, word = class_verdict(d, "suffix-convex")
     assert not ok
     assert word == ("b", "a")
 
@@ -187,9 +166,7 @@ def test_suffix_closed_iff_complement_left_ideal():
         comp = minimize(complement(d))
         if not comp.finals:
             continue  # L = sigma*: the equivalence presumes a proper language
-        closed, _ = is_suffix_closed(d)
-        comp_ideal, _ = is_left_ideal(comp)
-        assert closed == comp_ideal
+        assert classify(d).is_suffix_closed == classify(comp).is_left_ideal
 
 
 def _brute_left_ideal(d, max_len):
@@ -225,10 +202,11 @@ def test_brute_force_agreement_small():
     rng = Random(71)
     for _ in range(120):
         d = random_dfa(rng, max_n=4, max_letters=3)
-        assert is_left_ideal(d)[0] == _brute_left_ideal(d, 8)
-        assert is_suffix_closed(d)[0] == _brute_suffix_closed(d, 8)
-        assert is_suffix_free(d)[0] == _brute_suffix_free(d, 8)
-        assert is_suffix_convex(d)[0] == _brute_suffix_convex(d, 8)
+        report = classify(d)
+        assert report.is_left_ideal == _brute_left_ideal(d, 8)
+        assert report.is_suffix_closed == _brute_suffix_closed(d, 8)
+        assert report.is_suffix_free == _brute_suffix_free(d, 8)
+        assert report.is_suffix_convex == _brute_suffix_convex(d, 8)
 
 
 def test_class_implications_on_corpus():
@@ -269,7 +247,7 @@ def test_suffix_free_languages_have_an_empty_quotient():
             "".join(rng.choice("ab") for _ in range(length)) for _ in range(rng.randint(1, 4))
         }
         m = minimize(finite_language_dfa(sorted(words), ("a", "b")))
-        assert is_suffix_free(m)[0]
+        assert classify(m).is_suffix_free
         assert _empty_states(m)
     for family in ("suffix-free-5", "suffix-free-n", "suffix-free-3", "suffix-free-2star"):
         assert _empty_states(minimize(make_witness(family, 6)))

@@ -24,7 +24,7 @@ from suffixconvex.automata import (
     minimize,
     union_alphabet,
 )
-from suffixconvex.classifiers import _prefixed, is_left_ideal, suffix_language
+from suffixconvex.classifiers import _prefixed, classify, suffix_language
 from suffixconvex.errors import InputError
 from suffixconvex.operations import (
     BOOL_OPS,
@@ -305,8 +305,7 @@ def test_left_ideal_upper_bounds_for_star_and_reverse():
     for d in dfa_corpus(seed=53, count=40, max_n=4, max_letters=2):
         sigma_star = Dfa(1, d.alphabet, {l: (0,) for l in d.alphabet}, 0, frozenset({0}))
         ideal = minimize(concat(sigma_star, d))
-        ok, _ = is_left_ideal(ideal)
-        if not ok:
+        if not classify(ideal).is_left_ideal:
             continue
         count += 1
         n = ideal.n

@@ -48,7 +48,6 @@ def test_public_names_are_pinned():
         "boolean_restricted", "boolean_unrestricted", "classify", "complement",
         "complexity", "compose_many", "concat", "cycle",
         "determinize", "equivalent", "expected", "export_dot", "format_notation",
-        "is_left_ideal", "is_suffix_closed", "is_suffix_convex", "is_suffix_free",
         "make_dialect", "make_witness", "minimize", "occurring_letters",
         "parse_letter_map", "parse_notation", "quotient_complexities", "read_dfa",
         "reverse", "run_verification", "send_to", "star", "suffix_language",

@@ -12,7 +12,7 @@ from suffixconvex.operations import BOOL_OPS, boolean_restricted, boolean_unrest
 from suffixconvex.verify import (
     ComplexityReport,
     ReportEntry,
-    report_to_json,
+    report_json_chunks,
     report_to_table,
     run_verification,
 )
@@ -203,14 +203,14 @@ def test_report_ok_reflects_failures():
     report = ComplexityReport((entry,), 0, 1, 0, "0")
     assert not report.ok
     assert "FAIL" in report_to_table(report)
-    assert '"failed": 1' in report_to_json(report)
+    assert '"failed": 1' in "".join(report_json_chunks(report))
 
 
 def test_json_entries_carry_pass_flag():
     import json
 
     report = run_verification(families=["suffix-free-3"], quantities=["union"], n_range=(4, 5), m_range=(4, 4))
-    doc = json.loads(report_to_json(report))
+    doc = json.loads("".join(report_json_chunks(report)))
     for raw, entry in zip(doc["entries"], report.entries):
         assert raw["pass"] == (entry.status == "PASS")
         assert raw["pass"] == (raw["expected"] == raw["measured"] and raw["expected"] is not None)
@@ -298,7 +298,7 @@ def test_default_report_and_witness_documents_are_pinned(default_report):
     # the witness documents byte-identical; a change that alters either on
     # purpose updates its digest and says why
     unversioned = replace(default_report, version="")
-    report = report_to_json(unversioned) + report_to_table(unversioned)
+    report = "".join(report_json_chunks(unversioned)) + report_to_table(unversioned)
     assert hashlib.sha256(report.encode()).hexdigest() == REPORT_SHA256
     documents = _witness_documents()
     assert hashlib.sha256(documents.encode()).hexdigest() == WITNESS_SHA256
