@@ -19,7 +19,12 @@ useful part and its occurring letters, for Suff(L),
 one subset construction: its callers (reversal, star, concatenation,
 Suff(L), Σ⁺L, atoms) hand it the nondeterministic moves as bitmask
 steps, one mask per (letter, state), with any epsilon moves already
-folded in.  ``_hopcroft`` is the one refinement: Hopcroft's algorithm
+folded in.  ``_packed`` packs each state's masks under every letter into
+one int, so a subset's successors under all letters are one OR per
+member, and each letter's is cut out with a shift and a mask; the atom
+quotient search in ``measures`` steps its pairs the same way.  A caller
+that only counts the subsets gets no rows.  ``_hopcroft`` is the one
+refinement: Hopcroft's algorithm
 with a worklist of blocks, each popped block splitting the partition by
 its preimage under every letter, and an early exit once every class is a
 single state.  It returns the number of classes and the class of each
@@ -148,31 +153,58 @@ def _coreachable(n: int, rows: Sequence[Sequence[int]], finals: Iterable[int]) -
     return live
 
 
-def _subsets(steps: Sequence[Sequence[int]], start: int) -> tuple[list[int], list[list[int]]]:
+def _packed(steps: Sequence[Sequence[int]], width: int) -> tuple[list[int], list[int], int]:
+    """Each state's bitmask steps under every letter packed into one int.
+
+    States and step masks lie in 0..width-1.  Returns (packed, shifts,
+    mask): bits c·width to c·width+width-1 of packed[p] hold steps[c][p],
+    so the OR of a set's packed steps holds its successors under every
+    letter at once, and letter c's is ``union >> shifts[c] & mask``.
+    """
+    packed = [0] * width
+    for c, step in enumerate(steps):
+        shift = c * width
+        for p, target in enumerate(step):
+            packed[p] |= target << shift
+    return packed, [c * width for c in range(len(steps))], (1 << width) - 1
+
+
+def _subsets(
+    steps: Sequence[Sequence[int]], start: int, numbered: bool = True
+) -> tuple[list[int], list[list[int]]]:
     """Subset construction on bitmask steps.
 
     Subsets are int bitmasks, bit p standing for state p, and steps[c][p]
     is the mask of the states letter c takes p to; a subset's successor is
-    the union of its members' steps.  Returns (order, rows): order lists
-    the subsets reachable from start in BFS discovery order, letters
-    scanned in the order of steps, and rows[c][i] is the number of the
-    subset letter c takes order[i] to.  The empty subset, when reachable,
-    is an ordinary subset.
+    the union of its members' steps, taken for every letter at once from
+    their ``_packed`` steps.  Returns (order, rows): order lists the
+    subsets reachable from start in BFS discovery order, letters scanned
+    in the order of steps, and rows[c][i] is the number of the subset
+    letter c takes order[i] to.  The empty subset, when reachable, is an
+    ordinary subset.  A caller that only counts or lists the subsets
+    passes numbered=False and gets the rows empty.
     """
+    # with no letters only start is ever expanded, so its bits size the packing
+    packed, shifts, mask = _packed(steps, len(steps[0]) if steps else start.bit_length())
     index = {start: 0}
     order = [start]
     rows: list[list[int]] = [[] for _ in steps]
     for subset in order:  # the list grows while it is read: a FIFO queue
-        members = []
+        union = 0
         rest = subset
         while rest:
             low = rest & -rest
-            members.append(low.bit_length() - 1)
+            union |= packed[low.bit_length() - 1]
             rest ^= low
-        for step, row in zip(steps, rows):
-            target = 0
-            for p in members:
-                target |= step[p]
+        if not numbered:
+            for shift in shifts:
+                target = union >> shift & mask
+                if target not in index:
+                    index[target] = len(order)
+                    order.append(target)
+            continue
+        for shift, row in zip(shifts, rows):
+            target = union >> shift & mask
             j = index.get(target)
             if j is None:
                 j = index[target] = len(order)
@@ -506,4 +538,4 @@ def reverse_complexity(d: Dfa) -> int:
     """
     n, rows, finals, _, occurs = _occurring(d)
     steps = _preimages(n, [row for row, ok in zip(rows, occurs) if ok])
-    return len(_subsets(steps, sum(1 << q for q in finals))[0])
+    return len(_subsets(steps, sum(1 << q for q in finals), numbered=False)[0])

@@ -34,9 +34,13 @@ outside it, S' the complement of S.  Atoms are non-empty and pairwise
 disjoint, so that set of atoms names the quotient exactly, and distinct
 names are distinct languages: counting an atom's quotients needs no
 refinement.  ``_atom_quotients`` is one breadth-first search over the
-pairs (Sw, S'w) that expands each name once.  ``atom_complexities``
-seeds it with every atom, so atoms that reach the same quotient share
-it and all after it; ``atom_complexity`` and ``atom_automaton``, with one.
+pairs (Sw, S'w) that expands each name once; a pair's successors under
+every letter are one OR of its members' steps, packed as
+``automata._packed`` packs them.  A name is the AND of one atom mask per
+member, and the masks are read off one bit string per state.
+``atom_complexities`` seeds it with every atom, so atoms that reach the
+same quotient share it and all after it; ``atom_complexity`` and
+``atom_automaton``, with one.
 
 Sizes are counted, not built: the states of a minimal DFA are pairwise
 distinguishable, so a quotient's complexity is the number of states of
@@ -54,6 +58,7 @@ from typing import Iterable, Sequence
 from .automata import (
     Dfa,
     _components,
+    _packed,
     _preimages,
     _reach_counts,
     _subsets,
@@ -309,7 +314,7 @@ def _atom_masks(m: Dfa, limit: int | None) -> list[int]:
     if limit is not None and m.n > limit:
         raise LimitError(f"atom enumeration over {m.n} states exceeds the limit {limit}")
     steps = _preimages(m.n, [m.delta[letter].image for letter in m.alphabet])
-    return _subsets(steps, sum(1 << q for q in m.finals))[0]
+    return _subsets(steps, sum(1 << q for q in m.finals), numbered=False)[0]
 
 
 def atoms(d: Dfa, limit: int = DEFAULT_ATOM_STATE_LIMIT) -> frozenset[AtomKey]:
@@ -341,28 +346,30 @@ def _atom_quotients(
     """
     n = m.n
     full = (1 << len(atoms)) - 1
-    held = [sum(1 << i for i, mask in enumerate(atoms) if mask >> q & 1) for q in range(n)]
+    # held[q] read off one bit string per state: column q of the atoms'
+    # binary forms, the last atom's bit first
+    forms = [format(atom, f"0{n}b") for atom in reversed(atoms)]
+    held = [int("".join(column), 2) for column in zip(*forms)][::-1]
     # factor[p]: the mask a code's bit p ANDs into its name
     factor = held + [full ^ h for h in held]
     # steps[c][p]: the bit of p's image, in the X half for p < n, else in Y
     images = [m.delta[letter].image for letter in m.alphabet]
     steps = [[1 << q for q in image] + [1 << q + n for q in image] for image in images]
+    packed, shifts, mask = _packed(steps, 2 * n)
     codes = [atoms[i] | (atoms[i] ^ (1 << n) - 1) << n for i in seeds]
     names = [1 << i for i in seeds]
     cache = {code: j for j, code in enumerate(codes)}  # code -> class
     index = {name: j for j, name in enumerate(names)}  # name -> class
     rows: list[list[int]] = [[] for _ in steps]
     for code in codes:  # the list grows while it is read: a FIFO queue
-        members = []
+        union = 0
         rest = code
         while rest:
             low = rest & -rest
-            members.append(low.bit_length() - 1)
+            union |= packed[low.bit_length() - 1]
             rest ^= low
-        for step, row in zip(steps, rows):
-            target = 0
-            for p in members:
-                target |= step[p]
+        for shift, row in zip(shifts, rows):
+            target = union >> shift & mask
             j = cache.get(target)
             if j is None:
                 name = full

@@ -914,6 +914,87 @@ def refined_atom_complexity(d: Dfa, key) -> int:
     return _hopcroft(len(order), rows, finals)[0]
 
 
+# --- the memberwise searches ``automata._subsets`` and
+# ``measures._atom_quotients`` replaced: each lists a set's members once and
+# ORs every member's step again for each letter, where the library ORs each
+# member's packed steps once for all letters.
+
+
+def memberwise_subsets(
+    steps: Sequence[Sequence[int]], start: int
+) -> tuple[list[int], list[list[int]]]:
+    """Subset construction on bitmask steps: (order, rows) as ``_subsets``
+    numbers them, the subsets in BFS discovery order from start."""
+    index = {start: 0}
+    order = [start]
+    rows: list[list[int]] = [[] for _ in steps]
+    for subset in order:  # the list grows while it is read: a FIFO queue
+        members = []
+        rest = subset
+        while rest:
+            low = rest & -rest
+            members.append(low.bit_length() - 1)
+            rest ^= low
+        for step, row in zip(steps, rows):
+            target = 0
+            for p in members:
+                target |= step[p]
+            j = index.get(target)
+            if j is None:
+                j = index[target] = len(order)
+                order.append(target)
+            row.append(j)
+    return order, rows
+
+
+def memberwise_atom_quotients(
+    m: Dfa, atoms: Sequence[int], seeds: Sequence[int]
+) -> tuple[list[int], list[list[int]]]:
+    """(names, rows) of the atoms' quotients as ``_atom_quotients`` numbers
+    them: a pair (Sw, S'w) coded X | Y << n is named by the AND of held[q],
+    the atoms holding q, over q in X and of their complement over q in Y."""
+    n = m.n
+    full = (1 << len(atoms)) - 1
+    held = [sum(1 << i for i, mask in enumerate(atoms) if mask >> q & 1) for q in range(n)]
+    # factor[p]: the mask a code's bit p ANDs into its name
+    factor = held + [full ^ h for h in held]
+    # steps[c][p]: the bit of p's image, in the X half for p < n, else in Y
+    images = [m.delta[letter].image for letter in m.alphabet]
+    steps = [[1 << q for q in image] + [1 << q + n for q in image] for image in images]
+    codes = [atoms[i] | (atoms[i] ^ (1 << n) - 1) << n for i in seeds]
+    names = [1 << i for i in seeds]
+    cache = {code: j for j, code in enumerate(codes)}  # code -> class
+    index = {name: j for j, name in enumerate(names)}  # name -> class
+    rows: list[list[int]] = [[] for _ in steps]
+    for code in codes:  # the list grows while it is read: a FIFO queue
+        members = []
+        rest = code
+        while rest:
+            low = rest & -rest
+            members.append(low.bit_length() - 1)
+            rest ^= low
+        for step, row in zip(steps, rows):
+            target = 0
+            for p in members:
+                target |= step[p]
+            j = cache.get(target)
+            if j is None:
+                name = full
+                rest = target
+                while rest:
+                    low = rest & -rest
+                    name &= factor[low.bit_length() - 1]
+                    rest ^= low
+                j = index.get(name)
+                if j is None:
+                    j = index[name] = len(codes)
+                    codes.append(target)
+                    names.append(name)
+                cache[target] = j
+            row.append(j)
+    return names, rows
+
+
 def witness_atom_items(family: str, n: int) -> list[tuple[frozenset, int, int]]:
     """(definition key, measured complexity, formula value) per non-empty
     atom of the family's witness at n, as the harness reports them: the

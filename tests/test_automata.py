@@ -9,6 +9,7 @@ from helpers import (
     dfa_corpus,
     language_upto,
     letterwise_hopcroft,
+    memberwise_subsets,
     naive_complete_over,
     naive_complexity,
     naive_coreachable_states,
@@ -36,7 +37,10 @@ from suffixconvex.automata import (
     _components,
     _coreachable,
     _hopcroft,
+    _occurring,
+    _preimages,
     _reach_counts,
+    _subsets,
     _walk,
     accepts,
     apply_word,
@@ -195,6 +199,56 @@ def test_determinize_matches_naive_determinize_on_random_nfas():
         any(all(p != source for source, _, _ in m.transitions) for p in range(m.n))
         for m in corpus
     ) >= 500
+
+
+def _random_steps(rng: Random) -> tuple[list[list[int]], int]:
+    """Bitmask steps over 1..9 states and 0..3 letters, each mask empty one
+    time in four, and a random start, empty one time in eight."""
+    n = rng.randint(1, 9)
+    steps = [
+        [0 if rng.random() < 0.25 else rng.randrange(1, 1 << n) for _ in range(n)]
+        for _ in range(rng.randint(0, 3))
+    ]
+    return steps, 0 if rng.random() < 0.125 else rng.randrange(1, 1 << n)
+
+
+def test_subsets_match_memberwise_subsets():
+    # random steps, and the reversed steps of random minimal DFAs from their
+    # finals (the reversal and atom searches): same order, same rows
+    rng = Random(43)
+    cases = [_random_steps(rng) for _ in range(1500)]
+    for d in (minimize(random_dfa_with_edge_finals(rng, max_n=9)) for _ in range(800)):
+        n, rows, finals, _, _ = _occurring(d)
+        cases.append((_preimages(n, rows), sum(1 << q for q in finals)))
+    floors = {"no letters, non-empty start": 0, "empty start": 0, "one state": 0,
+              "empty subset reached": 0, "40 subsets or more": 0}
+    for steps, start in cases:
+        order, rows = memberwise_subsets(steps, start)
+        assert _subsets(steps, start) == (order, rows)
+        assert _subsets(steps, start, numbered=False) == (order, [[] for _ in steps])
+        floors["no letters, non-empty start"] += not steps and start != 0
+        floors["empty start"] += start == 0
+        floors["one state"] += len(steps[0]) == 1 if steps else start == 1
+        floors["empty subset reached"] += 0 in order[1:]
+        floors["40 subsets or more"] += len(order) >= 40
+    assert min(floors.values()) >= 20, floors
+
+
+@pytest.mark.parametrize(
+    "steps, start, order, rows",
+    [
+        ([], 0b101, [0b101], []),  # no letters: start's bits size the packing
+        ([], 0, [0], []),
+        ([[0b1]], 0, [0], [[0]]),  # the empty start is its own successor
+        ([[0b1]], 0b1, [0b1], [[0]]),  # one state
+        ([[0b0], [0b1]], 0b1, [0b1, 0], [[1, 1], [0, 1]]),
+        ([[0b10, 0b01], [0b11, 0b10]], 0b01, [0b01, 0b10, 0b11], [[1, 0, 2], [2, 1, 2]]),
+    ],
+)
+def test_subsets_edge_cases(steps, start, order, rows):
+    assert memberwise_subsets(steps, start) == (order, rows)
+    assert _subsets(steps, start) == (order, rows)
+    assert _subsets(steps, start, numbered=False) == (order, [[] for _ in steps])
 
 
 def test_determinize_empty_initial_set_is_a_sink():

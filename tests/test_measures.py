@@ -7,6 +7,7 @@ from helpers import (
     cycle_dfa,
     dfa_corpus,
     group_closure,
+    memberwise_atom_quotients,
     naive_atom_automaton,
     naive_atom_complexity,
     naive_atoms,
@@ -480,6 +481,28 @@ def test_atom_complexities_match_refined_pair_automaton_on_corpus():
                     floors["empty from a disjoint pair"] += 1
         assert len(reps) == len(names)
     assert min(floors.values()) >= 2, floors
+
+
+def test_atom_quotients_match_memberwise_atom_quotients():
+    # up to eight atoms one at a time, then all atoms at once, reversed and
+    # in order: same names, same rows, over random minimal DFAs
+    rng = Random(75)
+    corpus = [minimize(random_dfa_with_edge_finals(rng, max_n=9)) for _ in range(600)]
+    corpus += [Dfa(1, alphabet, {letter: (0,) for letter in alphabet}, 0, finals)
+               for alphabet in ((), ("a",), ("a", "b")) for finals in (frozenset(), frozenset({0}))]
+    floors = {"one state": 0, "no letters": 0, "empty name reached": 0, "50 quotients or more": 0}
+    for m in corpus:
+        masks = measures._atom_masks(m, None)
+        all_seeds = range(len(masks))
+        singles = rng.sample(all_seeds, min(8, len(masks)))
+        for seeds in [[i] for i in singles] + [all_seeds[::-1], all_seeds]:
+            names, rows = memberwise_atom_quotients(m, masks, seeds)
+            assert measures._atom_quotients(m, masks, seeds) == (names, rows)
+        floors["one state"] += m.n == 1
+        floors["no letters"] += not m.alphabet
+        floors["empty name reached"] += 0 in names
+        floors["50 quotients or more"] += len(names) >= 50
+    assert min(floors.values()) >= 5, floors
 
 
 def _spy_on_atom_search(monkeypatch, m):
