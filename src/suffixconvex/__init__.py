@@ -48,4 +48,4 @@ from .transformations import (
     send_to,
 )
 from .verify import ComplexityReport, run_verification
-from .witnesses import FAMILIES, atom_formula, expected, make_dialect, make_witness
+from .witnesses import FAMILIES, atom_formula, make_dialect, make_witness

@@ -115,9 +115,7 @@ def _parse_atom(body: str, n: int) -> tuple[list[int] | None, list[int]]:
         if lhs == "Q":
             return None, [target]
         if lhs.startswith("{") and lhs.endswith("}"):
-            members = [_parse_int(p, n, where) for p in lhs[1:-1].split(",") if p]
-            if not members:
-                raise NotationError(f"empty source set in {where}")
+            members = [_parse_int(p, n, where) for p in lhs[1:-1].split(",")]
         else:
             members = [_parse_int(lhs, n, where)]
         return members, [target] * len(members)

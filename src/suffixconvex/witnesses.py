@@ -6,9 +6,9 @@ state count n that names its letters once: as its transitions' keys.
 quantity, mode): the closed-form formula (per atom key for an atom
 claim), the dialect pair of the witness stream that meets it, the range
 of sizes the verification harness measures, and the rule for rows the
-claim excludes.  ``expected`` reads a formula from that table; it never
-measures anything, so the harness can compare it against independently
-measured values.
+claim excludes.  The verification harness is the table's one reader:
+it measures each row a record includes and compares the value with the
+record's formula, which measures nothing itself.
 """
 
 from __future__ import annotations
@@ -34,12 +34,6 @@ MIN_N = {
     "suffix-free-2star": 6,
 }
 FAMILIES = tuple(MIN_N)
-
-def _check_family(family: str, n: int) -> None:
-    if family not in FAMILIES:
-        raise InputError(f"unknown family {family!r}; choose from {list(FAMILIES)}")
-    if n < MIN_N[family]:
-        raise InputError(f"family {family!r} needs n >= {MIN_N[family]}, got {n}")
 
 
 def _ideal_letters(n: int) -> dict[str, Transformation]:
@@ -83,7 +77,10 @@ def _maybe_cycle(n: int, states: list[int]) -> list[Transformation]:
 def make_witness(family: str, n: int) -> Dfa:
     """The witness DFA of the given family at n states, letters in
     definition order."""
-    _check_family(family, n)
+    if family not in FAMILIES:
+        raise InputError(f"unknown family {family!r}; choose from {list(FAMILIES)}")
+    if n < MIN_N[family]:
+        raise InputError(f"family {family!r} needs n >= {MIN_N[family]}, got {n}")
     if family == "regular":
         delta = {
             "a": cycle(n, list(range(n))),
@@ -365,29 +362,3 @@ CLAIMS: tuple[Claim, ...] = (
         "suffix-free-3", "unrestricted", _SUFFIX_FREE, *_SF3_PAIR, exclude=_boolean_pair_from_44
     ),
 )
-
-# an atom claim's formula takes (n, key), and expected takes no key
-_FORMULA_CLAIMS = {(c.family, c.quantity): c for c in CLAIMS if c.tag != "atom"}
-
-
-def expected(family: str, quantity: str, m: int | None, n: int) -> int:
-    """Closed-form value claimed for (family, quantity, m, n).
-
-    Quantity strings are the ``Claim.quantity`` of a record in CLAIMS:
-    "semigroup", "reverse", "atoms-count", "star", and "product" or a
-    boolean operation suffixed with "-restricted" or "-unrestricted".
-    Pairs with no claimed bound, and rows a claim excludes, are rejected.
-    """
-    _check_family(family, n)
-    claim = _FORMULA_CLAIMS.get((family, quantity))
-    if claim is None:
-        raise InputError(f"no claimed bound for quantity {quantity!r} in family {family!r}")
-    if claim.mode is not None:
-        if m is None:
-            raise InputError(f"quantity {quantity!r} needs both m and n")
-        if m < MIN_N[family]:
-            raise InputError(f"family {family!r} needs m >= {MIN_N[family]}, got {m}")
-    reason = claim.exclude(m, n)
-    if reason:
-        raise InputError(reason)
-    return claim.formula(m, n)

@@ -1400,9 +1400,7 @@ def _naive_parse_atom(body: str, n: int) -> Transformation:
         if lhs == "Q":
             return send_to(n, range(n), target)
         if lhs.startswith("{") and lhs.endswith("}"):
-            members = [_naive_parse_int(p, n, where) for p in lhs[1:-1].split(",") if p]
-            if not members:
-                raise NotationError(f"empty source set in {where}")
+            members = [_naive_parse_int(p, n, where) for p in lhs[1:-1].split(",")]
             return send_to(n, members, target)
         return send_to(n, [_naive_parse_int(lhs, n, where)], target)
     states = [_naive_parse_int(p, n, where) for p in body.split(",")]

@@ -300,6 +300,10 @@ def test_complexity_and_semigroup_alphabet_conventions():
     a_star = Dfa(2, ("a", "b"), {"a": (0, 1), "b": (1, 1)}, 0, frozenset({0}))
     assert complexity(a_star) == 1
     assert syntactic_semigroup_size(a_star).size == 2
+    # the atoms match minimize(reverse(d)).n, which keeps the sink that
+    # complexity drops with b, so complexity(reverse(d)) can be less
+    assert len(atoms(a_star)) == minimize(reverse(a_star)).n == 2
+    assert complexity(reverse(a_star)) == automata.reverse_complexity(a_star) == 1
 
 
 def test_atoms_counts():

@@ -1,6 +1,7 @@
 """The package needs nothing beyond the Python standard library."""
 
 import ast
+import doctest
 import re
 import sys
 import types
@@ -47,9 +48,16 @@ def test_public_names_are_pinned():
         "atom_complexities", "atom_complexity", "atom_formula", "atoms",
         "boolean_restricted", "boolean_unrestricted", "classify", "complement",
         "complexity", "compose_many", "concat", "cycle",
-        "determinize", "equivalent", "expected", "export_dot", "format_notation",
+        "determinize", "equivalent", "export_dot", "format_notation",
         "make_dialect", "make_witness", "minimize", "occurring_letters",
         "parse_letter_map", "parse_notation", "quotient_complexities", "read_dfa",
         "reverse", "run_verification", "send_to", "star", "suffix_language",
         "syntactic_semigroup_size", "transition_semigroup", "write_dfa",
     ]
+
+
+def test_readme_quick_tour_runs():
+    # each value the quick tour shows is its example's expected output
+    result = doctest.testfile(str(ROOT / "README.md"), module_relative=False)
+    assert result.failed == 0
+    assert result.attempted >= 10

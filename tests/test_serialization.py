@@ -63,6 +63,14 @@ def test_read_without_notation():
         (lambda doc: doc.__setitem__("finals", [3, 3]), "finals: states must be unique"),
         (lambda doc: doc["notation"].__setitem__("a", "(1,2)"), "expands to"),
         (lambda doc: doc["notation"].__setitem__("a", "((1,2)"), "notation['a']"),
+        # an empty member of a collapse's source set is malformed, not dropped
+        (
+            lambda doc: doc.update(
+                transitions={**doc["transitions"], "a": [1, 1, 2, 3]},
+                notation={**doc["notation"], "a": "({0,}->1)"},
+            ),
+            "notation['a']: expected a state number in ({0,}->1), got ''",
+        ),
         (lambda doc: doc.__setitem__("states", 0), "positive integer"),
         # a mutation that returns text edits the document as written: a key
         # repeated in any object is rejected, not overwritten by the last one

@@ -122,7 +122,10 @@ def test_parse_applies_overlapping_atoms_left_to_right():
 
 @pytest.mark.parametrize(
     "text",
-    ["", "(1,2", "(1,,2)", "(1,1,2)", "(9,1)", "(x->1)", "({}->1)", "(1->9)", "foo", "(1)(2,3)"],
+    [
+        "", "(1,2", "(1,,2)", "(1,1,2)", "(9,1)", "(x->1)", "({}->1)", "(1->9)", "foo", "(1)(2,3)",
+        "({0,}->1)", "({,0}->1)", "({0,,1}->2)",
+    ],
 )
 def test_parse_rejects_malformed(text):
     with pytest.raises(NotationError):
@@ -150,7 +153,8 @@ def test_parse_matches_naive_parse():
     [
         "", "  ", "(1,2", "(1,,2)", "(1,1,2)", "(9,1)", "(x->1)", "({}->1)", "(1->9)", "foo",
         "(1)(2,3)", "(0,1)(2,9)", "(0,1)x(1,2)", "(Q->4)", "({1,x}->2)", "(0->1)(1)",
-        "(Q->1)(0,7)", "1 1", "(0,1)(-1,2)", "((0,1))", "(0,1)(2->)",
+        "(Q->1)(0,7)", "1 1", "(0,1)(-1,2)", "((0,1))", "(0,1)(2->)", "({0,}->1)", "({,0}->1)",
+        "({0,,1}->2)",
     ],
 )
 def test_parse_errors_match_naive_parse(text):

@@ -17,7 +17,7 @@ from suffixconvex.verify import (
     run_verification,
 )
 from suffixconvex.serialization import write_dfa
-from suffixconvex.witnesses import CLAIMS, FAMILIES, MIN_N, expected, make_dialect, make_witness
+from suffixconvex.witnesses import CLAIMS, FAMILIES, MIN_N, make_dialect, make_witness
 
 
 def test_family_and_quantity_selection():
@@ -256,20 +256,18 @@ def test_each_claim_is_stated_once():
     assert len(keys) == len(set(keys))
 
 
-def test_exclusion_skips_carry_the_reason_expected_raises(default_report):
+def test_exclusion_skips_carry_their_claims_reason(default_report):
     # every default SKIP row is a claim's exclusion: none is beyond its
     # claim's range and none is a truncated semigroup
     claims = {(c.family, c.tag, c.mode): c for c in CLAIMS}
     skips = [e for e in default_report.entries if e.status == "SKIP"]
     assert skips
     for e in skips:
-        lo, hi = claims[(e.family, e.quantity, e.mode)].rows
+        claim = claims[(e.family, e.quantity, e.mode)]
+        lo, hi = claim.rows
         assert lo <= e.n <= hi and (e.m is None or lo <= e.m <= hi)
         assert e.measured is None
-        quantity = f"{e.quantity}-{e.mode}" if e.mode else e.quantity
-        with pytest.raises(InputError) as raised:
-            expected(e.family, quantity, e.m, e.n)
-        assert str(raised.value) == e.reason
+        assert e.reason and e.reason == claim.exclude(e.m, e.n)
 
 
 REPORT_SHA256 = "7046badef586d424524c0ff01943a676227e80aeb8623587f130ca6fa37555b3"

@@ -19,7 +19,6 @@ from suffixconvex.witnesses import (
     CLAIMS,
     FAMILIES,
     MIN_N,
-    expected,
     make_dialect,
     make_witness,
 )
@@ -186,35 +185,38 @@ def test_make_dialect_five_entries_at_merged_size():
     assert pair.delta["a"] == pair.delta["b"]
 
 
+def _claim(family, quantity):
+    (claim,) = [c for c in CLAIMS if (c.family, c.quantity) == (family, quantity)]
+    return claim
+
+
 def test_expected_values():
-    assert expected("left-ideal", "product-unrestricted", 4, 5) == 29
-    assert expected("suffix-closed", "star", None, 7) == 7
-    assert expected("suffix-free-3", "union-restricted", 5, 4) == 13
-    assert expected("suffix-free-3", "difference-restricted", 5, 4) == 11
-    assert expected("suffix-free-5", "semigroup", None, 6) == 629
-    assert expected("left-ideal", "semigroup", None, 7) == 117655
-    assert expected("regular", "star", None, 6) == 48
-    assert expected("regular", "product-restricted", 4, 4) == 56
-    assert expected("regular", "product-unrestricted", 4, 4) == 72
+    assert _claim("left-ideal", "product-unrestricted").formula(4, 5) == 29
+    assert _claim("suffix-closed", "star").formula(None, 7) == 7
+    assert _claim("suffix-free-3", "union-restricted").formula(5, 4) == 13
+    assert _claim("suffix-free-3", "difference-restricted").formula(5, 4) == 11
+    assert _claim("suffix-free-5", "semigroup").formula(None, 6) == 629
+    assert _claim("left-ideal", "semigroup").formula(None, 7) == 117655
+    assert _claim("regular", "star").formula(None, 6) == 48
+    assert _claim("regular", "product-restricted").formula(4, 4) == 56
+    assert _claim("regular", "product-unrestricted").formula(4, 4) == 72
 
 
 def test_expected_rejections():
-    with pytest.raises(InputError):
-        expected("left-ideal-alt", "product-restricted", 4, 4)
-    with pytest.raises(InputError):
-        expected("suffix-free-3", "union-restricted", 4, 4)
-    with pytest.raises(InputError):
-        expected("suffix-free-5", "semigroup", None, 5)
-    with pytest.raises(InputError):
-        expected("suffix-free-5", "star", None, 6)
-    with pytest.raises(InputError):
-        expected("suffix-free-n", "semigroup", None, 6)
-    with pytest.raises(InputError):
-        expected("left-ideal", "union-restricted", None, 4)
-    with pytest.raises(InputError):
-        expected("left-ideal", "semigroup", None, 3)
-    with pytest.raises(InputError, match="family 'left-ideal' needs m >= 4, got 3"):
-        expected("left-ideal", "union-restricted", 3, 4)
+    # a row a record excludes carries the reason; a quantity that no record
+    # states for a family has no claim at all
+    assert _claim("left-ideal-alt", "product-restricted").exclude(4, 4) == (
+        "the stream meets no product bound"
+    )
+    assert _claim("suffix-free-3", "union-restricted").exclude(4, 4) == (
+        "the three-letter boolean pair excludes (m,n)=(4,4)"
+    )
+    assert _claim("suffix-free-5", "semigroup").exclude(None, 5) == (
+        "the semigroup bound applies from n=6"
+    )
+    stated = {(c.family, c.quantity) for c in CLAIMS}
+    assert ("suffix-free-5", "star") not in stated
+    assert ("suffix-free-n", "semigroup") not in stated
 
 
 def test_every_measured_claim_states_its_formula():
@@ -239,7 +241,7 @@ def test_regular_witness_pair_meets_restricted_product_bound():
     for m in range(3, 7):
         for n in range(3, 7):
             product = concat(make_witness("regular", m), make_witness("regular", n))
-            assert complexity(product) == expected("regular", "product-restricted", m, n)
+            assert complexity(product) == _claim("regular", "product-restricted").formula(m, n)
 
 
 def test_two_letter_star_family_meets_star_bound_empirically():
@@ -266,11 +268,6 @@ def test_formulas_continue_past_the_default_ranges():
 
 # --- the negative statements of the claims table, checked by searching
 # dialects exhaustively at small sizes
-
-
-def _claim(family, quantity):
-    (claim,) = [c for c in CLAIMS if (c.family, c.quantity) == (family, quantity)]
-    return claim
 
 
 def test_three_letter_boolean_pair_meets_no_bound_at_44():
@@ -324,3 +321,46 @@ def test_no_two_letter_dialect_of_suffix_free_3_meets_the_star_bound():
     }
     assert {n: claim.formula(None, n) for n in best} == {6: 17, 7: 33, 8: 65, 9: 129}
     assert best == {6: 15, 7: 23, 8: 33, 9: 45}
+
+
+def test_no_five_letter_dialect_meets_the_ideal_unrestricted_union_bound():
+    # why the ideal streams' unrestricted boolean claims name a six-letter
+    # pair: with the pair's first operand at (4,4), no second dialect over
+    # a..e reaches (m+1)(n+1) for union or symdiff, and 86 over a..f, the
+    # pair's own second dialect among them, reach it for both
+    claims = [_claim("left-ideal", f"{op}-unrestricted") for op in ("union", "symdiff")]
+    assert [claim.formula(4, 4) for claim in claims] == [25, 25]
+    first = make_dialect("left-ideal", 4, claims[0].dialect1)
+    for targets, count, best, meeting in (("abcde", 1545, 20, 0), ("abcdef", 4050, 25, 86)):
+        sizes = {}
+        for pi in injective_dialects(5, targets, range(1, 6)):
+            second = make_dialect("left-ideal", 4, pi)
+            sizes[pi] = tuple(
+                complexity(boolean_unrestricted(first, second, claim.tag)) for claim in claims
+            )
+        assert len(sizes) == count
+        assert max(max(pair) for pair in sizes.values()) == best
+        assert sum(pair == (25, 25) for pair in sizes.values()) == meeting
+    assert sizes[claims[0].dialect2] == (25, 25)
+
+
+def test_suffix_free_unrestricted_booleans_reach_only_the_restricted_bounds():
+    # why suffix-free-5's unrestricted boolean claims state the restricted
+    # formulas: against every second dialect over a..e, the witness at (4,4)
+    # reaches them in unrestricted mode and nothing above.  Second dialects
+    # over a..f give the same maxima at about three times the cost, so the
+    # search keeps to a..e
+    first = make_witness("suffix-free-5", 4)
+    bounds = {op: _claim("suffix-free-5", f"{op}-unrestricted").formula(4, 4) for op in BOOL_OPS}
+    assert bounds == {
+        op: _claim("suffix-free-5", f"{op}-restricted").formula(4, 4) for op in BOOL_OPS
+    }
+    best = dict.fromkeys(BOOL_OPS, 0)
+    seconds = [
+        make_dialect("suffix-free-5", 4, pi) for pi in injective_dialects(5, "abcde", range(1, 6))
+    ]
+    assert len(seconds) == 1545
+    for second in seconds:
+        for op in BOOL_OPS:
+            best[op] = max(best[op], complexity(boolean_unrestricted(first, second, op)))
+    assert best == bounds == {"union": 10, "symdiff": 10, "difference": 8, "intersection": 6}
