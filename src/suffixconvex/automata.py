@@ -58,7 +58,10 @@ from .transformations import Transformation
 
 @dataclass(frozen=True)
 class Dfa:
-    """Complete deterministic automaton with named letters."""
+    """Complete deterministic automaton with named letters.
+
+    Instances must not be mutated, ``delta`` included: results cached on
+    an instance, such as the atom search of ``measures``, rely on that."""
 
     n: int
     alphabet: tuple[str, ...]

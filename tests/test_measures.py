@@ -509,10 +509,53 @@ def test_atom_quotients_match_memberwise_atom_quotients():
     assert min(floors.values()) >= 5, floors
 
 
+def test_repeated_atom_queries_on_one_dfa_match_refined_pair_automaton():
+    # every key of one Dfa object, twice, in shuffled order, with calls to
+    # atom_complexities and rejected keys in between: the search kept on
+    # the object answers each as a fresh refinement of the key's own pair
+    # automaton does; a copy with other finals keeps a search of its own
+    rng = Random(79)
+    corpus = dfa_corpus(seed=81, count=40, max_n=9)
+    corpus += [random_dfa_with_edge_finals(rng, max_n=9) for _ in range(15)]
+    corpus += [Dfa(1, alphabet, {letter: (0,) for letter in alphabet}, 0, finals)
+               for alphabet in ((), ("a",)) for finals in (frozenset(), frozenset({0}))]
+    floors = {"one state": 0, "no letters": 0, "eight states or more": 0,
+              "empty key": 0, "copy answers differently": 0}
+    for d in corpus:
+        m = minimize(d)
+        floors["one state"] += m.n == 1
+        floors["no letters"] += not m.alphabet
+        floors["eight states or more"] += m.n >= 8
+        want = {key: refined_atom_complexity(d, key) for key in atoms(d)}
+        empty = [frozenset(q for q in range(m.n) if bits >> q & 1) for bits in range(2**m.n)]
+        empty = [key for key in empty if key not in want]
+        queries = [*want, *want, "all", "all", frozenset({m.n})] + empty[:2]
+        rng.shuffle(queries)
+        for query in queries:
+            if query == "all":
+                assert atom_complexities(d) == want
+            elif query in want:
+                assert atom_complexity(d, query) == want[query]
+            else:
+                reason = "outside" if m.n in query else "is empty"
+                floors["empty key"] += reason == "is empty"
+                with pytest.raises(InputError, match=reason):
+                    refined_atom_complexity(d, query)
+                with pytest.raises(InputError, match=reason):
+                    atom_complexity(d, query)
+        assert d == replace(d)
+        copy = replace(d, finals=frozenset(q for q in range(d.n) if rng.random() < 0.5))
+        copy_want = refined_atom_complexities(copy)
+        assert {key: atom_complexity(copy, key) for key in copy_want} == copy_want
+        floors["copy answers differently"] += copy_want != want
+        assert {key: atom_complexity(d, key) for key in want} == want
+    assert min(floors.values()) >= 2, floors
+
+
 def _spy_on_atom_search(monkeypatch, m):
     """Patch measures so that refining, walking or building an automaton
-    fails, minimize hands back m, and every ``_atom_quotients`` call records
-    the number of classes it expanded; returns the list of those numbers."""
+    fails and minimize hands back m; returns the list of the atom searches
+    made from then on, in the order they were made."""
 
     def fail(*args):
         raise AssertionError("the atom search refined, walked or built an automaton")
@@ -522,17 +565,23 @@ def _spy_on_atom_search(monkeypatch, m):
     monkeypatch.setattr(automata, "_hopcroft", fail)
     monkeypatch.setattr(automata, "_walk", fail)
     monkeypatch.setattr(measures, "atom_automaton", fail)
-    expanded = []
-    search = measures._atom_quotients
+    monkeypatch.setattr(Dfa, "_trusted", fail)
+    searches = []
 
-    def spy(m, atoms, seeds):
-        names, rows = search(m, atoms, seeds)
-        # each expanded pair adds one entry to every row
-        expanded.append({len(names)} | {len(row) for row in rows})
-        return names, rows
+    class Spy(measures._AtomSearch):
+        def __init__(self, *args):
+            super().__init__(*args)
+            searches.append(self)
 
-    monkeypatch.setattr(measures, "_atom_quotients", spy)
-    return expanded
+    monkeypatch.setattr(measures, "_AtomSearch", Spy)
+    return searches
+
+
+def _expanded(search) -> set[int]:
+    """The number of classes a search holds and the length of each of its
+    rows: an expanded class adds one entry to every row, so a single number
+    means every class has been expanded exactly once."""
+    return {len(search.names)} | {len(row) for row in search.rows}
 
 
 def test_atom_complexities_refines_once(monkeypatch):
@@ -543,23 +592,33 @@ def test_atom_complexities_refines_once(monkeypatch):
     want = refined_atom_complexities(w)
     assert len(want) == 2**5 + 1
     assert not hasattr(measures, "_hopcroft")
-    expanded = _spy_on_atom_search(monkeypatch, m)
+    searches = _spy_on_atom_search(monkeypatch, m)
     assert atom_complexities(w) == want
-    assert len(expanded) == 1 and len(expanded[0]) == 1
+    assert len(searches) == 1 and len(_expanded(searches[0])) == 1
 
 
 def test_atom_complexity_refines_once_and_builds_no_dfa(monkeypatch):
+    # every key of one DFA reads one search kept on it: over all 33 keys it
+    # expands each class once, 250 in all, as many as the search seeded with
+    # every atom up front, and a key asked again expands nothing
     w = make_witness("left-ideal", 6)
     m = minimize(w)
     want = refined_atom_complexities(w)
     for key, value in want.items():
         assert atom_automaton(m, key).n == value
-    expanded = _spy_on_atom_search(monkeypatch, m)
-    for key, value in want.items():
-        expanded.clear()
-        assert atom_complexity(w, key) == value
-        # one search from the key's atom, expanding exactly its quotients
-        assert expanded == [{value}]
+    masks = measures._atom_masks(m, None)
+    assert len(measures._atom_quotients(m, masks, range(len(masks)))[0]) == 250
+    searches = _spy_on_atom_search(monkeypatch, m)
+    keys = list(want)
+    Random(29).shuffle(keys)
+    for key in keys:
+        assert atom_complexity(w, key) == want[key]
+        [search] = searches
+        grown = _expanded(search)
+        assert len(grown) == 1
+        assert atom_complexity(w, key) == want[key]
+        assert _expanded(search) == grown
+    assert _expanded(search) == {250}
 
 
 def test_atom_limit_comes_before_any_enumeration(monkeypatch):
@@ -572,6 +631,21 @@ def test_atom_limit_comes_before_any_enumeration(monkeypatch):
     for count in (atoms, atom_complexities):
         with pytest.raises(LimitError, match="exceeds the limit 12"):
             count(w)
+
+
+def test_atom_limit_holds_on_a_dfa_that_keeps_a_search(monkeypatch):
+    # atom_complexity has no limit and leaves its search on w; the default
+    # limit of atom_complexities still holds on w, before any enumeration
+    w = make_witness("left-ideal", 13)
+    assert atom_complexity(w, frozenset(range(13))) == 13
+
+    def fail(*args):
+        raise AssertionError("atoms were enumerated past the limit")
+
+    monkeypatch.setattr(measures, "_preimages", fail)
+    monkeypatch.setattr(measures, "_subsets", fail)
+    with pytest.raises(LimitError, match="exceeds the limit 12"):
+        atom_complexities(w)
 
 
 def test_atom_complexities_minimizes_once(monkeypatch):
