@@ -4,6 +4,7 @@ from random import Random
 
 import pytest
 from helpers import (
+    atom_quotients,
     cycle_dfa,
     dfa_corpus,
     group_closure,
@@ -18,6 +19,7 @@ from helpers import (
     refined_atom_complexities,
     refined_atom_complexity,
     revalidated,
+    walk_reach_counts,
     witness_atom_items,
 )
 
@@ -129,6 +131,24 @@ def test_transition_semigroup_with_cyclic_units_matches_naive_closure(a, b, size
     d = Dfa(len(a), ("a", "b"), {"a": a, "b": b}, 0, frozenset())
     assert naive_semigroup(d, DEFAULT_SEMIGROUP_CAP) == (size, False)
     assert transition_semigroup(d) == SemigroupSummary(size, False)
+
+
+def test_transition_semigroup_keys_each_distinct_element_once(monkeypatch):
+    # the left-ideal witness at n=7 makes 4,390 candidates but only 1,923
+    # distinct elements: a repeat has the key it had, so it is skipped
+    # before its key is made, and each key makes one coset's least element
+    keyed = []
+    least_in_coset = measures._least_in_coset
+
+    def recorded(chain, tau):
+        keyed.append(tau)
+        return least_in_coset(chain, tau)
+
+    monkeypatch.setattr(measures, "_least_in_coset", recorded)
+    w = make_witness("left-ideal", 7)
+    assert minimize(w) == w
+    assert transition_semigroup(w) == SemigroupSummary(117_655, False)
+    assert len(keyed) == 1_923
 
 
 def test_semigroup_cap_bounds_the_orbit(monkeypatch):
@@ -461,7 +481,7 @@ def test_atom_complexities_match_refined_pair_automaton_on_corpus():
         assert keys[0] == m.finals and set(keys) == set(got)
         for key in keys:
             assert atom_complexity(m, key) == refined_atom_complexity(m, key) == got[key]
-        names, rows = measures._atom_quotients(m, masks, range(len(masks)))
+        names, rows = atom_quotients(m, masks, range(len(masks)))
 
         def name_of(x, y):  # the atoms T with x inside T and y outside it
             return sum(1 << i for i, t in enumerate(keys) if x <= t and not y & t)
@@ -501,7 +521,7 @@ def test_atom_quotients_match_memberwise_atom_quotients():
         singles = rng.sample(all_seeds, min(8, len(masks)))
         for seeds in [[i] for i in singles] + [all_seeds[::-1], all_seeds]:
             names, rows = memberwise_atom_quotients(m, masks, seeds)
-            assert measures._atom_quotients(m, masks, seeds) == (names, rows)
+            assert atom_quotients(m, masks, seeds) == (names, rows)
         floors["one state"] += m.n == 1
         floors["no letters"] += not m.alphabet
         floors["empty name reached"] += 0 in names
@@ -549,6 +569,52 @@ def test_repeated_atom_queries_on_one_dfa_match_refined_pair_automaton():
         assert {key: atom_complexity(copy, key) for key in copy_want} == copy_want
         floors["copy answers differently"] += copy_want != want
         assert {key: atom_complexity(d, key) for key in want} == want
+    assert min(floors.values()) >= 2, floors
+
+
+def test_atom_search_counts_only_the_classes_a_query_adds(monkeypatch):
+    # keys in shuffled order, atom_complexities between them: after every
+    # call the counts kept on the search are those of a walk from every
+    # class, and the one recount a growth costs takes the components of
+    # the classes added since the last count alone; a call that adds no
+    # class counts nothing
+    recounts = []
+    components = automata._components
+
+    def recorded(n, rows, start=0):
+        recounts.append((start, n))
+        return components(n, rows, start)
+
+    monkeypatch.setattr(automata, "_components", recorded)
+    rng = Random(101)
+    corpus = [random_dfa_with_edge_finals(rng, max_n=9) for _ in range(80)]
+    corpus += [Dfa(1, alphabet, {letter: (0,) for letter in alphabet}, 0, finals)
+               for alphabet in ((), ("a",)) for finals in (frozenset(), frozenset({0}))]
+    floors = {"one state": 0, "no letters": 0, "recount of a grown search": 0,
+              "query that adds no class": 0}
+    for d in corpus:
+        m = minimize(d)
+        floors["one state"] += m.n == 1
+        floors["no letters"] += not m.alphabet
+        queries = [*atoms(d), "all", "all"]
+        rng.shuffle(queries)
+        counted = 0
+        for query in queries:
+            recounts.clear()
+            if query == "all":
+                atom_complexities(d)
+            else:
+                atom_complexity(d, query)
+            search = d._atom_search
+            total = len(search.names)
+            assert recounts == ([(counted, total)] if total > counted else [])
+            floors["recount of a grown search"] += 0 < counted < total
+            floors["query that adds no class"] += counted == total
+            if total > counted:  # the walks run once per growth
+                want = walk_reach_counts(total, search.rows)
+            counted = total
+            assert search.counts() == want
+            assert len(recounts) <= 1
     assert min(floors.values()) >= 2, floors
 
 
@@ -607,7 +673,7 @@ def test_atom_complexity_refines_once_and_builds_no_dfa(monkeypatch):
     for key, value in want.items():
         assert atom_automaton(m, key).n == value
     masks = measures._atom_masks(m, None)
-    assert len(measures._atom_quotients(m, masks, range(len(masks)))[0]) == 250
+    assert len(atom_quotients(m, masks, range(len(masks)))[0]) == 250
     searches = _spy_on_atom_search(monkeypatch, m)
     keys = list(want)
     Random(29).shuffle(keys)
