@@ -16,18 +16,21 @@ product, it hands the images back as the rows.  ``_occurring`` adds
 co-reachability over the walked states: the one pass that finds a DFA's
 useful part and its occurring letters, for Suff(L),
 ``occurring_letters`` and ``reverse_complexity``.  ``_subsets`` is the
-one subset construction: its callers (reversal, star, concatenation,
-Suff(L), Σ⁺L, atoms) hand it the nondeterministic moves as bitmask
-steps, one mask per (letter, state), with any epsilon moves already
-folded in.  ``_packed`` packs each state's masks under every letter into
-one int, so a subset's successors under all letters are one OR per
-member, and each letter's is cut out with a shift and a mask; the atom
-quotient search in ``measures`` steps its pairs the same way.  A caller
-that only counts the subsets gets no rows.  ``_hopcroft`` is the one
-refinement: Hopcroft's algorithm
+one full subset construction: its callers (reversal, star,
+concatenation, ``suffix_language``, atoms) hand it the nondeterministic
+moves as bitmask steps, one mask per (letter, state), with any epsilon
+moves already folded in.  ``_packed`` packs each state's masks under
+every letter into one int, so a subset's successors under all letters
+are one OR per member, and each letter's is cut out with a shift and a
+mask; ``_subset_union`` is that step for a construction.  A caller
+that only counts the subsets gets no rows.  The classify search in
+``classifiers`` takes ``_subset_union`` without ``_subsets``, to expand
+the subsets of Σ⁺L and Suff(L) only as far as it reaches, and the atom
+quotient search in ``measures`` steps its pairs through ``_packed`` the
+same way.  ``_hopcroft`` is the one refinement: Hopcroft's algorithm
 with a worklist of blocks, each popped block splitting the partition by
-its preimage under every letter, and an early exit once every class is a
-single state.  It returns the number of classes and the class of each
+its preimage under every letter, and an early exit once every class is
+a single state.  It returns the number of classes and the class of each
 state; ``_class_rows`` turns that into the quotient's rows, which
 ``minimize`` numbers with ``_walk``.  ``_components`` is the one
 strongly-connected-component pass: the semigroup count splits its orbit
@@ -51,7 +54,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import InputError
 from .transformations import Transformation
@@ -173,6 +176,27 @@ def _packed(steps: Sequence[Sequence[int]], width: int) -> tuple[list[int], list
     return packed, [c * width for c in range(len(steps))], (1 << width) - 1
 
 
+def _subset_union(
+    steps: Sequence[Sequence[int]], start: int
+) -> tuple[Callable[[int], int], list[int], int]:
+    """The step of a subset construction from start, as (union, shifts,
+    mask): union(subset) is the OR of its members' ``_packed`` steps, and
+    its successor under letter c is ``union(subset) >> shifts[c] & mask``."""
+    # with no letters only start is ever expanded, so its bits size the packing
+    packed, shifts, mask = _packed(steps, len(steps[0]) if steps else start.bit_length())
+
+    def union(subset: int) -> int:
+        joined = 0
+        rest = subset
+        while rest:
+            low = rest & -rest
+            joined |= packed[low.bit_length() - 1]
+            rest ^= low
+        return joined
+
+    return union, shifts, mask
+
+
 def _subsets(
     steps: Sequence[Sequence[int]], start: int, numbered: bool = True
 ) -> tuple[list[int], list[list[int]]]:
@@ -180,26 +204,20 @@ def _subsets(
 
     Subsets are int bitmasks, bit p standing for state p, and steps[c][p]
     is the mask of the states letter c takes p to; a subset's successor is
-    the union of its members' steps, taken for every letter at once from
-    their ``_packed`` steps.  Returns (order, rows): order lists the
+    the union of its members' steps, taken for every letter at once by
+    ``_subset_union``.  Returns (order, rows): order lists the
     subsets reachable from start in BFS discovery order, letters scanned
     in the order of steps, and rows[c][i] is the number of the subset
     letter c takes order[i] to.  The empty subset, when reachable, is an
     ordinary subset.  A caller that only counts or lists the subsets
     passes numbered=False and gets the rows empty.
     """
-    # with no letters only start is ever expanded, so its bits size the packing
-    packed, shifts, mask = _packed(steps, len(steps[0]) if steps else start.bit_length())
+    union_of, shifts, mask = _subset_union(steps, start)
     index = {start: 0}
     order = [start]
     rows: list[list[int]] = [[] for _ in steps]
     for subset in order:  # the list grows while it is read: a FIFO queue
-        union = 0
-        rest = subset
-        while rest:
-            low = rest & -rest
-            union |= packed[low.bit_length() - 1]
-            rest ^= low
+        union = union_of(subset)
         if not numbered:
             for shift in shifts:
                 target = union >> shift & mask

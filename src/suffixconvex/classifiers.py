@@ -3,7 +3,7 @@
 ``classify`` decides the four classes at the automaton level and, for
 each class that L(d) is not in, returns the length-lexicographically
 smallest counterexample word (letters compared in alphabet order).  It
-is one breadth-first search, ``_first_words``, over tuples of states of
+is one breadth-first search, ``_first_words``, over triples of states of
 (Σ⁺L, Suff(L), L), for the first word of each membership pattern (·
 for either):
 
@@ -14,9 +14,14 @@ for either):
     suffix-convex  accept  accept   reject  Σ⁺L∩Suff(L)∖L
 
 A left ideal must also be non-empty: Suff(L) accepts the empty word.
-Σ⁺L and Suff(L) are subset constructions on d's transitions, handed to
-``automata.determinize`` as bitmask steps, each built once, Suff(L)
-from the useful states of one walk (``automata._occurring``).
+Σ⁺L and Suff(L) are subset constructions on d's transitions, given as
+bitmask steps, Suff(L)'s from the useful states of one walk
+(``automata._occurring``).  No DFA is built for either: the search
+finds a subset's successors the first time a triple holds it, so each
+construction goes only as far as the search, which stops once every
+class has its word.  A language in no class often has all four words
+among the first few triples, while a full Σ⁺L or Suff(L) can have about
+2^n states.  ``suffix_language`` determinizes the same Suff(L) steps.
 
 Three identities make these the counterexamples of the definitions:
 
@@ -34,13 +39,13 @@ Three identities make these the counterexamples of the definitions:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from operator import and_, getitem
-from typing import Collection, Optional, Sequence
+from typing import Optional
 
-from .automata import Dfa, _occurring, determinize
+from .automata import Dfa, _occurring, _subset_union, determinize
 
 Word = tuple[str, ...]
+# a subset construction: (bitmask steps, start, accepting), as determinize takes them
+_Subsets = tuple[list[list[int]], int, int]
 
 
 @dataclass(frozen=True)
@@ -58,70 +63,33 @@ class ClassReport:
     counterexamples: dict[str, Word]
 
 
-def _first_words(
-    alphabet, dfas: Sequence[Dfa], patterns: Collection[Sequence[Optional[bool]]]
-) -> list[Optional[Word]]:
-    """For each pattern, the length-lex smallest word w with
-    (w in L(dfas[i])) == pattern[i] for every i where pattern[i] is not
-    None, or None when there is no such word.
-
-    One BFS over tuples of states, one per automaton, scanning letters
-    in alphabet order, so tuples are met in the order of their least
-    words.  Each state carries the mask of the patterns it agrees with,
-    a tuple the AND of its states' masks; the search stops once every
-    pattern has its word, and parent pointers rebuild each word.
-    """
-    masks = []
-    for i, a in enumerate(dfas):
-        accept = sum(1 << j for j, p in enumerate(patterns) if p[i] is not False)
-        reject = sum(1 << j for j, p in enumerate(patterns) if p[i] is not True)
-        masks.append([accept if q in a.finals else reject for q in range(a.n)])
-    steps = [(letter, [a.delta[letter].image for a in dfas]) for letter in alphabet]
-    words: list[Optional[Word]] = [None] * len(patterns)
-    todo = (1 << len(patterns)) - 1  # the patterns still without a word
-    start = tuple(a.initial for a in dfas)
-    parent = {start: None}
-    queue = [start]
-    for state in queue:  # the list grows while it is read: a FIFO queue
-        if found := reduce(and_, map(getitem, masks, state), todo):
-            word, node = [], state
-            while (link := parent[node]) is not None:
-                node, letter = link
-                word.append(letter)
-            for j in range(len(patterns)):
-                if found >> j & 1:
-                    words[j] = tuple(reversed(word))
-            if not (todo := todo ^ found):
-                break
-        for letter, images in steps:
-            nxt = tuple(map(getitem, images, state))
-            if nxt not in parent:
-                parent[nxt] = (state, letter)
-                queue.append(nxt)
-    return words
-
-
-def suffix_language(d: Dfa) -> Dfa:
-    """DFA for the suffixes of words of L(d).
-
-    The subset construction on d's transitions from the set of states
-    that are both reachable and co-reachable, all read off one walk over
-    the reachable states, in its numbering.
-    """
+def _suffix_steps(d: Dfa) -> _Subsets:
+    """Suff(L) as a subset construction on d's transitions: (bitmask steps,
+    start, accepting) from the set of states that are both reachable and
+    co-reachable, all read off one walk over the reachable states, in its
+    numbering.  The start meets the accepting mask exactly when L is
+    non-empty."""
     _, rows, finals, live, _ = _occurring(d)
     steps = [[1 << q for q in row] for row in rows]
     start = sum(1 << q for q, ok in enumerate(live) if ok)
-    return determinize(d.alphabet, steps, start, sum(1 << f for f in finals))
+    return steps, start, sum(1 << f for f in finals)
 
 
-def _prefixed(d: Dfa) -> Dfa:
-    """DFA for Σ⁺L: the subset construction on ΣL with a loop on every
-    letter at its initial state n."""
+def suffix_language(d: Dfa) -> Dfa:
+    """DFA for the suffixes of words of L(d): the subset construction of
+    ``_suffix_steps``."""
+    return determinize(d.alphabet, *_suffix_steps(d))
+
+
+def _prefixed_steps(d: Dfa) -> _Subsets:
+    """Σ⁺L as a subset construction: (bitmask steps, start, accepting) of
+    ΣL, a fresh initial state n that every letter takes to d's initial
+    state, with a loop on every letter at n."""
     guess = 1 << d.n
     steps = [
         [1 << q for q in d.delta[letter].image] + [guess | 1 << d.initial] for letter in d.alphabet
     ]
-    return determinize(d.alphabet, steps, guess, sum(1 << f for f in d.finals))
+    return steps, guess, sum(1 << f for f in d.finals)
 
 
 # each class: the membership a counterexample has in (Σ⁺L, Suff(L), L)
@@ -131,15 +99,87 @@ _PATTERNS = {
     "suffix-free": (True, None, True),
     "suffix-convex": (True, True, False),
 }
+# per automaton of (Σ⁺L, Suff(L), L): the patterns an accepting state and a
+# rejecting state agree with, as masks, bit j standing for pattern j
+_MASKS = [
+    (
+        sum(1 << j for j, p in enumerate(_PATTERNS.values()) if p[i] is not False),
+        sum(1 << j for j, p in enumerate(_PATTERNS.values()) if p[i] is not True),
+    )
+    for i in range(3)
+]
+
+
+def _first_words(d: Dfa, prefixed: _Subsets, suffixes: _Subsets) -> list[Optional[Word]]:
+    """For each pattern of ``_PATTERNS``, the length-lex smallest word w
+    whose membership in (Σ⁺L, Suff(L), L) agrees with it, or None when
+    there is no such word; prefixed and suffixes are the subset
+    constructions of Σ⁺L and Suff(L) as (bitmask steps, start, accepting).
+
+    One BFS over triples (P, S, q): P a subset of Σ⁺L's construction, S
+    one of Suff(L)'s and q a state of d, scanning letters in alphabet
+    order, so triples are met in the order of their least words.  A
+    subset's successors under every letter are cut out of its union of
+    steps (``automata._subset_union``) the first time it is met and kept
+    for the next triple that holds it, so each construction goes only as
+    far as the search.  A triple agrees
+    with the AND of its parts' pattern masks; the search stops once every
+    pattern has its word, and parent pointers rebuild each word.
+    """
+    images = [d.delta[letter].image for letter in d.alphabet]
+    (accept_p, reject_p), (accept_s, reject_s), (accept_l, reject_l) = _MASKS
+    union_p, shifts_p, mask_p = _subset_union(prefixed[0], prefixed[1])
+    union_s, shifts_s, mask_s = _subset_union(suffixes[0], suffixes[1])
+    final_p, final_s = prefixed[2], suffixes[2]
+    after_p: dict[int, list[int]] = {}  # subset -> its successors, letter by letter
+    after_s: dict[int, list[int]] = {}
+    finals = d.finals
+    words: list[Optional[Word]] = [None] * len(_PATTERNS)
+    todo = (1 << len(_PATTERNS)) - 1  # the patterns still without a word
+    start = (prefixed[1], suffixes[1], d.initial)
+    parent = {start: None}
+    queue = [start]
+    for state in queue:  # the list grows while it is read: a FIFO queue
+        p, s, q = state
+        found = (
+            todo & (accept_l if q in finals else reject_l)
+            & (accept_p if p & final_p else reject_p)
+            & (accept_s if s & final_s else reject_s)
+        )
+        if found:
+            word, node = [], state
+            while (link := parent[node]) is not None:
+                node, letter = link
+                word.append(letter)
+            for j in range(len(_PATTERNS)):
+                if found >> j & 1:
+                    words[j] = tuple(reversed(word))
+            if not (todo := todo ^ found):
+                break
+        next_p = after_p.get(p)
+        if next_p is None:
+            union = union_p(p)
+            next_p = after_p[p] = [union >> shift & mask_p for shift in shifts_p]
+        next_s = after_s.get(s)
+        if next_s is None:
+            union = union_s(s)
+            next_s = after_s[s] = [union >> shift & mask_s for shift in shifts_s]
+        for letter, p2, s2, image in zip(d.alphabet, next_p, next_s, images):
+            nxt = (p2, s2, image[q])
+            if nxt not in parent:
+                parent[nxt] = (state, letter)
+                queue.append(nxt)
+    return words
 
 
 def classify(d: Dfa) -> ClassReport:
     """All four tests in one search over (Σ⁺L, Suff(L), L)."""
-    suff = suffix_language(d)
-    words = _first_words(d.alphabet, (_prefixed(d), suff, d), _PATTERNS.values())
+    suffixes = _suffix_steps(d)
+    words = _first_words(d, _prefixed_steps(d), suffixes)
     found = {tag: word for tag, word in zip(_PATTERNS, words) if word is not None}
+    _, start, accepting = suffixes
     return ClassReport(
-        is_left_ideal=suff.initial in suff.finals and "left-ideal" not in found,
+        is_left_ideal=bool(start & accepting) and "left-ideal" not in found,
         is_suffix_closed="suffix-closed" not in found,
         is_suffix_free="suffix-free" not in found,
         is_suffix_convex="suffix-convex" not in found,

@@ -82,11 +82,9 @@ def read_dfa(text: str) -> Dfa:
         _require(isinstance(row, list), where, "must be a list")
         _require(len(row) == n, where, f"has length {len(row)}, expected {n}")
         for q, target in enumerate(row):
-            _require(
-                _is_int(target) and 0 <= target < n,
-                f"{where}[{q}]",
-                f"state {target!r} outside 0..{n - 1}",
-            )
+            # the message is built only for a bad entry
+            if not (_is_int(target) and 0 <= target < n):
+                _require(False, f"{where}[{q}]", f"state {target!r} outside 0..{n - 1}")
         delta[letter] = Transformation(tuple(row))
 
     initial = doc["initial"]

@@ -14,9 +14,11 @@ import itertools
 import re
 from collections import deque
 from dataclasses import dataclass, replace
+from functools import reduce
+from operator import and_, getitem
 from random import Random
 
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Collection, Iterable, Optional, Sequence
 
 from suffixconvex.automata import (
     Dfa,
@@ -26,10 +28,11 @@ from suffixconvex.automata import (
     _reach_counts,
     _walk,
     accepts,
+    determinize,
     minimize,
     union_alphabet,
 )
-from suffixconvex.classifiers import ClassReport, Word, classify
+from suffixconvex.classifiers import _PATTERNS, ClassReport, Word, classify, suffix_language
 from suffixconvex.errors import InputError, NotationError
 from suffixconvex.measures import _AtomSearch, atoms
 from suffixconvex.operations import _TRUTH
@@ -519,7 +522,7 @@ def nfa_steps(m: Nfa) -> tuple[tuple[str, ...], list[list[int]], int, int]:
 
 
 # --- the epsilon-NFA constructions ``operations.concat``, ``star``,
-# ``reverse`` and ``classifiers.suffix_language``, ``_prefixed`` replaced:
+# ``reverse`` and the Suff(L) and Σ⁺L constructions of ``classifiers`` replaced:
 # each builds an ``Nfa`` of transition triples and determinizes it, here
 # with ``naive_determinize``.
 
@@ -1186,6 +1189,80 @@ def naive_classify(d: Dfa) -> ClassReport:
         counterexamples={
             tag: word for tag, (ok, word) in results.items() if not ok and word is not None
         },
+    )
+
+
+# --- classifiers: the eager path the one lazy search of
+# ``classifiers._first_words`` replaced: Σ⁺L and Suff(L) are each
+# determinized in full, then one BFS runs over tuples of their states and
+# d's.
+
+
+def eager_first_words(
+    alphabet, dfas: Sequence[Dfa], patterns: Collection[Sequence[Optional[bool]]]
+) -> list[Optional[Word]]:
+    """For each pattern, the length-lex smallest word w with
+    (w in L(dfas[i])) == pattern[i] for every i where pattern[i] is not
+    None, or None when there is no such word.
+
+    One BFS over tuples of states, one per automaton, scanning letters
+    in alphabet order, so tuples are met in the order of their least
+    words.  Each state carries the mask of the patterns it agrees with,
+    a tuple the AND of its states' masks; the search stops once every
+    pattern has its word, and parent pointers rebuild each word.
+    """
+    masks = []
+    for i, a in enumerate(dfas):
+        accept = sum(1 << j for j, p in enumerate(patterns) if p[i] is not False)
+        reject = sum(1 << j for j, p in enumerate(patterns) if p[i] is not True)
+        masks.append([accept if q in a.finals else reject for q in range(a.n)])
+    steps = [(letter, [a.delta[letter].image for a in dfas]) for letter in alphabet]
+    words: list[Optional[Word]] = [None] * len(patterns)
+    todo = (1 << len(patterns)) - 1  # the patterns still without a word
+    start = tuple(a.initial for a in dfas)
+    parent = {start: None}
+    queue = [start]
+    for state in queue:  # the list grows while it is read: a FIFO queue
+        if found := reduce(and_, map(getitem, masks, state), todo):
+            word, node = [], state
+            while (link := parent[node]) is not None:
+                node, letter = link
+                word.append(letter)
+            for j in range(len(patterns)):
+                if found >> j & 1:
+                    words[j] = tuple(reversed(word))
+            if not (todo := todo ^ found):
+                break
+        for letter, images in steps:
+            nxt = tuple(map(getitem, images, state))
+            if nxt not in parent:
+                parent[nxt] = (state, letter)
+                queue.append(nxt)
+    return words
+
+
+def eager_prefixed(d: Dfa) -> Dfa:
+    """DFA for Σ⁺L: the subset construction on ΣL with a loop on every
+    letter at its initial state n."""
+    guess = 1 << d.n
+    steps = [
+        [1 << q for q in d.delta[letter].image] + [guess | 1 << d.initial] for letter in d.alphabet
+    ]
+    return determinize(d.alphabet, steps, guess, sum(1 << f for f in d.finals))
+
+
+def eager_classify(d: Dfa) -> ClassReport:
+    """All four tests in one search over (Σ⁺L, Suff(L), L), both
+    constructions determinized first."""
+    suff = suffix_language(d)
+    words = eager_first_words(d.alphabet, (eager_prefixed(d), suff, d), _PATTERNS.values())
+    found = {tag: word for tag, word in zip(_PATTERNS, words) if word is not None}
+    return ClassReport(
+        is_left_ideal=suff.initial in suff.finals and "left-ideal" not in found,
+        is_suffix_closed="suffix-closed" not in found,
+        is_suffix_free="suffix-free" not in found,
+        is_suffix_convex="suffix-convex" not in found,
+        counterexamples=found,
     )
 
 

@@ -6,9 +6,11 @@ from helpers import (
     brute_force_language,
     class_verdict,
     dfa_corpus,
+    eager_classify,
     finite_language_dfa,
     language_upto,
     naive_classify,
+    naive_reachable_states,
     random_dfa,
     random_dfa_any_start,
     words_upto,
@@ -16,7 +18,7 @@ from helpers import (
 
 from suffixconvex import classifiers
 from suffixconvex.automata import Dfa, accepts, determinize, minimize
-from suffixconvex.classifiers import classify, suffix_language
+from suffixconvex.classifiers import ClassReport, classify, suffix_language
 from suffixconvex.operations import complement, equivalent
 from suffixconvex.witnesses import FAMILIES, MIN_N, make_witness
 
@@ -114,6 +116,23 @@ def test_classifiers_match_naive_classifiers():
         assert classify(d) == naive_classify(d)
 
 
+def test_classify_matches_eager_classify():
+    # the lazy search against the full determinizations it replaced: the
+    # same flags and the same word for every class
+    rng = Random(97)
+    drawn = [random_dfa_any_start(rng) for _ in range(2000)]
+    corpus = [
+        replace(d, finals=frozenset(finals))
+        for d in drawn
+        for finals in (d.finals, (), range(d.n))
+    ]
+    corpus += [make_witness(f, n) for f in FAMILIES for n in range(MIN_N[f], 11)]
+    for d in corpus:
+        assert classify(d) == eager_classify(d)
+    assert sum(not d.alphabet for d in drawn) >= 400
+    assert sum(len(naive_reachable_states(d)) < d.n for d in drawn) >= 1000
+
+
 def test_subset_constructions_per_call(monkeypatch):
     calls = []
     first_words = classifiers._first_words
@@ -126,8 +145,40 @@ def test_subset_constructions_per_call(monkeypatch):
     for d in (make_witness("suffix-free-n", 6), make_witness("regular", 4), EMPTY):
         calls.clear()
         classify(d)
-        # Σ⁺L and Suff(L), once each, then one search for all four classes
-        assert sorted(calls) == ["determinize", "determinize", "search"]
+        # one search for all four classes, which expands Σ⁺L and Suff(L)
+        # itself, as far as it goes: no subset construction is determinized
+        assert calls == ["search"]
+
+
+def test_regular_witness_at_20_expands_only_part_of_each_construction(monkeypatch):
+    # Suff(L) has 2^20 - 1 states here; the search expands 21 subsets of
+    # Σ⁺L and 5,034 of Suff(L) before every class has its word, each once
+    expanded: list[list[int]] = []
+    subset_union = classifiers._subset_union
+
+    def spy(steps, start):
+        seen: list[int] = []
+        expanded.append(seen)
+        union, shifts, mask = subset_union(steps, start)
+        return (lambda subset: seen.append(subset) or union(subset)), shifts, mask
+
+    monkeypatch.setattr(classifiers, "_subset_union", spy)
+    report = classify(make_witness("regular", 20))
+    assert report == ClassReport(
+        is_left_ideal=False,
+        is_suffix_closed=False,
+        is_suffix_free=False,
+        is_suffix_convex=False,
+        counterexamples={
+            "left-ideal": ("a",) * 20,
+            "suffix-closed": (),
+            "suffix-free": ("c",) + ("a",) * 19,
+            "suffix-convex": ("a",) * 20,
+        },
+    )
+    prefixed, suffixes = expanded
+    assert (len(prefixed), len(suffixes)) == (21, 5034)
+    assert len(set(prefixed)) == len(prefixed) and len(set(suffixes)) == len(suffixes)
 
 
 def test_suffix_closed_examples():

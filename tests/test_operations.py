@@ -21,10 +21,11 @@ from helpers import (
 from suffixconvex.automata import (
     Dfa,
     complexity,
+    determinize,
     minimize,
     union_alphabet,
 )
-from suffixconvex.classifiers import _prefixed, classify, suffix_language
+from suffixconvex.classifiers import _prefixed_steps, classify, suffix_language
 from suffixconvex.errors import InputError
 from suffixconvex.operations import (
     BOOL_OPS,
@@ -160,7 +161,7 @@ def test_subset_constructions_match_nfa_oracles():
             (star(d), naive_star(d)),
             (concat(d, e), naive_concat(d, e)),
             (suffix_language(d), naive_suffix_language(d)),
-            (_prefixed(d), naive_prefixed(d)),
+            (determinize(d.alphabet, *_prefixed_steps(d)), naive_prefixed(d)),
         )
         for got, want in pairs:
             assert got == want

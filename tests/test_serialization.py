@@ -113,6 +113,25 @@ def test_read_rejects_booleans_as_integers(field, value, fragment):
     assert str(err.value).startswith(fragment)
 
 
+@pytest.mark.parametrize(
+    "row,message",
+    [
+        ([0, -1, 9, 0], "transitions['a'][1]: state -1 outside 0..3"),
+        ([0, 1, 2, 4], "transitions['a'][3]: state 4 outside 0..3"),
+        ([0, 1.0, -1, 0], "transitions['a'][1]: state 1.0 outside 0..3"),
+        ([0, 1, "2", -3], "transitions['a'][2]: state '2' outside 0..3"),
+        ([3, 2, 1, None], "transitions['a'][3]: state None outside 0..3"),
+        ([True, 0, 0, 0], "transitions['a'][0]: state True outside 0..3"),
+    ],
+)
+def test_read_reports_the_first_bad_transition_entry(row, message):
+    # a row is checked as a whole; a bad one is reported at its first bad entry
+    doc = {"states": 4, "alphabet": ["a"], "transitions": {"a": row}, "initial": 0, "finals": []}
+    with pytest.raises(DocumentError) as err:
+        read_dfa(json.dumps(doc))
+    assert str(err.value) == message
+
+
 def test_read_rejects_non_json():
     with pytest.raises(DocumentError):
         read_dfa("not json at all {")
