@@ -1,7 +1,17 @@
 """Semigroup sizes, quotient complexities, and atoms.
 
-The transition semigroup is counted by its R-classes, never listing its
-elements (Linton, Pfeiffer, Robertson and Ruškuc, "Groups and actions in
+The transition semigroup S over n states has at most n^n elements, and
+its size is read off at most C + 1 of them, C the larger of the cap and
+the number of distinct letters.  So when min(C, n^n) is at most
+``_LISTING_BOUND``, known before any work starts, S is listed: a
+closure under right multiplication by the letters that stops at C + 1
+elements.  Below that bound the fixed cost of the count described next
+(an orbit, its components and a stabilizer chain per component) is more
+than the cost of listing every element; above it, listing falls behind
+as S grows.
+
+Otherwise S is counted by its R-classes, never listing its elements
+(Linton, Pfeiffer, Robertson and Ruškuc, "Groups and actions in
 transformation semigroups", 1998; East, Egri-Nagy, Mitchell and Péresse,
 "Computing finite semigroups", 2019).  The image sets of the elements form
 one orbit under the letters, split into strongly connected components by
@@ -17,16 +27,15 @@ element made again: the left-ideal witness at n=7 makes 4,390
 candidates, 1,923 of them distinct.  An element's key depends on the
 element alone, so a set of the candidates keyed so far turns a repeat
 away with one lookup.  So the cost follows the number of R-classes, not
-of elements.  Elements are bytes composed with ``bytes.translate``,
-which bounds the DFA at 256 states.  A cap stops the count where a
-breadth-first closure stopped at cap elements would: with C the larger
-of the cap and the number of distinct letters, the size is exact up to
-C and reads C, truncated, above it.  The count stops as soon as the
-orbit or the running sum exceeds C, and the chain of a component K as
-soon as the part of G it has found exceeds C / |K|, since the first
-R-class of K then passes C; so no step lists more than 2C things, and
-the set, which holds one candidate per letter for the letters and for
-each R-class found, no more than k(C + 1).
+of elements.  On both paths elements are bytes composed with
+``bytes.translate``, which bounds the DFA at 256 states, and a cap stops
+where a breadth-first closure stopped at cap elements would: the size
+is exact up to C and reads C, truncated, above it.  The count stops as
+soon as the orbit or the running sum exceeds C, and the chain of a
+component K as soon as the part of G it has found exceeds C / |K|,
+since the first R-class of K then passes C; so no step lists more than
+2C things, and the set, which holds one candidate per letter for the
+letters and for each R-class found, no more than k(C + 1).
 
 Atom A_S is non-empty exactly when S = {q : qw is final} for some word w.
 Those sets are the subsets reached by the subset construction on the
@@ -89,6 +98,8 @@ from .errors import InputError, LimitError
 DEFAULT_SEMIGROUP_CAP = 2_000_000
 DEFAULT_ATOM_STATE_LIMIT = 12
 SEMIGROUP_STATE_BOUND = 256
+# a semigroup that can hold no more elements than this is listed
+_LISTING_BOUND = 1_000
 
 AtomKey = frozenset
 
@@ -193,7 +204,8 @@ def _least_in_coset(chain: Sequence[dict[int, tuple[bytes, bytes]]], tau: bytes)
 
 def transition_semigroup(d: Dfa, cap: int = DEFAULT_SEMIGROUP_CAP) -> SemigroupSummary:
     """Size of the semigroup S that the letter transformations generate,
-    counted one R-class at a time (see the module docstring).
+    listed when min(C, n^n) <= _LISTING_BOUND and counted one R-class at a
+    time otherwise (see the module docstring).
 
     With C = max(cap, number of distinct letter transformations), returns
     (|S|, False) when |S| <= C and (C, True) otherwise: where a
@@ -210,11 +222,37 @@ def transition_semigroup(d: Dfa, cap: int = DEFAULT_SEMIGROUP_CAP) -> SemigroupS
         )
     gens = list(dict.fromkeys(bytes(d.delta[letter].image) for letter in d.alphabet))
     limit = max(cap, len(gens))
-    pad = bytes(256 - d.n)
+    # |S| <= n^n, so the bound on what a listing could hold is known first
+    count = _listed if min(limit, d.n**d.n) <= _LISTING_BOUND else _by_r_classes
+    return count(d.n, gens, limit)
+
+
+def _listed(n: int, gens: list[bytes], limit: int) -> SemigroupSummary:
+    """The semigroup of the distinct letters gens over n states, listed by
+    a closure under right multiplication by the letters; stops at limit + 1
+    elements."""
+    tables = [g + bytes(256 - n) for g in gens]
+    seen = set(gens)
+    elements = list(gens)
+    for f in elements:  # the list grows while it is read: a FIFO queue
+        for table in tables:
+            h = f.translate(table)
+            if h not in seen:
+                seen.add(h)
+                elements.append(h)
+                if len(elements) > limit:
+                    return SemigroupSummary(limit, True)
+    return SemigroupSummary(len(elements), False)
+
+
+def _by_r_classes(n: int, gens: list[bytes], limit: int) -> SemigroupSummary:
+    """The semigroup of the distinct letters gens over n states, counted one
+    R-class at a time (see the module docstring); stops past limit."""
+    pad = bytes(256 - n)
 
     # the orbit of image sets, each the image of a distinct element; a set
     # is keyed by its complement, states.translate(None, points)
-    states = _IDENTITY[: d.n]
+    states = _IDENTITY[:n]
     index: dict[bytes, int] = {}
     sets: list[bytes] = []  # a sequence of each image set's points, repeats allowed
     for g in gens:

@@ -15,7 +15,7 @@ import re
 from collections import deque
 from dataclasses import dataclass, replace
 from functools import reduce
-from operator import and_, getitem
+from operator import and_, getitem, itemgetter
 from random import Random
 
 from typing import Callable, Collection, Iterable, Optional, Sequence
@@ -666,10 +666,10 @@ def naive_semigroup(d: Dfa, cap: int) -> tuple[int, bool]:
     """(size, truncated) of the transition semigroup, closed over tuples.
 
     Breadth-first over words by length, then alphabet order, composing
-    element by element: stops, flagging truncation, when an element past
-    the first cap is found, but always keeps every distinct letter.  The
-    reference for ``measures.transition_semigroup``, which counts the same
-    (size, truncated) from Green's structure without listing elements.
+    entry by entry: stops, flagging truncation, when an element past the
+    first cap is found, but always keeps every distinct letter.  The
+    reference for both paths of ``measures.transition_semigroup``: the
+    closure over ``bytes`` elements and the count by Green's structure.
     """
     gen_images = [d.delta[letter].image for letter in d.alphabet]
     seen: set[tuple[int, ...]] = set()
@@ -681,8 +681,11 @@ def naive_semigroup(d: Dfa, cap: int) -> tuple[int, bool]:
             queue.append(image)
     while queue and not truncated:
         current = queue.popleft()
+        # current, then gen: (gen[current[0]], gen[current[1]], ...), one
+        # itemgetter for every gen; at one state it would give a bare int
+        then = itemgetter(*current) if d.n > 1 else lambda gen: (gen[current[0]],)
         for gen in gen_images:
-            composed = tuple(gen[q] for q in current)
+            composed = then(gen)
             if composed in seen:
                 continue
             if len(seen) >= cap:

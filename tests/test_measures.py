@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 from random import Random
@@ -78,14 +79,32 @@ def _record_group_orders(monkeypatch) -> list[int]:
     return orders
 
 
+def _path_args(d: Dfa, cap: int) -> tuple[int, list[bytes], int]:
+    """What ``transition_semigroup`` hands either path: the number of
+    states, the distinct letters, and C, the larger of cap and their number."""
+    gens = list(dict.fromkeys(bytes(d.delta[letter].image) for letter in d.alphabet))
+    return d.n, gens, max(cap, len(gens))
+
+
+def _paths(d: Dfa, cap: int) -> list[tuple[int, bool]]:
+    """(size, truncated) from the listing and from the R-class count."""
+    args = _path_args(d, cap)
+    return [(s.size, s.truncated) for s in (measures._listed(*args), measures._by_r_classes(*args))]
+
+
 def test_transition_semigroup_matches_naive_closure_on_corpus(monkeypatch):
     orders = _record_group_orders(monkeypatch)
+
+    def check(d, cap):  # both paths, whichever transition_semigroup would pick
+        want = naive_semigroup(d, cap)
+        assert _paths(d, cap) == [want, want], (d.delta, cap)
+        return want
+
     # with n <= 7 every semigroup lies below the default cap, so at that cap
     # these are exact counts, however large
     for d in dfa_corpus(seed=107, count=500, max_n=7):
         for cap in (1, 5, 50, 300, DEFAULT_SEMIGROUP_CAP):
-            summary = transition_semigroup(d, cap)
-            assert (summary.size, summary.truncated) == naive_semigroup(d, cap)
+            check(d, cap)
     # letters that are permutations three times in ten; caps 1 and 2 lie
     # below the number of distinct letters of many sets.  The closure lists
     # every element, so the default cap is compared on the sets it completes
@@ -96,22 +115,16 @@ def test_transition_semigroup_matches_naive_closure_on_corpus(monkeypatch):
     for _ in range(3000):
         d = random_generators_dfa(rng)
         for cap in (1, 2, 5, 50, 300, 1_000):
-            want = naive_semigroup(d, cap)
-            summary = transition_semigroup(d, cap)
-            assert (summary.size, summary.truncated) == want, (d.delta, cap)
-        cap = DEFAULT_SEMIGROUP_CAP
-        if want[1]:
-            large += 1
-            if large % 5:
-                continue
-            cap = 100_000
-            want = naive_semigroup(d, cap)
-            exact += not want[1]
-        summary = transition_semigroup(d, cap)
-        assert (summary.size, summary.truncated) == want, (d.delta, cap)
+            want = check(d, cap)
+        if not want[1]:
+            check(d, DEFAULT_SEMIGROUP_CAP)
+            continue
+        large += 1
+        if large % 5 == 0:
+            exact += not check(d, 100_000)[1]
     assert large >= 300 and exact >= 50
-    # many Schützenberger groups are neither trivial nor symmetric: their
-    # orders are no factorial
+    # many Schützenberger groups of the R-class count are neither trivial
+    # nor symmetric: their orders are no factorial
     assert sum(order not in (1, 2, 6, 24, 120, 720, 5040) for order in orders) >= 1_000
 
 
@@ -151,27 +164,64 @@ def test_transition_semigroup_keys_each_distinct_element_once(monkeypatch):
     assert len(keyed) == 1_923
 
 
+def _cycle_and_merge(n: int) -> Dfa:
+    return Dfa(n, ("a", "b"), {"a": tuple((q + 1) % n for q in range(n)),
+                               "b": (1,) + tuple(range(1, n))}, 0, frozenset())
+
+
 def test_semigroup_cap_bounds_the_orbit(monkeypatch):
     # the images of a cycle and of a merge of two states reach all 2^20 - 1
-    # nonempty sets of 20 states; at cap 300 they are never all listed
-    n = 20
-    d = Dfa(n, ("a", "b"), {"a": tuple((q + 1) % n for q in range(n)),
-                            "b": (1,) + tuple(range(1, n))}, 0, frozenset())
+    # nonempty sets of 20 states; at cap 300 the R-class count never lists
+    # them all
+    d = _cycle_and_merge(20)
     monkeypatch.setattr(measures, "_components", lambda n, rows: pytest.fail("orbit listed"))
+    assert measures._by_r_classes(*_path_args(d, 300)) == SemigroupSummary(300, True)
     assert transition_semigroup(d, 300) == SemigroupSummary(300, True)
 
 
 def test_semigroup_cap_bounds_the_group(monkeypatch):
     # a 200-cycle and a transposition generate the symmetric group on 200
-    # points, whose chain has 199 levels; at cap 300 it stops after passing
-    # 300, below 2 x 300, since each new point at most doubles the product
+    # points, whose chain has 199 levels; at cap 300 the R-class count stops
+    # it after passing 300, below 2 x 300, since each new point at most
+    # doubles the product
     n = 200
     d = Dfa(n, ("a", "b"), {"a": tuple((q + 1) % n for q in range(n)),
                             "b": (1, 0) + tuple(range(2, n))}, 0, frozenset())
     orders = _record_group_orders(monkeypatch)
+    assert measures._by_r_classes(*_path_args(d, 300)) == SemigroupSummary(300, True)
     assert transition_semigroup(d, 300) == SemigroupSummary(300, True)
     [order] = orders
     assert 300 < order <= 600
+
+
+def test_semigroup_is_listed_when_it_cannot_pass_the_listing_bound(monkeypatch):
+    # transition_semigroup lists S when min(C, n^n) <= _LISTING_BOUND, C the
+    # larger of the cap and the number of distinct letters, since |S| <= n^n;
+    # otherwise it counts S by R-classes.  Each case fails the test if the
+    # other path runs: the count can stop on its orbit, before _components
+    bound = measures._LISTING_BOUND
+    # the full transformation monoids on 4 and 5 states, from 3 letters
+    regular4, regular5 = make_witness("regular", 4), make_witness("regular", 5)
+    cycle_and_merge = _cycle_and_merge(20)  # 2^20 - 1 image sets
+    # 1,001 distinct letters over 5 states: C passes the bound at any cap
+    maps = Random(27).sample(list(itertools.product(range(5), repeat=5)), bound + 1)
+    many = Dfa(5, tuple(f"x{i}" for i in range(len(maps))),
+               {f"x{i}": t for i, t in enumerate(maps)}, 0, frozenset())
+    # the caps around |S|, and below the number of distinct letters
+    listed = [(regular4, cap) for cap in (DEFAULT_SEMIGROUP_CAP, 4**4 - 1, 4**4, 4**4 + 1, 2)]
+    listed.append((cycle_and_merge, bound))
+    counted = [(regular5, cap) for cap in (DEFAULT_SEMIGROUP_CAP, 5**5 - 1, 5**5, 5**5 + 1)]
+    counted += [(cycle_and_merge, bound + 1), (many, 1)]
+    for cases, other in ((listed, "_by_r_classes"), (counted, "_listed")):
+        with monkeypatch.context() as m:
+            m.setattr(measures, other, lambda *args: pytest.fail(f"{other} ran"))
+            for d, cap in cases:
+                assert transition_semigroup(d, cap) == SemigroupSummary(*naive_semigroup(d, cap))
+    assert naive_semigroup(many, 1) == (bound + 1, True)
+    # either path, whichever transition_semigroup picks, gives the same
+    for d, cap in listed + counted + [(regular5, 2)]:
+        want = naive_semigroup(d, cap)
+        assert _paths(d, cap) == [want, want], (d.n, cap)
 
 
 def _table(p):
