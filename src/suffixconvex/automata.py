@@ -36,18 +36,17 @@ state; ``_class_rows`` turns that into the quotient's rows, which
 strongly-connected-component pass: the semigroup count splits its orbit
 of image sets with it, and ``_reach_counts`` counts on it the states
 reachable from every state at once, for the quotient and atom
-complexities, and continues a count over the states a growing graph
-adds, for the atom search that grows as keys are asked.  A kernel whose
-rows are valid by construction (determinize, minimize, the direct
-product, the atom automaton) builds its result with ``Dfa._trusted``,
-which skips the checks of ``Dfa.__post_init__``; every other ``Dfa`` is
-validated.  A query that needs only a size (``complexity`` here, the
-quotient and atom complexities in ``measures``) counts states,
-refinement classes or atom quotients and builds no minimal ``Dfa`` for
-it: ``complexity`` is one walk and one refinement, and reads the letters
-that occur off the classes.  ``reverse_complexity`` runs no refinement
-at all: by Brzozowski's theorem the subset construction on the reversal
-of an accessible DFA is minimal, so it counts the subsets.
+complexities.  A kernel whose rows are valid by construction
+(determinize, minimize, the direct product, the atom automaton) builds
+its result with ``Dfa._trusted``, which skips the checks of
+``Dfa.__post_init__``; every other ``Dfa`` is validated.  A query that
+needs only a size (``complexity`` here, the quotient and atom
+complexities in ``measures``) counts states, refinement classes or atom
+quotients and builds no minimal ``Dfa`` for it: ``complexity`` is one
+walk and one refinement, and reads the letters that occur off the
+classes.  ``reverse_complexity`` runs no refinement at all: by
+Brzozowski's theorem the subset construction on the reversal of an
+accessible DFA is minimal, so it counts the subsets.
 """
 
 from __future__ import annotations
@@ -65,7 +64,7 @@ class Dfa:
     """Complete deterministic automaton with named letters.
 
     Instances must not be mutated, ``delta`` included: results cached on
-    an instance, such as the atom search of ``measures``, rely on that."""
+    an instance, such as the atom table of ``measures``, rely on that."""
 
     n: int
     alphabet: tuple[str, ...]
@@ -382,27 +381,24 @@ def _walk(
     return order, rows, frozenset(number[q] for q in finals if number[q] >= 0)
 
 
-def _components(n: int, rows: Sequence[Sequence[int]], start: int = 0) -> tuple[int, list[int]]:
-    """Strongly connected components of the graph on {start,..,n-1} whose
-    edges are p -> rows[c][p], edges into states below start left out.
+def _components(n: int, rows: Sequence[Sequence[int]]) -> tuple[int, list[int]]:
+    """Strongly connected components of the graph on {0,..,n-1} whose
+    edges are p -> rows[c][p].
 
-    Returns (count, comp): comp[q] is the component of q, -1 below start,
-    numbered sinks first, so every edge leads to a component with the same
-    or a smaller number.  Tarjan's algorithm ("Depth-first search and
-    linear graph algorithms", 1972), iterative, so deep graphs do not hit
-    the recursion limit.
+    Returns (count, comp): comp[q] is the component of q, numbered sinks
+    first, so every edge leads to a component with the same or a smaller
+    number.  Tarjan's algorithm ("Depth-first search and linear graph
+    algorithms", 1972), iterative, so deep graphs do not hit the
+    recursion limit.
     """
-    # succ[p]: p's targets, letter by letter
-    succ = [()] * start + list(zip(*(row[start:] for row in rows))) if rows else [()] * n
-    # discovery number from 1, 0 while unvisited; a state below start reads
-    # as visited, and as off the stack since its number passes every low
-    index = [n + 1] * start + [0] * (n - start)
+    succ = list(zip(*rows)) if rows else [()] * n  # succ[p]: p's targets, letter by letter
+    index = [0] * n  # discovery number from 1; 0 while unvisited
     low = [0] * n
     comp = [-1] * n
     stack: list[int] = []
     count = 0
     counter = 0
-    for root in range(start, n):
+    for root in range(n):
         if index[root]:
             continue
         counter += 1
@@ -434,12 +430,7 @@ def _components(n: int, rows: Sequence[Sequence[int]], start: int = 0) -> tuple[
     return count, comp
 
 
-def _reach_counts(
-    n: int,
-    rows: Sequence[Sequence[int]],
-    comp: list[int] | None = None,
-    reach: list[int] | None = None,
-) -> list[int]:
+def _reach_counts(n: int, rows: Sequence[Sequence[int]]) -> list[int]:
     """The number of states reachable from each state of {0,..,n-1} (itself
     included) along p -> rows[c][p].
 
@@ -449,26 +440,14 @@ def _reach_counts(
     members of a component one run of bits, and a component takes each
     successor's mask once, so the work on masks follows the edges between
     components, not between states.
-
-    A graph that grows by states no earlier state has an edge into is
-    counted as it grows: comp (each state's component) and reach (each
-    component's mask), kept from the count of the states below len(comp),
-    are extended in place to all n, and only the new states are counted
-    and returned.  No old state reaches a new one, so an old mask is taken
-    as it is.
     """
-    if comp is None:
-        comp, reach = [], []
-    start, first = len(comp), len(reach)
-    count, new = _components(n, rows, start)
-    new = new[start:]
-    comp += [first + x for x in new]
+    count, comp = _components(n, rows)
     size = [0] * count
-    for x in new:
+    for x in comp:
         size[x] += 1
-    reach += [(1 << k) - 1 << s for k, s in zip(size, accumulate(size, initial=start))]
-    took = [-1] * len(reach)  # took[y]: the component whose mask last took y's
-    for q in sorted(range(start, n), key=comp.__getitem__):
+    reach = [(1 << k) - 1 << start for k, start in zip(size, accumulate(size, initial=0))]
+    took = [-1] * count  # took[y]: the component whose mask last took y's
+    for q in sorted(range(n), key=comp.__getitem__):
         x = comp[q]
         mask = reach[x]
         for row in rows:
@@ -477,8 +456,8 @@ def _reach_counts(
                 took[y] = x
                 mask |= reach[y]
         reach[x] = mask
-    counts = [mask.bit_count() for mask in reach[first:]]
-    return [counts[x - first] for x in comp[start:]]
+    counts = [mask.bit_count() for mask in reach]
+    return [counts[x] for x in comp]
 
 
 def _class_rows(

@@ -49,40 +49,34 @@ quotient of A_S by w is the union of the A_T with Sw inside T and S'w
 outside it, S' the complement of S.  Atoms are non-empty and pairwise
 disjoint, so that set of atoms names the quotient exactly, and distinct
 names are distinct languages: counting an atom's quotients needs no
-refinement.  ``_AtomSearch`` is one breadth-first search over the
+refinement.  ``_atom_quotients`` is one breadth-first search over the
 pairs (Sw, S'w) that expands each name once; a pair's successors under
 every letter are one OR of its members' steps, packed as
 ``automata._packed`` packs them.  A name is the AND of one atom mask per
 member, and the masks are read off one bit string per state.
 
-The quotients found from one atom are quotients of every atom that
-reaches them, so a DFA gets one search, made on its first atom query and
-kept on the ``Dfa``: ``atom_complexity`` seeds it with one atom and
-``atom_complexities`` with every atom.  A seed whose atom is already a
-class costs a lookup; any other joins the queue, and the search resumes
-where it stopped.  No class ever gains an edge to a later one, and a
-witness's atoms mostly reach each other's, so asking for every atom one
-key at a time costs about one search.  Nor does it cost a count of every
-class per growth: a growth adds the classes past the last count, and a
-count covers only those, on the reach masks kept from the counts before.
-``atom_automaton`` runs a fresh search from its key alone, numbered as
-``minimize`` numbers the atom's minimal DFA.
+``atom_complexities`` seeds the search with every atom, so atoms that
+reach the same quotient share it and all after it, and counts once how
+many classes each reaches.  The result is a table of every atom's
+complexity, kept on the ``Dfa`` on its first atom query: a later query,
+for every atom or for one key, reads it.  A DFA whose minimal DFA has
+more states than ``DEFAULT_ATOM_STATE_LIMIT`` gets no table; there
+``atom_complexity`` searches from its key alone, and counts the classes
+found, each reachable from the seed.  ``atom_automaton`` runs that
+search too, numbered as ``minimize`` numbers the atom's minimal DFA.
 
 Sizes are counted, not built: the states of a minimal DFA are pairwise
 distinguishable, so a quotient's complexity is the number of states of
 the minimal DFA reachable from it, and an atom's is the number of names
 reachable from its own.  ``automata._reach_counts`` gives both for every
-state at once, from one pass over the strongly connected components, and
-continues a count over a graph that grows by states no earlier state
-reaches.
+state at once, from one pass over the strongly connected components.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from .automata import (
     Dfa,
@@ -369,17 +363,12 @@ def quotient_complexities(d: Dfa) -> tuple[int, ...]:
     return tuple(_reach_counts(m.n, [m.delta[letter].image for letter in m.alphabet]))
 
 
-def _check_atom_limit(n: int, limit: int | None) -> None:
-    """LimitError when a minimal DFA of n states passes limit (None: no limit)."""
-    if limit is not None and n > limit:
-        raise LimitError(f"atom enumeration over {n} states exceeds the limit {limit}")
-
-
 def _atom_masks(m: Dfa, limit: int | None) -> list[int]:
     """The non-empty atoms of the minimal DFA m as masks of its states, in
     ``_subsets`` order, so atom 0 is the finals' own; over limit states
     (None: no limit) LimitError, before any enumeration."""
-    _check_atom_limit(m.n, limit)
+    if limit is not None and m.n > limit:
+        raise LimitError(f"atom enumeration over {m.n} states exceeds the limit {limit}")
     steps = _preimages(m.n, [m.delta[letter].image for letter in m.alphabet])
     return _subsets(steps, sum(1 << q for q in m.finals), numbered=False)[0]
 
@@ -396,128 +385,99 @@ def atoms(d: Dfa, limit: int = DEFAULT_ATOM_STATE_LIMIT) -> frozenset[AtomKey]:
     )
 
 
-class _AtomSearch:
+def _atom_quotients(
+    m: Dfa, atoms: Sequence[int], seeds: Sequence[int]
+) -> tuple[list[int], list[list[int]]]:
     """The distinct quotients of the atoms (the masks of ``_atom_masks``)
-    of the minimal DFA m, each named by its atoms, found from the seeds
-    given so far and grown as seeds join.
+    of the minimal DFA m that the distinct seeds index, each named by its
+    atoms.
 
     The quotient of A_S by w is coded by its pair (Sw, S'w) as the int
     X | Y << n, and named by the AND of held[q], the atoms holding q, over
     q in X and of their complement over q in Y: an overlapping pair gets
-    the empty name by itself.  A seed atom i is named 1 << i; a seed whose
-    name is already a class is that class, any other is the next class.
-    New names follow in BFS order, letters in alphabet order, each
-    expanded once from the first pair found with it.  A code is looked up
-    in a code -> class cache first, and named only on a miss.
-    rows[c][j] is the class letter c takes class j to.
+    the empty name by itself.  The k-th seed is class k, named
+    1 << seeds[k]; new names follow in BFS order, letters in alphabet
+    order, each expanded once from the first pair found with it.  A code
+    is looked up in a code -> class cache first, and named only on a miss.
+    Returns (names, rows), rows[c][j] the class letter c takes class j to.
     """
-
-    def __init__(self, m: Dfa, atoms: Sequence[int]):
-        n = self.n = m.n
-        self.atoms = atoms
-        self.atom_of = {atom: i for i, atom in enumerate(atoms)}
-        full = self.full = (1 << len(atoms)) - 1
-        # held[q] read off one bit string per state: column q of the atoms'
-        # binary forms, the last atom's bit first
-        forms = [format(atom, f"0{n}b") for atom in reversed(atoms)]
-        held = [int("".join(column), 2) for column in zip(*forms)][::-1]
-        # factor[p]: the mask a code's bit p ANDs into its name
-        self.factor = held + [full ^ h for h in held]
-        # steps[c][p]: the bit of p's image, in the X half for p < n, else in Y
-        images = [m.delta[letter].image for letter in m.alphabet]
-        steps = [[1 << q for q in image] + [1 << q + n for q in image] for image in images]
-        self.packed, self.shifts, self.mask = _packed(steps, 2 * n)
-        self.codes: list[int] = []
-        self.names: list[int] = []
-        self.cache: dict[int, int] = {}  # code -> class
-        self.index: dict[int, int] = {}  # name -> class
-        self.rows: list[list[int]] = [[] for _ in steps]
-        self.expanded = 0  # codes[:expanded] have been expanded
-        # the reach count of each class counted so far, and the component
-        # of each and the reach mask of each component, kept for the next count
-        self.reach: list[int] = []
-        self.comp: list[int] = []
-        self.masks: list[int] = []
-
-    def atom(self, key) -> int:
-        """The index of key's atom; rejects a key outside m's states and
-        an empty atom."""
-        s = frozenset(key)
-        if not s <= frozenset(range(self.n)):
-            raise InputError(f"atom key {sorted(s)} outside the minimal DFA's states")
-        i = self.atom_of.get(sum(1 << q for q in s))
-        if i is None:
-            raise InputError(f"atom for key {sorted(s)} is empty")
-        return i
-
-    def seed(self, seeds: Iterable[int]) -> list[int]:
-        """The classes of the atoms seeds index, the search grown until
-        every class is expanded."""
-        codes, names, cache, index = self.codes, self.names, self.cache, self.index
-        classes = []
-        for i in seeds:
-            j = index.get(1 << i)
+    n = m.n
+    full = (1 << len(atoms)) - 1
+    # held[q] read off one bit string per state: column q of the atoms'
+    # binary forms, the last atom's bit first
+    forms = [format(atom, f"0{n}b") for atom in reversed(atoms)]
+    held = [int("".join(column), 2) for column in zip(*forms)][::-1]
+    # factor[p]: the mask a code's bit p ANDs into its name
+    factor = held + [full ^ h for h in held]
+    # steps[c][p]: the bit of p's image, in the X half for p < n, else in Y
+    images = [m.delta[letter].image for letter in m.alphabet]
+    steps = [[1 << q for q in image] + [1 << q + n for q in image] for image in images]
+    packed, shifts, mask = _packed(steps, 2 * n)
+    codes = [atoms[i] | (atoms[i] ^ (1 << n) - 1) << n for i in seeds]
+    names = [1 << i for i in seeds]
+    cache = {code: j for j, code in enumerate(codes)}  # code -> class
+    index = {name: j for j, name in enumerate(names)}  # name -> class
+    rows: list[list[int]] = [[] for _ in steps]
+    for code in codes:  # the list grows while it is read: a FIFO queue
+        union = 0
+        rest = code
+        while rest:
+            low = rest & -rest
+            union |= packed[low.bit_length() - 1]
+            rest ^= low
+        for shift, row in zip(shifts, rows):
+            target = union >> shift & mask
+            j = cache.get(target)
             if j is None:
-                atom = self.atoms[i]
-                code = atom | (atom ^ (1 << self.n) - 1) << self.n
-                j = cache[code] = index[1 << i] = len(codes)
-                codes.append(code)
-                names.append(1 << i)
-            classes.append(j)
-        packed, shifts, mask, factor, full = (
-            self.packed, self.shifts, self.mask, self.factor, self.full
-        )
-        pairs = list(zip(shifts, self.rows))
-        # the list grows while it is read: a FIFO queue, resumed where it stopped
-        for code in islice(codes, self.expanded, None):
-            union = 0
-            rest = code
-            while rest:
-                low = rest & -rest
-                union |= packed[low.bit_length() - 1]
-                rest ^= low
-            for shift, row in pairs:
-                target = union >> shift & mask
-                j = cache.get(target)
+                name = full
+                rest = target
+                while rest:
+                    low = rest & -rest
+                    name &= factor[low.bit_length() - 1]
+                    rest ^= low
+                j = index.get(name)
                 if j is None:
-                    name = full
-                    rest = target
-                    while rest:
-                        low = rest & -rest
-                        name &= factor[low.bit_length() - 1]
-                        rest ^= low
-                    j = index.get(name)
-                    if j is None:
-                        j = index[name] = len(codes)
-                        codes.append(target)
-                        names.append(name)
-                    cache[target] = j
-                row.append(j)
-        self.expanded = len(codes)
-        return classes
-
-    def counts(self) -> list[int]:
-        """The number of classes reachable from each class.  A growth adds
-        the classes past the last count, and no class before them has an
-        edge into them, so only those are counted, on the reach masks
-        kept from the counts before."""
-        if len(self.reach) < len(self.names):
-            self.reach += _reach_counts(len(self.names), self.rows, self.comp, self.masks)
-        return self.reach
+                    j = index[name] = len(codes)
+                    codes.append(target)
+                    names.append(name)
+                cache[target] = j
+            row.append(j)
+    return names, rows
 
 
-def _atom_search(d: Dfa, limit: int | None) -> _AtomSearch:
-    """The atom-quotient search of the minimal DFA of L(d), made on d's
-    first atom query and kept on d, which is never mutated; LimitError
-    over limit states (None: no limit), before any enumeration."""
-    search = getattr(d, "_atom_search", None)
-    if search is None:
-        m = minimize(d)
-        search = _AtomSearch(m, _atom_masks(m, limit))
-        object.__setattr__(d, "_atom_search", search)
-    else:
-        _check_atom_limit(search.n, limit)
-    return search
+def _atom_mask(n: int, key, atoms: Collection[int]) -> int:
+    """The mask of key's atom, one of atoms, of a minimal DFA of n states;
+    rejects a key outside its states and an empty atom."""
+    s = frozenset(key)
+    if not s <= frozenset(range(n)):
+        raise InputError(f"atom key {sorted(s)} outside the minimal DFA's states")
+    x = sum(1 << q for q in s)
+    if x not in atoms:
+        raise InputError(f"atom for key {sorted(s)} is empty")
+    return x
+
+
+def _one_atom_quotients(m: Dfa, key) -> tuple[list[int], list[list[int]]]:
+    """``_atom_quotients`` of the minimal DFA m from the atom of key alone:
+    every class is reachable from the seed, class 0."""
+    masks = _atom_masks(m, None)
+    return _atom_quotients(m, masks, [masks.index(_atom_mask(m.n, key, masks))])
+
+
+def _atom_table(d: Dfa, m: Dfa) -> tuple[int, dict[int, int]]:
+    """(m.n, {atom mask: complexity}) for m, the minimal DFA of L(d), kept
+    on d, which is never mutated; over the default atom limit LimitError,
+    before any enumeration.
+
+    Every atom seeds one search, so atoms that reach the same quotient
+    share it, and an atom's complexity is the number of classes reachable
+    from its own."""
+    masks = _atom_masks(m, DEFAULT_ATOM_STATE_LIMIT)
+    names, rows = _atom_quotients(m, masks, range(len(masks)))
+    reach = _reach_counts(len(names), rows)  # the seeds are classes 0..
+    table = m.n, dict(zip(masks, reach))
+    object.__setattr__(d, "_atom_table", table)
+    return table
 
 
 def atom_automaton(m: Dfa, key) -> Dfa:
@@ -525,12 +485,9 @@ def atom_automaton(m: Dfa, key) -> Dfa:
     the key names: the atom's quotients, numbered as ``minimize`` numbers
     them, a quotient accepting the empty word when it holds A_F, atom 0.
     Rejects empty atoms."""
-    search = _AtomSearch(m, _atom_masks(m, None))
-    search.seed([search.atom(key)])
-    names = search.names
+    names, rows = _one_atom_quotients(m, key)
     return Dfa._trusted(
-        len(names), m.alphabet, search.rows, 0,
-        frozenset(j for j, name in enumerate(names) if name & 1),
+        len(names), m.alphabet, rows, 0, frozenset(j for j, name in enumerate(names) if name & 1)
     )
 
 
@@ -538,25 +495,27 @@ def atom_complexity(d: Dfa, key) -> int:
     """Quotient complexity of the atom A_S of the minimal DFA of L(d),
     over the full alphabet: the number of its distinct quotients.
 
-    Every query of d reads one search kept on d: a key whose atom is
-    already a class costs a lookup, and a new one joins the search, which
-    resumes where it stopped.  No state limit applies."""
-    search = _atom_search(d, None)
-    [j] = search.seed([search.atom(key)])
-    return search.counts()[j]
+    Up to the default atom limit every key of d reads the table of
+    ``atom_complexities``, made on d's first atom query and kept on d;
+    past it the key's own search is counted, and nothing is kept.  No
+    state limit applies."""
+    table = getattr(d, "_atom_table", None)
+    if table is None:
+        m = minimize(d)
+        if m.n > DEFAULT_ATOM_STATE_LIMIT:
+            return len(_one_atom_quotients(m, key)[0])
+        table = _atom_table(d, m)
+    n, complexity = table
+    return complexity[_atom_mask(n, key, complexity)]
 
 
 def atom_complexities(d: Dfa) -> dict[AtomKey, int]:
-    """atom_complexity of every non-empty atom (keyed as ``atoms`` keys
-    them, under its default limit, checked before any enumeration even
-    when d already holds a search): every atom seeds d's one search, so
-    atoms that reach the same quotient share it, and an atom's complexity
-    is the number of classes reachable from its own."""
-    search = _atom_search(d, DEFAULT_ATOM_STATE_LIMIT)
-    classes = search.seed(range(len(search.atoms)))
-    reach = search.counts()
-    n = search.n
+    """atom_complexity of every non-empty atom, keyed as ``atoms`` keys
+    them, under its default limit: one search seeded with every atom and
+    one reach count over it, kept on d as a table of the atoms'
+    complexities."""
+    n, complexity = getattr(d, "_atom_table", None) or _atom_table(d, minimize(d))
     return {
-        frozenset(q for q in range(n) if mask >> q & 1): reach[j]
-        for mask, j in zip(search.atoms, classes)
+        frozenset(q for q in range(n) if mask >> q & 1): value
+        for mask, value in complexity.items()
     }

@@ -34,7 +34,7 @@ from suffixconvex.automata import (
 )
 from suffixconvex.classifiers import _PATTERNS, ClassReport, Word, classify, suffix_language
 from suffixconvex.errors import InputError, NotationError
-from suffixconvex.measures import _AtomSearch, atoms
+from suffixconvex.measures import atoms
 from suffixconvex.operations import _TRUTH
 from suffixconvex.transformations import Transformation, cycle, send_to
 from suffixconvex.verify import _atom_items
@@ -845,7 +845,7 @@ def naive_atom_complexity(d: Dfa, key) -> int:
 
 
 # --- the image-pair route to atom complexity that the atom-quotient search
-# of ``measures._AtomSearch`` replaced: one pair automaton, overlapping
+# of ``measures._atom_quotients`` replaced: one pair automaton, overlapping
 # pairs collapsed into a sink, refined with ``_hopcroft``.
 
 
@@ -921,7 +921,7 @@ def refined_atom_complexity(d: Dfa, key) -> int:
 
 
 # --- the memberwise searches ``automata._subsets`` and the atom-quotient
-# search of ``measures._AtomSearch`` replaced: each lists a set's members
+# search of ``measures._atom_quotients`` replaced: each lists a set's members
 # once and ORs every member's step again for each letter, where the library
 # ORs each member's packed steps once for all letters.
 
@@ -956,7 +956,7 @@ def memberwise_subsets(
 def memberwise_atom_quotients(
     m: Dfa, atoms: Sequence[int], seeds: Sequence[int]
 ) -> tuple[list[int], list[list[int]]]:
-    """(names, rows) of the atoms' quotients as ``atom_quotients`` numbers
+    """(names, rows) of the atoms' quotients as ``_atom_quotients`` numbers
     them: a pair (Sw, S'w) coded X | Y << n is named by the AND of held[q],
     the atoms holding q, over q in X and of their complement over q in Y."""
     n = m.n
@@ -999,17 +999,6 @@ def memberwise_atom_quotients(
                 cache[target] = j
             row.append(j)
     return names, rows
-
-
-def atom_quotients(
-    m: Dfa, atoms: Sequence[int], seeds: Sequence[int]
-) -> tuple[list[int], list[list[int]]]:
-    """(names, rows) of a fresh ``measures._AtomSearch`` over the atoms of
-    the minimal DFA m, seeded with the distinct seeds up front: the k-th
-    seed is class k."""
-    search = _AtomSearch(m, atoms)
-    search.seed(seeds)
-    return search.names, search.rows
 
 
 def witness_atom_items(family: str, n: int) -> list[tuple[frozenset, int, int]]:

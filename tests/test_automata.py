@@ -648,41 +648,6 @@ def test_components_and_reach_counts_match_walks():
     assert merged >= 100  # graphs with a component of more than one state
 
 
-def test_reach_counts_continue_over_a_growing_graph():
-    # a graph grown in stages, each stage's states with edges into the
-    # stages so far only: counting stage by stage, each count on the
-    # components and masks the last one kept, gives each new state the
-    # count of a walk over the whole graph, and the new states' components
-    # are the whole graph's
-    rng = Random(73)
-    floors = {"no letters": 0, "stage of one state": 0, "component of several states": 0}
-    for _ in range(300):
-        k = rng.randint(0, 3)
-        cuts = sorted(rng.sample(range(1, 40), rng.randint(1, 6)))
-        n = cuts[-1]
-        rows = [[] for _ in range(k)]
-        for start, end in zip([0] + cuts, cuts):
-            for row in rows:
-                row += [rng.randrange(end) for _ in range(start, end)]
-        want = walk_reach_counts(n, rows)
-        whole = _components(n, rows)[1]
-        comp: list[int] = []
-        reach: list[int] = []
-        for start, end in zip([0] + cuts, cuts):
-            floors["stage of one state"] += end - start == 1
-            stage = [row[:end] for row in rows]
-            count, new = _components(end, stage, start)
-            assert new[:start] == [-1] * start and sorted(set(new[start:])) == list(range(count))
-            for p in range(start, end):
-                for q in range(start, end):
-                    assert (new[p] == new[q]) == (whole[p] == whole[q])
-            assert _reach_counts(end, stage, comp, reach) == want[start:end]
-            assert len(comp) == end and len(reach) == max(comp) + 1
-        floors["no letters"] += not k
-        floors["component of several states"] += len(set(whole)) < n
-    assert min(floors.values()) >= 10, floors
-
-
 def _reachable(rows, q):
     """The states reachable from q, by a plain depth-first search."""
     seen = {q}

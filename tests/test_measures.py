@@ -5,7 +5,6 @@ from random import Random
 
 import pytest
 from helpers import (
-    atom_quotients,
     cycle_dfa,
     dfa_corpus,
     group_closure,
@@ -20,7 +19,6 @@ from helpers import (
     refined_atom_complexities,
     refined_atom_complexity,
     revalidated,
-    walk_reach_counts,
     witness_atom_items,
 )
 
@@ -531,7 +529,7 @@ def test_atom_complexities_match_refined_pair_automaton_on_corpus():
         assert keys[0] == m.finals and set(keys) == set(got)
         for key in keys:
             assert atom_complexity(m, key) == refined_atom_complexity(m, key) == got[key]
-        names, rows = atom_quotients(m, masks, range(len(masks)))
+        names, rows = measures._atom_quotients(m, masks, range(len(masks)))
 
         def name_of(x, y):  # the atoms T with x inside T and y outside it
             return sum(1 << i for i, t in enumerate(keys) if x <= t and not y & t)
@@ -571,7 +569,7 @@ def test_atom_quotients_match_memberwise_atom_quotients():
         singles = rng.sample(all_seeds, min(8, len(masks)))
         for seeds in [[i] for i in singles] + [all_seeds[::-1], all_seeds]:
             names, rows = memberwise_atom_quotients(m, masks, seeds)
-            assert atom_quotients(m, masks, seeds) == (names, rows)
+            assert measures._atom_quotients(m, masks, seeds) == (names, rows)
         floors["one state"] += m.n == 1
         floors["no letters"] += not m.alphabet
         floors["empty name reached"] += 0 in names
@@ -581,9 +579,9 @@ def test_atom_quotients_match_memberwise_atom_quotients():
 
 def test_repeated_atom_queries_on_one_dfa_match_refined_pair_automaton():
     # every key of one Dfa object, twice, in shuffled order, with calls to
-    # atom_complexities and rejected keys in between: the search kept on
+    # atom_complexities and rejected keys in between: the table kept on
     # the object answers each as a fresh refinement of the key's own pair
-    # automaton does; a copy with other finals keeps a search of its own
+    # automaton does; a copy with other finals keeps a table of its own
     rng = Random(79)
     corpus = dfa_corpus(seed=81, count=40, max_n=9)
     corpus += [random_dfa_with_edge_finals(rng, max_n=9) for _ in range(15)]
@@ -622,56 +620,10 @@ def test_repeated_atom_queries_on_one_dfa_match_refined_pair_automaton():
     assert min(floors.values()) >= 2, floors
 
 
-def test_atom_search_counts_only_the_classes_a_query_adds(monkeypatch):
-    # keys in shuffled order, atom_complexities between them: after every
-    # call the counts kept on the search are those of a walk from every
-    # class, and the one recount a growth costs takes the components of
-    # the classes added since the last count alone; a call that adds no
-    # class counts nothing
-    recounts = []
-    components = automata._components
-
-    def recorded(n, rows, start=0):
-        recounts.append((start, n))
-        return components(n, rows, start)
-
-    monkeypatch.setattr(automata, "_components", recorded)
-    rng = Random(101)
-    corpus = [random_dfa_with_edge_finals(rng, max_n=9) for _ in range(80)]
-    corpus += [Dfa(1, alphabet, {letter: (0,) for letter in alphabet}, 0, finals)
-               for alphabet in ((), ("a",)) for finals in (frozenset(), frozenset({0}))]
-    floors = {"one state": 0, "no letters": 0, "recount of a grown search": 0,
-              "query that adds no class": 0}
-    for d in corpus:
-        m = minimize(d)
-        floors["one state"] += m.n == 1
-        floors["no letters"] += not m.alphabet
-        queries = [*atoms(d), "all", "all"]
-        rng.shuffle(queries)
-        counted = 0
-        for query in queries:
-            recounts.clear()
-            if query == "all":
-                atom_complexities(d)
-            else:
-                atom_complexity(d, query)
-            search = d._atom_search
-            total = len(search.names)
-            assert recounts == ([(counted, total)] if total > counted else [])
-            floors["recount of a grown search"] += 0 < counted < total
-            floors["query that adds no class"] += counted == total
-            if total > counted:  # the walks run once per growth
-                want = walk_reach_counts(total, search.rows)
-            counted = total
-            assert search.counts() == want
-            assert len(recounts) <= 1
-    assert min(floors.values()) >= 2, floors
-
-
-def _spy_on_atom_search(monkeypatch, m):
+def _spy_on_atom_quotients(monkeypatch, m):
     """Patch measures so that refining, walking or building an automaton
-    fails and minimize hands back m; returns the list of the atom searches
-    made from then on, in the order they were made."""
+    fails and minimize hands back m; returns the list of the number of
+    classes of each atom-quotient search made from then on, in order."""
 
     def fail(*args):
         raise AssertionError("the atom search refined, walked or built an automaton")
@@ -683,21 +635,15 @@ def _spy_on_atom_search(monkeypatch, m):
     monkeypatch.setattr(measures, "atom_automaton", fail)
     monkeypatch.setattr(Dfa, "_trusted", fail)
     searches = []
+    search = measures._atom_quotients
 
-    class Spy(measures._AtomSearch):
-        def __init__(self, *args):
-            super().__init__(*args)
-            searches.append(self)
+    def spy(*args):
+        names, rows = search(*args)
+        searches.append(len(names))
+        return names, rows
 
-    monkeypatch.setattr(measures, "_AtomSearch", Spy)
+    monkeypatch.setattr(measures, "_atom_quotients", spy)
     return searches
-
-
-def _expanded(search) -> set[int]:
-    """The number of classes a search holds and the length of each of its
-    rows: an expanded class adds one entry to every row, so a single number
-    means every class has been expanded exactly once."""
-    return {len(search.names)} | {len(row) for row in search.rows}
 
 
 def test_atom_complexities_refines_once(monkeypatch):
@@ -708,33 +654,46 @@ def test_atom_complexities_refines_once(monkeypatch):
     want = refined_atom_complexities(w)
     assert len(want) == 2**5 + 1
     assert not hasattr(measures, "_hopcroft")
-    searches = _spy_on_atom_search(monkeypatch, m)
+    searches = _spy_on_atom_quotients(monkeypatch, m)
     assert atom_complexities(w) == want
-    assert len(searches) == 1 and len(_expanded(searches[0])) == 1
+    assert searches == [250]
 
 
 def test_atom_complexity_refines_once_and_builds_no_dfa(monkeypatch):
-    # every key of one DFA reads one search kept on it: over all 33 keys it
-    # expands each class once, 250 in all, as many as the search seeded with
-    # every atom up front, and a key asked again expands nothing
+    # every key of one DFA reads one table kept on it: over all 33 keys,
+    # asked twice each and once more all together, one search is made, of
+    # all 250 classes, and nothing else is searched
     w = make_witness("left-ideal", 6)
     m = minimize(w)
     want = refined_atom_complexities(w)
     for key, value in want.items():
         assert atom_automaton(m, key).n == value
-    masks = measures._atom_masks(m, None)
-    assert len(atom_quotients(m, masks, range(len(masks)))[0]) == 250
-    searches = _spy_on_atom_search(monkeypatch, m)
+    searches = _spy_on_atom_quotients(monkeypatch, m)
     keys = list(want)
     Random(29).shuffle(keys)
     for key in keys:
         assert atom_complexity(w, key) == want[key]
-        [search] = searches
-        grown = _expanded(search)
-        assert len(grown) == 1
         assert atom_complexity(w, key) == want[key]
-        assert _expanded(search) == grown
-    assert _expanded(search) == {250}
+        assert searches == [250]
+    assert atom_complexities(w) == want
+    assert searches == [250]
+
+
+def test_atom_complexity_past_the_limit_searches_from_its_key_alone():
+    # left-ideal at n = 13 passes the default atom limit, so no table is
+    # made: each key counts its own search, as many classes as its atom
+    # automaton has states, and nothing is kept on the witness; the
+    # witness is minimal, numbered as its definition
+    w = make_witness("left-ideal", 13)
+    m = minimize(w)
+    assert m == w
+    for key in (frozenset(range(13)), frozenset(), frozenset({1}), frozenset(range(1, 13))):
+        got = atom_complexity(w, key)
+        assert got == atom_automaton(m, key).n == atom_formula("left-ideal", 13, key)
+    for key, reason in ((frozenset({0}), "is empty"), (frozenset({13}), "outside")):
+        with pytest.raises(InputError, match=reason):
+            atom_complexity(w, key)
+    assert vars(w).keys() == {"n", "alphabet", "delta", "initial", "finals"}
 
 
 def test_atom_limit_comes_before_any_enumeration(monkeypatch):
@@ -749,9 +708,10 @@ def test_atom_limit_comes_before_any_enumeration(monkeypatch):
             count(w)
 
 
-def test_atom_limit_holds_on_a_dfa_that_keeps_a_search(monkeypatch):
-    # atom_complexity has no limit and leaves its search on w; the default
-    # limit of atom_complexities still holds on w, before any enumeration
+def test_atom_limit_holds_after_a_query_past_it(monkeypatch):
+    # atom_complexity has no limit, and past it searches from its key; the
+    # default limit of atom_complexities still holds on w, before any
+    # enumeration
     w = make_witness("left-ideal", 13)
     assert atom_complexity(w, frozenset(range(13))) == 13
 
