@@ -30,9 +30,11 @@ quotient search in ``measures`` steps its pairs through ``_packed`` the
 same way.  ``_hopcroft`` is the one refinement: Hopcroft's algorithm
 with a worklist of blocks, each popped block splitting the partition by
 its preimage under every letter, and an early exit once every class is
-a single state.  It returns the number of classes and the class of each
-state; ``_class_rows`` turns that into the quotient's rows, which
-``minimize`` numbers with ``_walk``.  ``_components`` is the one
+a single state.  A state alone in its block is settled, since such a
+block can never split, and a preimage edge into it is not marked.  It
+returns the number of classes and the class of each state;
+``_class_rows`` turns that into the quotient's rows, which ``minimize``
+numbers with ``_walk``.  ``_components`` is the one
 strongly-connected-component pass: the semigroup count splits its orbit
 of image sets with it, and ``_reach_counts`` counts on it the states
 reachable from every state at once, for the quotient and atom
@@ -46,7 +48,12 @@ quotients and builds no minimal ``Dfa`` for it: ``complexity`` is one
 walk and one refinement, and reads the letters that occur off the
 classes.  ``reverse_complexity`` runs no refinement at all: by
 Brzozowski's theorem the subset construction on the reversal of an
-accessible DFA is minimal, so it counts the subsets.
+accessible DFA is minimal, so it counts the subsets.  A DFA whose
+construction proves it minimal is marked so (``_mark_minimal``): the
+result of ``minimize``, of ``operations.reverse`` on an accessible DFA
+and of ``measures.atom_automaton``.  ``minimize`` returns a marked DFA
+itself, and ``complexity`` counts its states with neither the walk nor
+the refinement; the mark is never put on an operand.
 """
 
 from __future__ import annotations
@@ -63,14 +70,21 @@ from .transformations import Transformation
 class Dfa:
     """Complete deterministic automaton with named letters.
 
-    Instances must not be mutated, ``delta`` included: results cached on
-    an instance, such as the atom table of ``measures``, rely on that."""
+    Instances must not be mutated, ``delta`` included: what is kept on an
+    instance relies on that.  That is the atom table of ``measures``, and
+    the mark ``_minimal`` on a DFA whose construction proves it minimal,
+    accessible from initial state 0 and numbered as ``minimize`` numbers
+    it (see ``_mark_minimal``).  Neither is a field: the constructor,
+    ``==`` and ``repr`` ignore them, and any copy made through the
+    constructor starts unmarked."""
 
     n: int
     alphabet: tuple[str, ...]
     delta: dict[str, Transformation]
     initial: int
     finals: frozenset[int]
+
+    _minimal = False  # not a field: no annotation
 
     def __post_init__(self):
         object.__setattr__(self, "alphabet", tuple(self.alphabet))
@@ -282,8 +296,11 @@ def _hopcroft(
     queues its new part too; one that is not queues its smaller half.  So
     each time a state's block is popped, the block is at most half the size
     it was the last time, and with k letters the whole refinement takes
-    O(k·n log n) time.  The refinement stops as soon as every class is a
-    single state.
+    O(k·n log n) time.  A block of one state can never split, so its state
+    is settled: block_of holds ~b for it while the refinement runs, and a
+    preimage edge into a settled state is passed over without being marked
+    (Valmari and Lehtinen).  The refinement stops as soon as every class is
+    a single state.
     """
     # block 0 holds the finals, block 1 the rest
     block_of = [1] * n
@@ -294,6 +311,10 @@ def _hopcroft(
     if cut in (0, n):
         return 1, [0] * n
     elems += [q for q in range(n) if block_of[q]]
+    if cut == 1:
+        block_of[elems[0]] = ~0
+    if cut == n - 1:
+        block_of[elems[cut]] = ~1
 
     pre: list[list[list[int]]] = []
     for image in rows:
@@ -323,6 +344,8 @@ def _hopcroft(
             for q in splitter:
                 for p in table[q]:
                     y = block_of[p]
+                    if y < 0:  # settled
+                        continue
                     j = mid[y]
                     if j == first[y]:
                         touched.append(y)
@@ -342,8 +365,13 @@ def _hopcroft(
                 end.append(m)
                 mid.append(f)
                 first[y] = mid[y] = m
-                for i in range(f, m):
-                    block_of[elems[i]] = new
+                if m - f == 1:
+                    block_of[elems[f]] = ~new
+                else:
+                    for i in range(f, m):
+                        block_of[elems[i]] = new
+                if e - m == 1:
+                    block_of[elems[m]] = ~y
                 if queued[y] or m - f <= e - m:
                     queued.append(True)
                     waiting.append(new)
@@ -351,7 +379,7 @@ def _hopcroft(
                     queued.append(False)
                     queued[y] = True
                     waiting.append(y)
-    return len(first), block_of
+    return len(first), [x if x >= 0 else ~x for x in block_of]
 
 
 def _walk(
@@ -472,14 +500,26 @@ def _class_rows(
     return [[block_of[row[q]] for q in member] for row in rows]
 
 
+def _mark_minimal(d: Dfa) -> Dfa:
+    """Mark d, fresh from a construction that proves it minimal, accessible
+    from initial state 0 and numbered as ``minimize`` numbers it: then
+    ``minimize`` returns d itself and ``complexity`` counts its states with
+    no walk and no refinement.  Returns d."""
+    object.__setattr__(d, "_minimal", True)
+    return d
+
+
 def minimize(d: Dfa) -> Dfa:
     """The minimal complete DFA of L(d), canonically renumbered.
 
     Unreachable states are dropped, equivalent states merged, and the
     classes numbered by BFS discovery order from the initial class with
     letters scanned in alphabet order; the result is idempotent under
-    repeated minimization.
+    repeated minimization.  The result is marked minimal, and a DFA
+    marked minimal is its own result.
     """
+    if d._minimal:
+        return d
     # one walk numbers the reachable states and reads their rows, a second
     # numbers the classes, every one reachable from the initial state's
     images = [d.delta[letter].image for letter in d.alphabet]
@@ -487,7 +527,7 @@ def minimize(d: Dfa) -> Dfa:
     count, block_of = _hopcroft(len(order), rows, finals)
     class_finals = {block_of[q] for q in finals}
     _, out, out_finals = _walk(count, _class_rows(rows, count, block_of), block_of[0], class_finals)
-    return Dfa._trusted(count, d.alphabet, out, 0, out_finals)
+    return _mark_minimal(Dfa._trusted(count, d.alphabet, out, 0, out_finals))
 
 
 def union_alphabet(d1: Dfa, d2: Dfa) -> tuple[str, ...]:
@@ -522,7 +562,8 @@ def complexity(d: Dfa) -> int:
     b is gone.  ``measures.syntactic_semigroup_size`` keeps the full
     alphabet instead (2 for the same language).
 
-    One walk and one refinement over all letters.  The empty language is
+    One walk and one refinement over all letters, or neither on a DFA
+    marked minimal, whose states are its classes.  The empty language is
     at most one class, the non-final one every letter keeps, and a letter
     occurs when it takes some reachable state out of it; the initial
     state's successor settles most letters.  A reachable state's language
@@ -530,8 +571,11 @@ def complexity(d: Dfa) -> int:
     leaves the classes reachable from the initial one over the rest.
     """
     images = [d.delta[letter].image for letter in d.alphabet]
-    order, rows, finals = _walk(d.n, images, d.initial, d.finals)
-    count, block_of = _hopcroft(len(order), rows, finals)
+    if d._minimal:  # accessible from state 0, every state its own class
+        rows, finals, count, block_of = images, d.finals, d.n, range(d.n)
+    else:
+        order, rows, finals = _walk(d.n, images, d.initial, d.finals)
+        count, block_of = _hopcroft(len(order), rows, finals)
     occurs = []
     for row in rows:
         s = row[0]  # the initial state's successor

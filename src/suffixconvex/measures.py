@@ -63,7 +63,10 @@ for every atom or for one key, reads it.  A DFA whose minimal DFA has
 more states than ``DEFAULT_ATOM_STATE_LIMIT`` gets no table; there
 ``atom_complexity`` searches from its key alone, and counts the classes
 found, each reachable from the seed.  ``atom_automaton`` runs that
-search too, numbered as ``minimize`` numbers the atom's minimal DFA.
+search too, numbered as ``minimize`` numbers the atom's minimal DFA, and
+marks its result minimal with ``automata._mark_minimal``: distinct names
+are distinct quotients, so ``minimize`` returns it as it is and
+``complexity`` counts it with no refinement.
 
 Sizes are counted, not built: the states of a minimal DFA are pairwise
 distinguishable, so a quotient's complexity is the number of states of
@@ -81,6 +84,7 @@ from typing import Collection, Iterable, Sequence
 from .automata import (
     Dfa,
     _components,
+    _mark_minimal,
     _packed,
     _preimages,
     _reach_counts,
@@ -464,15 +468,14 @@ def _one_atom_quotients(m: Dfa, key) -> tuple[list[int], list[list[int]]]:
     return _atom_quotients(m, masks, [masks.index(_atom_mask(m.n, key, masks))])
 
 
-def _atom_table(d: Dfa, m: Dfa) -> tuple[int, dict[int, int]]:
-    """(m.n, {atom mask: complexity}) for m, the minimal DFA of L(d), kept
-    on d, which is never mutated; over the default atom limit LimitError,
-    before any enumeration.
+def _atom_table(d: Dfa, m: Dfa, masks: Sequence[int]) -> tuple[int, dict[int, int]]:
+    """(m.n, {atom mask: complexity}) for m, the minimal DFA of L(d), and
+    masks, its atoms as ``_atom_masks`` lists them; kept on d, which is
+    never mutated.
 
     Every atom seeds one search, so atoms that reach the same quotient
     share it, and an atom's complexity is the number of classes reachable
     from its own."""
-    masks = _atom_masks(m, DEFAULT_ATOM_STATE_LIMIT)
     names, rows = _atom_quotients(m, masks, range(len(masks)))
     reach = _reach_counts(len(names), rows)  # the seeds are classes 0..
     table = m.n, dict(zip(masks, reach))
@@ -486,9 +489,9 @@ def atom_automaton(m: Dfa, key) -> Dfa:
     them, a quotient accepting the empty word when it holds A_F, atom 0.
     Rejects empty atoms."""
     names, rows = _one_atom_quotients(m, key)
-    return Dfa._trusted(
-        len(names), m.alphabet, rows, 0, frozenset(j for j, name in enumerate(names) if name & 1)
-    )
+    finals = frozenset(j for j, name in enumerate(names) if name & 1)
+    # distinct names are distinct quotients, each reached from class 0
+    return _mark_minimal(Dfa._trusted(len(names), m.alphabet, rows, 0, finals))
 
 
 def atom_complexity(d: Dfa, key) -> int:
@@ -498,13 +501,16 @@ def atom_complexity(d: Dfa, key) -> int:
     Up to the default atom limit every key of d reads the table of
     ``atom_complexities``, made on d's first atom query and kept on d;
     past it the key's own search is counted, and nothing is kept.  No
-    state limit applies."""
+    state limit applies.  A key outside the states or with an empty atom
+    is rejected before any search, and then nothing is kept."""
     table = getattr(d, "_atom_table", None)
     if table is None:
         m = minimize(d)
         if m.n > DEFAULT_ATOM_STATE_LIMIT:
             return len(_one_atom_quotients(m, key)[0])
-        table = _atom_table(d, m)
+        masks = _atom_masks(m, None)
+        _atom_mask(m.n, key, masks)  # a rejected key makes no table
+        table = _atom_table(d, m, masks)
     n, complexity = table
     return complexity[_atom_mask(n, key, complexity)]
 
@@ -514,7 +520,11 @@ def atom_complexities(d: Dfa) -> dict[AtomKey, int]:
     them, under its default limit: one search seeded with every atom and
     one reach count over it, kept on d as a table of the atoms'
     complexities."""
-    n, complexity = getattr(d, "_atom_table", None) or _atom_table(d, minimize(d))
+    table = getattr(d, "_atom_table", None)
+    if table is None:
+        m = minimize(d)
+        table = _atom_table(d, m, _atom_masks(m, DEFAULT_ATOM_STATE_LIMIT))
+    n, complexity = table
     return {
         frozenset(q for q in range(n) if mask >> q & 1): value
         for mask, value in complexity.items()

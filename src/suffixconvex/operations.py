@@ -10,14 +10,17 @@ lacks as a move to that operand's sink, and no operand is completed.
 Operation outputs are trimmed to reachable states but never minimized
 here; ``automata.complexity`` and ``automata.reverse_complexity`` are
 where minimal sizes are counted and occurring letters reduced, so tests
-can inspect the raw constructions.
+can inspect the raw constructions.  The one output that is minimal by
+construction is the reversal of an accessible DFA (Brzozowski's
+theorem): ``reverse`` marks it with ``automata._mark_minimal``, so
+``complexity`` counts its states with no refinement.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from .automata import Dfa, _preimages, determinize, union_alphabet
+from .automata import Dfa, _mark_minimal, _preimages, _walk, determinize, union_alphabet
 from .errors import InputError
 
 _TRUTH = {
@@ -184,10 +187,18 @@ def star(d: Dfa) -> Dfa:
 
 def reverse(d: Dfa) -> Dfa:
     """Language reversal: flip every transition, swap initial and finals,
-    determinize."""
+    determinize.
+
+    When every state of d is reachable, the result is marked minimal: the
+    subset construction on the reversal of an accessible DFA is minimal
+    (Brzozowski, 1962), and ``determinize`` numbers it as ``minimize``
+    would."""
+    images = [d.delta[letter].image for letter in d.alphabet]
     start = sum(1 << f for f in d.finals)
-    steps = _preimages(d.n, [d.delta[letter].image for letter in d.alphabet])
-    return determinize(d.alphabet, steps, start, 1 << d.initial)
+    r = determinize(d.alphabet, _preimages(d.n, images), start, 1 << d.initial)
+    if len(_walk(d.n, images, d.initial, ())[0]) == d.n:
+        _mark_minimal(r)
+    return r
 
 
 def complement(d: Dfa) -> Dfa:

@@ -344,6 +344,103 @@ def letterwise_hopcroft(
     return len(first), block_of
 
 
+def every_edge_hopcroft(
+    n: int, rows: Sequence[Sequence[int]], finals: Iterable[int]
+) -> tuple[int, list[int]]:
+    """Partition {0,..,n-1} (n >= 1) into classes of equivalent states,
+    marking every preimage edge, those into a block of one state included:
+    the kernel that ``automata._hopcroft``, which passes over settled
+    states, replaced, kept verbatim as its reference.
+
+    rows holds one image sequence per letter: rows[c][p] is the state
+    letter c takes p to.  Returns (count, block_of): the classes are
+    0..count-1, in no particular order, and block_of[q] is the class of q.
+
+    Hopcroft's algorithm ("An n log n algorithm for minimizing states in a
+    finite automaton", 1971) on the refinable partition of Valmari and
+    Lehtinen ("Efficient minimization of DFAs with partial transition
+    functions", STACS 2008).  Starting from finals / non-finals, a worklist
+    of blocks is drained.  A popped block is read once, as a snapshot of
+    its states, and splits the partition by its preimage under each letter
+    in turn: the preimage is grouped by the block each state sits in, and
+    only those blocks are split, at a cost of the states moved.  The
+    snapshot stays a union of blocks if the popped block itself splits
+    meanwhile, so each split is sound.  A split block that is queued
+    queues its new part too; one that is not queues its smaller half.  So
+    each time a state's block is popped, the block is at most half the size
+    it was the last time, and with k letters the whole refinement takes
+    O(k·n log n) time.  The refinement stops as soon as every class is a
+    single state.
+    """
+    # block 0 holds the finals, block 1 the rest
+    block_of = [1] * n
+    for q in finals:
+        block_of[q] = 0
+    elems = [q for q in range(n) if not block_of[q]]
+    cut = len(elems)
+    if cut in (0, n):
+        return 1, [0] * n
+    elems += [q for q in range(n) if block_of[q]]
+
+    pre: list[list[list[int]]] = []
+    for image in rows:
+        table: list[list[int]] = [[] for _ in range(n)]
+        for p, q in enumerate(image):
+            table[q].append(p)
+        pre.append(table)
+
+    # Block b holds elems[first[b]:end[b]]; while a preimage is gathered,
+    # the block's states in it are moved to elems[first[b]:mid[b]].
+    loc = [0] * n
+    for i, q in enumerate(elems):
+        loc[q] = i
+    first, end, mid = [0, cut], [cut, n], [0, cut]
+
+    smaller = 0 if cut <= n - cut else 1
+    waiting = [smaller]
+    queued = [False, False]
+    queued[smaller] = True
+
+    while waiting and len(first) < n:
+        b = waiting.pop()
+        queued[b] = False
+        splitter = elems[first[b]:end[b]]
+        for table in pre:
+            touched = []
+            for q in splitter:
+                for p in table[q]:
+                    y = block_of[p]
+                    j = mid[y]
+                    if j == first[y]:
+                        touched.append(y)
+                    i = loc[p]
+                    other = elems[j]
+                    elems[j], elems[i] = p, other
+                    loc[p], loc[other] = j, i
+                    mid[y] = j + 1
+            for y in touched:
+                f, m, e = first[y], mid[y], end[y]
+                mid[y] = f
+                if m == e:
+                    continue
+                # the gathered states become a new block; y keeps the rest
+                new = len(first)
+                first.append(f)
+                end.append(m)
+                mid.append(f)
+                first[y] = mid[y] = m
+                for i in range(f, m):
+                    block_of[elems[i]] = new
+                if queued[y] or m - f <= e - m:
+                    queued.append(True)
+                    waiting.append(new)
+                else:
+                    queued.append(False)
+                    queued[y] = True
+                    waiting.append(y)
+    return len(first), block_of
+
+
 def naive_reachable_states(d: Dfa) -> list[int]:
     """States reachable from the initial state, in BFS discovery order.
 

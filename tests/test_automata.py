@@ -7,6 +7,7 @@ from helpers import (
     Nfa,
     appending_walk,
     dfa_corpus,
+    every_edge_hopcroft,
     language_upto,
     letterwise_hopcroft,
     memberwise_subsets,
@@ -32,6 +33,7 @@ from helpers import (
 )
 from hypothesis import given, settings, strategies as st
 
+from suffixconvex import automata
 from suffixconvex.automata import (
     Dfa,
     _components,
@@ -52,15 +54,18 @@ from suffixconvex.automata import (
     reverse_complexity,
 )
 from suffixconvex.errors import InputError
+from suffixconvex.measures import atom_automaton, quotient_complexities
 from suffixconvex.operations import (
     boolean_restricted,
     boolean_unrestricted,
+    complement,
     concat,
     equivalent,
     parse_letter_map,
     reverse,
     star,
 )
+from suffixconvex.serialization import read_dfa, write_dfa
 from suffixconvex.witnesses import make_dialect, make_witness
 
 
@@ -417,13 +422,19 @@ def test_hopcroft_matches_naive_partition_on_corpus():
         Dfa(4, ("a", "b"), {"a": (0, 1, 2, 3), "b": (1, 2, 3, 3)}, 0, frozenset({3})),
         Dfa(3, ("a",), {"a": (0, 1, 2)}, 0, frozenset({1})),
         Dfa(3, (), {}, 0, frozenset({1})),
+        Dfa(2, ("a",), {"a": (1, 0)}, 0, frozenset({1})),
+        Dfa(5, ("a", "b"), {"a": (1, 2, 3, 4, 4), "b": (0, 0, 0, 0, 4)}, 0, frozenset({4})),
+        Dfa(5, ("a", "b"), {"a": (1, 2, 3, 4, 4), "b": (0, 0, 0, 0, 4)}, 0, frozenset(range(4))),
     ],
     ids=["one-state", "one-state-final", "all-final", "none-final", "identity-letter",
-         "identity-only", "no-letters"],
+         "identity-only", "no-letters", "two-singletons", "one-final", "one-non-final"],
 )
 def test_hopcroft_edge_cases(d):
+    # a DFA with one final or one non-final state starts with a block of
+    # one state, settled before the first split
     blocks = hopcroft_partition(d)
     assert set(blocks) == set(naive_partition(d.n, d.delta, d.finals))
+    assert set(blocks) == set(hopcroft_partition(d, every_edge_hopcroft))
     assert sorted(q for block in blocks for q in block) == list(range(d.n))
     assert minimize(d).n == quotient_count_oracle(d)
 
@@ -449,7 +460,9 @@ def _left_ideal_40(letters):
     return make_dialect("left-ideal", 40, letters)
 
 
-@pytest.mark.parametrize(
+# the raw constructions of the benchmark's ops-large workload: beyond the
+# reach of quadratic naive_partition
+LARGE_CONSTRUCTIONS = pytest.mark.parametrize(
     "build",
     [
         lambda: concat(make_witness("regular", 8), make_witness("regular", 8)),
@@ -467,9 +480,10 @@ def _left_ideal_40(letters):
     ids=["regular-concat-8x8", "left-ideal-union-restricted-40x40",
          "left-ideal-union-unrestricted-40x40", "left-ideal-reverse-11", "suffix-free-3-star-12"],
 )
+
+
+@LARGE_CONSTRUCTIONS
 def test_hopcroft_matches_letterwise_hopcroft_on_large_constructions(build):
-    # the raw constructions of the benchmark's ops-large workload: beyond
-    # the reach of quadratic naive_partition
     d = build()
     assert 1025 <= d.n <= 1920
     assert set(hopcroft_partition(d)) == set(hopcroft_partition(d, letterwise_hopcroft))
@@ -484,6 +498,103 @@ def test_hopcroft_splits_a_long_chain_into_singletons():
     count, block_of = _hopcroft(n, [a, [0] * n], [n - 1])
     assert count == n
     assert sorted(block_of) == list(range(n))
+    # every split settles a state, whose preimage edges the kernel passes
+    # over from then on; the reference marks them all and splits the same
+    assert every_edge_hopcroft(n, [a, [0] * n], [n - 1])[0] == n
+
+
+def test_hopcroft_matches_every_edge_hopcroft_on_corpus():
+    # the kernel passes over preimage edges into settled states, those
+    # alone in their block; the reference marks every edge
+    corpus = dfa_corpus(seed=2901, count=1000, max_n=40, max_letters=5)
+    for d in corpus:
+        assert set(hopcroft_partition(d)) == set(hopcroft_partition(d, every_edge_hopcroft))
+    assert max(d.n for d in corpus) == 40
+    assert max(len(d.alphabet) for d in corpus) == 5
+    # an initial block of one state is settled before the first split
+    assert sum(len(d.finals) == 1 or len(d.finals) == d.n - 1 for d in corpus if d.n > 2) > 30
+
+
+@LARGE_CONSTRUCTIONS
+def test_hopcroft_matches_every_edge_hopcroft_on_large_constructions(build):
+    d = build()
+    assert set(hopcroft_partition(d)) == set(hopcroft_partition(d, every_edge_hopcroft))
+
+
+def test_reverse_is_marked_minimal_exactly_when_its_operand_is_accessible():
+    # Brzozowski: the subset construction on the reversal of an accessible
+    # DFA is minimal; every marked DFA counts as its validated unmarked
+    # copy does, and is that copy's minimal DFA, numbered the same
+    rng = Random(2902)
+    seen = {True: 0, False: 0}
+    for _ in range(1000):
+        d = random_dfa_any_start(rng)
+        accessible = len(naive_reachable_states(d)) == d.n
+        seen[accessible] += 1
+        m = minimize(d)
+        # the atom of the finals' own key, F, holds the empty word
+        results = [reverse(d), m, reverse(m), atom_automaton(m, m.finals)]
+        assert results[0]._minimal is accessible
+        assert all(r._minimal for r in results[1:])
+        for r in results:
+            copy = revalidated(r)
+            assert not copy._minimal
+            assert complexity(r) == complexity(copy)
+            if r._minimal:
+                assert minimize(copy) == r
+                assert minimize(r) is r
+    assert min(seen.values()) >= 300, seen
+
+
+def test_marked_dfas_are_counted_with_no_walk_and_no_refinement(monkeypatch):
+    r = reverse(make_dialect("left-ideal", 8, ("a", None, "c", "d", "e")))
+    m = minimize(make_witness("suffix-closed", 6))
+    atom = atom_automaton(m, frozenset(range(6)))
+    # every letter occurs in each, so complexity needs no walk over fewer
+    want = [complexity(revalidated(x)) for x in (r, m, atom)]
+    assert want == [2**7 + 1, 6, 2**5]
+    want_quotients = quotient_complexities(make_witness("suffix-closed", 6))
+
+    def fail(*args):
+        raise AssertionError("a marked DFA was walked or refined")
+
+    monkeypatch.setattr(automata, "_hopcroft", fail)
+    monkeypatch.setattr(automata, "_walk", fail)
+    assert [complexity(x) for x in (r, m, atom)] == want
+    assert minimize(r) is r
+    assert minimize(m) is m
+    assert minimize(atom) is atom
+    assert quotient_complexities(m) == want_quotients
+
+
+def test_reversal_of_an_inaccessible_dfa_is_refined(monkeypatch):
+    # state 1 is unreachable and the only final state, so L is empty, but
+    # the reversal reaches two subsets, {1} and the empty one
+    d = Dfa(2, ("a",), {"a": (0, 0)}, 0, frozenset({1}))
+    r = reverse(d)
+    assert not r._minimal
+    assert (r.n, minimize(r).n) == (2, 1)
+    refinements = []
+    refine = automata._hopcroft
+
+    def spy(*args):
+        refinements.append(args[0])
+        return refine(*args)
+
+    monkeypatch.setattr(automata, "_hopcroft", spy)
+    assert complexity(r) == 1
+    assert refinements == [2]
+
+
+def test_copies_of_a_marked_dfa_are_unmarked():
+    r = reverse(make_dialect("left-ideal", 6, ("a", None, "c", "d", "e")))
+    assert r._minimal
+    again = read_dfa(write_dfa(r))
+    assert again == r
+    for copy in (again, complement(r), replace(r, finals=frozenset({0}))):
+        assert not copy._minimal
+        assert "_minimal" not in vars(copy)
+        assert complexity(copy) == naive_complexity(copy)
 
 
 def test_equivalent_examples():

@@ -679,6 +679,36 @@ def test_atom_complexity_refines_once_and_builds_no_dfa(monkeypatch):
     assert searches == [250]
 
 
+def test_atom_complexity_rejects_a_key_before_any_search(monkeypatch):
+    # on a fresh DFA, a key outside the states or with an empty atom is
+    # refused before the search of every atom, and leaves no table; the
+    # first valid key makes that one search, and every key after it, the
+    # rejected ones included, reads the table
+    w = make_witness("left-ideal", 6)
+    want = refined_atom_complexities(w)
+    searches = []
+    search = measures._atom_quotients
+
+    def spy(*args):
+        searches.append(len(args[2]))  # the number of seeds
+        return search(*args)
+
+    monkeypatch.setattr(measures, "_atom_quotients", spy)
+    rejected = ((frozenset({0}), "is empty"), (frozenset({6}), "outside"))
+    for key, reason in rejected:
+        with pytest.raises(InputError, match=reason):
+            atom_complexity(w, key)
+        assert searches == []
+        assert "_atom_table" not in vars(w)
+    for key, value in want.items():
+        assert atom_complexity(w, key) == value
+    assert searches == [len(want)]
+    for key, reason in rejected:
+        with pytest.raises(InputError, match=reason):
+            atom_complexity(w, key)
+    assert searches == [len(want)]
+
+
 def test_atom_complexity_past_the_limit_searches_from_its_key_alone():
     # left-ideal at n = 13 passes the default atom limit, so no table is
     # made: each key counts its own search, as many classes as its atom
