@@ -19,18 +19,18 @@ useful part and its occurring letters, for Suff(L),
 one full subset construction: its callers (reversal, star,
 concatenation, ``suffix_language``, atoms) hand it the nondeterministic
 moves as bitmask steps, one mask per (letter, state), with any epsilon
-moves already folded in.  ``_packed`` packs each state's masks under
-every letter into one int, so a subset's successors under all letters
-are one OR per member, and each letter's is cut out with a shift and a
-mask; ``_subset_union`` is that step for a construction.  A caller
-that only counts the subsets gets no rows.  The classify search in
-``classifiers`` takes ``_subset_union`` without ``_subsets``, to expand
-the subsets of Σ⁺L and Suff(L) only as far as it reaches, and the atom
-quotient search in ``measures`` steps its pairs through ``_packed`` the
-same way.  ``_hopcroft`` is the one refinement: Hopcroft's algorithm
-with a worklist of blocks, each popped block splitting the partition by
-its preimage under every letter, and an early exit once every class is
-a single state.  A state alone in its block is settled, since such a
+moves already folded in.  ``_subset_union`` is the one packing step:
+it packs each state's masks under every letter into one int, so a
+subset's successors under all letters are one OR per member, and each
+letter's is cut out with a shift and a mask.  A caller that only counts
+the subsets gets no rows.  The classify search in ``classifiers`` takes
+``_subset_union`` without ``_subsets``, to expand the subsets of Σ⁺L
+and Suff(L) only as far as it reaches, and the atom quotient search in
+``measures`` steps its pairs through ``_subset_union`` the same way.
+``_hopcroft`` is the one refinement: Hopcroft's algorithm with a
+worklist of blocks, each popped block splitting the partition by its
+preimage under every letter, and an early exit once every class is a
+single state.  A state alone in its block is settled, since such a
 block can never split, and a preimage edge into it is not marked.  It
 returns the number of classes and the class of each state;
 ``_class_rows`` turns that into the quotient's rows, which ``minimize``
@@ -42,11 +42,11 @@ complexities.  A kernel whose rows are valid by construction
 (determinize, minimize, the direct product, the atom automaton) builds
 its result with ``Dfa._trusted``, which skips the checks of
 ``Dfa.__post_init__``; every other ``Dfa`` is validated.  A query that
-needs only a size (``complexity`` here, the quotient and atom
-complexities in ``measures``) counts states, refinement classes or atom
-quotients and builds no minimal ``Dfa`` for it: ``complexity`` is one
-walk and one refinement, and reads the letters that occur off the
-classes.  ``reverse_complexity`` runs no refinement at all: by
+needs only a size (``complexity`` here, the quotient complexities and
+the atom complexities up to the atom limit in ``measures``) counts
+states, refinement classes or atom quotients and builds no minimal
+``Dfa`` for it: ``complexity`` is one walk and one refinement, and
+reads the letters that occur off the classes.  ``reverse_complexity`` runs no refinement at all: by
 Brzozowski's theorem the subset construction on the reversal of an
 accessible DFA is minimal, so it counts the subsets.  A DFA whose
 construction proves it minimal is marked so (``_mark_minimal``): the
@@ -173,30 +173,25 @@ def _coreachable(n: int, rows: Sequence[Sequence[int]], finals: Iterable[int]) -
     return live
 
 
-def _packed(steps: Sequence[Sequence[int]], width: int) -> tuple[list[int], list[int], int]:
-    """Each state's bitmask steps under every letter packed into one int.
-
-    States and step masks lie in 0..width-1.  Returns (packed, shifts,
-    mask): bits c·width to c·width+width-1 of packed[p] hold steps[c][p],
-    so the OR of a set's packed steps holds its successors under every
-    letter at once, and letter c's is ``union >> shifts[c] & mask``.
-    """
-    packed = [0] * width
-    for c, step in enumerate(steps):
-        shift = c * width
-        for p, target in enumerate(step):
-            packed[p] |= target << shift
-    return packed, [c * width for c in range(len(steps))], (1 << width) - 1
-
-
 def _subset_union(
     steps: Sequence[Sequence[int]], start: int
 ) -> tuple[Callable[[int], int], list[int], int]:
     """The step of a subset construction from start, as (union, shifts,
-    mask): union(subset) is the OR of its members' ``_packed`` steps, and
-    its successor under letter c is ``union(subset) >> shifts[c] & mask``."""
+    mask): union(subset) is the OR of its members' packed steps, and its
+    successor under letter c is ``union(subset) >> shifts[c] & mask``.
+
+    Each state's masks under every letter are packed into one int, letter
+    c at bits c·width to c·width+width-1, width the length of a letter's
+    steps, so a subset's successors under all letters are one OR per
+    member.
+    """
     # with no letters only start is ever expanded, so its bits size the packing
-    packed, shifts, mask = _packed(steps, len(steps[0]) if steps else start.bit_length())
+    width = len(steps[0]) if steps else start.bit_length()
+    shifts = [c * width for c in range(len(steps))]
+    packed = [0] * width
+    for shift, step in zip(shifts, steps):
+        for p, target in enumerate(step):
+            packed[p] |= target << shift
 
     def union(subset: int) -> int:
         joined = 0
@@ -207,7 +202,7 @@ def _subset_union(
             rest ^= low
         return joined
 
-    return union, shifts, mask
+    return union, shifts, (1 << width) - 1
 
 
 def _subsets(

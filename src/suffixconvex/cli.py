@@ -27,6 +27,7 @@ from .operations import (
     boolean_unrestricted,
     complement,
     concat,
+    format_letter_map,
     parse_letter_map,
     reverse,
     star,
@@ -51,8 +52,9 @@ def _emit(text: str, path: str | None) -> None:
 
 def _cmd_witness(args) -> int:
     if args.dialect:
-        dfa = make_dialect(args.family, args.n, parse_letter_map(args.dialect))
-        name = f"{args.family}-{args.n}{args.dialect if args.dialect.startswith('(') else '(' + args.dialect + ')'}"
+        letter_map = parse_letter_map(args.dialect)
+        dfa = make_dialect(args.family, args.n, letter_map)
+        name = f"{args.family}-{args.n}{format_letter_map(letter_map)}"
     else:
         dfa = make_witness(args.family, args.n)
         name = f"{args.family}-{args.n}"

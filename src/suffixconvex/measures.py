@@ -51,9 +51,10 @@ disjoint, so that set of atoms names the quotient exactly, and distinct
 names are distinct languages: counting an atom's quotients needs no
 refinement.  ``_atom_quotients`` is one breadth-first search over the
 pairs (Sw, S'w) that expands each name once; a pair's successors under
-every letter are one OR of its members' steps, packed as
-``automata._packed`` packs them.  A name is the AND of one atom mask per
-member, and the masks are read off one bit string per state.
+every letter are one OR of its members' packed steps, taken by
+``automata._subset_union`` as the subset construction takes them.  A
+name is the AND of one atom mask per member, and the masks are read off
+one bit string per state.
 
 ``atom_complexities`` seeds the search with every atom, so atoms that
 reach the same quotient share it and all after it, and counts once how
@@ -61,12 +62,13 @@ many classes each reaches.  The result is a table of every atom's
 complexity, kept on the ``Dfa`` on its first atom query: a later query,
 for every atom or for one key, reads it.  A DFA whose minimal DFA has
 more states than ``DEFAULT_ATOM_STATE_LIMIT`` gets no table; there
-``atom_complexity`` searches from its key alone, and counts the classes
-found, each reachable from the seed.  ``atom_automaton`` runs that
-search too, numbered as ``minimize`` numbers the atom's minimal DFA, and
-marks its result minimal with ``automata._mark_minimal``: distinct names
-are distinct quotients, so ``minimize`` returns it as it is and
-``complexity`` counts it with no refinement.
+``atom_complexity`` counts the states of ``atom_automaton``, the search
+seeded with its key alone, whose classes are each reachable from the
+seed.  ``atom_automaton`` numbers them as ``minimize`` numbers the
+atom's minimal DFA, and marks its result minimal with
+``automata._mark_minimal``: distinct names are distinct quotients, so
+``minimize`` returns it as it is and ``complexity`` counts it with no
+refinement.
 
 Sizes are counted, not built: the states of a minimal DFA are pairwise
 distinguishable, so a quotient's complexity is the number of states of
@@ -85,9 +87,9 @@ from .automata import (
     Dfa,
     _components,
     _mark_minimal,
-    _packed,
     _preimages,
     _reach_counts,
+    _subset_union,
     _subsets,
     minimize,
 )
@@ -382,6 +384,8 @@ def atoms(d: Dfa, limit: int = DEFAULT_ATOM_STATE_LIMIT) -> frozenset[AtomKey]:
 
     The subset construction from S = F over the reversed transitions: the
     set for the word aw is {q : q.a in S}, where S is the set for w.
+    LimitError is raised when the minimal DFA has more than limit states,
+    before any enumeration; the default is DEFAULT_ATOM_STATE_LIMIT = 12.
     """
     m = minimize(d)
     return frozenset(
@@ -416,19 +420,15 @@ def _atom_quotients(
     # steps[c][p]: the bit of p's image, in the X half for p < n, else in Y
     images = [m.delta[letter].image for letter in m.alphabet]
     steps = [[1 << q for q in image] + [1 << q + n for q in image] for image in images]
-    packed, shifts, mask = _packed(steps, 2 * n)
     codes = [atoms[i] | (atoms[i] ^ (1 << n) - 1) << n for i in seeds]
+    # with no letters m has one state, so one atom and one seed
+    union_of, shifts, mask = _subset_union(steps, codes[0])
     names = [1 << i for i in seeds]
     cache = {code: j for j, code in enumerate(codes)}  # code -> class
     index = {name: j for j, name in enumerate(names)}  # name -> class
     rows: list[list[int]] = [[] for _ in steps]
     for code in codes:  # the list grows while it is read: a FIFO queue
-        union = 0
-        rest = code
-        while rest:
-            low = rest & -rest
-            union |= packed[low.bit_length() - 1]
-            rest ^= low
+        union = union_of(code)
         for shift, row in zip(shifts, rows):
             target = union >> shift & mask
             j = cache.get(target)
@@ -461,13 +461,6 @@ def _atom_mask(n: int, key, atoms: Collection[int]) -> int:
     return x
 
 
-def _one_atom_quotients(m: Dfa, key) -> tuple[list[int], list[list[int]]]:
-    """``_atom_quotients`` of the minimal DFA m from the atom of key alone:
-    every class is reachable from the seed, class 0."""
-    masks = _atom_masks(m, None)
-    return _atom_quotients(m, masks, [masks.index(_atom_mask(m.n, key, masks))])
-
-
 def _atom_table(d: Dfa, m: Dfa, masks: Sequence[int]) -> tuple[int, dict[int, int]]:
     """(m.n, {atom mask: complexity}) for m, the minimal DFA of L(d), and
     masks, its atoms as ``_atom_masks`` lists them; kept on d, which is
@@ -488,7 +481,8 @@ def atom_automaton(m: Dfa, key) -> Dfa:
     the key names: the atom's quotients, numbered as ``minimize`` numbers
     them, a quotient accepting the empty word when it holds A_F, atom 0.
     Rejects empty atoms."""
-    names, rows = _one_atom_quotients(m, key)
+    masks = _atom_masks(m, None)
+    names, rows = _atom_quotients(m, masks, [masks.index(_atom_mask(m.n, key, masks))])
     finals = frozenset(j for j, name in enumerate(names) if name & 1)
     # distinct names are distinct quotients, each reached from class 0
     return _mark_minimal(Dfa._trusted(len(names), m.alphabet, rows, 0, finals))
@@ -500,14 +494,15 @@ def atom_complexity(d: Dfa, key) -> int:
 
     Up to the default atom limit every key of d reads the table of
     ``atom_complexities``, made on d's first atom query and kept on d;
-    past it the key's own search is counted, and nothing is kept.  No
-    state limit applies.  A key outside the states or with an empty atom
-    is rejected before any search, and then nothing is kept."""
+    past it the states of the key's ``atom_automaton`` are counted, and
+    nothing is kept.  No state limit applies.  A key outside the states
+    or with an empty atom is rejected before any search, and then nothing
+    is kept."""
     table = getattr(d, "_atom_table", None)
     if table is None:
         m = minimize(d)
         if m.n > DEFAULT_ATOM_STATE_LIMIT:
-            return len(_one_atom_quotients(m, key)[0])
+            return atom_automaton(m, key).n
         masks = _atom_masks(m, None)
         _atom_mask(m.n, key, masks)  # a rejected key makes no table
         table = _atom_table(d, m, masks)

@@ -31,6 +31,14 @@ def test_witness_with_dialect_and_output_file(capsys, tmp_path):
     )
 
 
+def test_witness_dialect_names_the_document_as_the_report_labels_it(capsys):
+    # every spelling of one letter map gives the report's label (a,-,c)
+    for spelling in ("a,-,c", "a, -,c", "(a,,c)"):
+        code, out, _ = run_cli(capsys, "witness", "left-ideal", "4", "--dialect", spelling)
+        assert code == 0
+        assert json.loads(out)["name"] == "left-ideal-4(a,-,c)"
+
+
 def test_witness_below_minimum_exits_2(capsys):
     code, _, err = run_cli(capsys, "witness", "left-ideal", "3")
     assert code == 2
