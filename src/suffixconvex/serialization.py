@@ -51,6 +51,9 @@ def read_dfa(text: str) -> Dfa:
         doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        # the decoder recurses once per level of nesting, in any field
+        raise DocumentError("document: nested too deeply to decode") from exc
     _require(isinstance(doc, dict), "document", "top level must be an object")
 
     for key in ("states", "alphabet", "transitions", "initial", "finals"):

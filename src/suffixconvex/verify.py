@@ -3,11 +3,13 @@ compare against the closed forms.
 
 The claims live in one table, ``witnesses.CLAIMS``: each record names
 its formula, the exact dialect pair it calls for, the sizes to measure,
-and the rows it excludes.  The harness walks that table, measures each
-row through the language operations and measures modules, and takes
-every expectation from the record's formula, an atom claim's once per
-atom key.  Excluded rows are reported as SKIP with the record's reason,
-rows beyond a record's range as SKIP without being attempted.
+and the rows it excludes.  The row source, ``_rows``, yields a record's
+rows, each with its dialect pair resolved and the reason it is not
+measured, if any: the record's exclusion, or a size beyond its range.
+The row measure, ``_measure``, is the one dispatch on the record's tag:
+it measures a row through the operations and measures modules and takes
+each expectation from the record's formula, an atom claim's once per
+atom key.  An entry is SKIP when it has a reason, else PASS or FAIL.
 
 One run builds each thing it measures once.  A memo that lives for one
 ``run_verification`` call holds the operands of the family being
@@ -139,8 +141,7 @@ def run_verification(
     selected_q = _normalize_quantities(quantities)
     selected = [
         claim for claim in CLAIMS
-        if claim.rows is not None
-        and (not families or claim.family in families)
+        if (not families or claim.family in families)
         and (selected_q is None or _names(claim) & selected_q)
     ]
     memo = _Memo(semigroup_cap)
@@ -150,7 +151,15 @@ def run_verification(
     for _, claims in groupby(selected, key=lambda claim: claim.family):
         for _, group in groupby(claims, key=lambda claim: claim.mode):
             for claim in group:
-                entries.extend(_run_claim(claim, n_range, m_range, memo))
+                for m, n, dialects, reason in _rows(claim, n_range, m_range):
+                    sizes = (n,) if m is None else (m, n)
+                    labels = tuple(memo.label(claim.family, size, d) for size, d in zip(sizes, dialects))
+                    results = ([(claim.tag, None, None, reason)] if reason
+                               else _measure(claim, m, n, dialects, memo))
+                    for quantity, expected, measured, why in results:
+                        status = SKIP if why else PASS if measured == expected else FAIL
+                        entries.append(ReportEntry(claim.family, quantity, claim.mode, labels,
+                                                   m, n, expected, measured, status, why))
             memo.products.clear()
         memo.operands.clear()
         memo.labels.clear()
@@ -176,10 +185,27 @@ def run_verification(
     return ComplexityReport(tuple(entries), passed, failed, skipped, __version__)
 
 
-def _sizes(requested: tuple[int, int] | None, claim_range: tuple[int, int], family: str):
-    lo, hi = requested if requested else claim_range
-    for value in range(max(lo, MIN_N[family]), hi + 1):
-        yield value, (value > claim_range[1])
+def _rows(claim: Claim, n_range, m_range) -> Iterator[tuple]:
+    """(m, n, dialects, reason) for each row of the claim in the requested
+    ranges, the claim's own by default: m is None for a unary claim,
+    dialects holds each operand's dialect (None for the full witness),
+    and reason says why the row is not measured, or is "".  A claim
+    without rows yields none."""
+    if claim.rows is None:
+        return
+
+    def sizes(requested):
+        lo, hi = requested or claim.rows
+        return range(max(lo, MIN_N[claim.family]), hi + 1)
+
+    binary = claim.mode is not None
+    for n in sizes(n_range):
+        for m in sizes(m_range) if binary else (None,):
+            dialects = (claim.dialect1, claim.dialect2_at(m, n)) if binary else (claim.dialect1,)
+            reason = claim.exclude(m, n)
+            if not reason and max(n, m or 0) > claim.rows[1]:
+                reason = "beyond the configured resource range"
+            yield m, n, dialects, reason
 
 
 class _Memo:
@@ -211,23 +237,22 @@ class _Memo:
             label = self.labels[key] = format_letter_map(letters)
         return label
 
-    def semigroup(self, family: str, n: int) -> tuple[int, bool]:
+    def semigroup(self, d: Dfa) -> tuple[int, bool]:
         # streams that share their letters share the semigroup
-        witness = self.operand(family, n, None)
-        key = frozenset(t.image for t in witness.delta.values())
+        key = frozenset(t.image for t in d.delta.values())
         if key not in self.semigroups:
-            summary = syntactic_semigroup_size(witness, self.semigroup_cap)
+            summary = syntactic_semigroup_size(d, self.semigroup_cap)
             self.semigroups[key] = (summary.size, summary.truncated)
         return self.semigroups[key]
 
-    def product(self, claim: Claim, m: int, n: int) -> Callable[[str], Dfa]:
-        dialect2 = claim.dialect2_at(m, n)
-        key = (m, n, claim.dialect1, dialect2)
+    def pair(self, claim: Claim, m: int, n: int, dialects: tuple) -> tuple[Dfa, Dfa]:
+        return self.operand(claim.family, m, dialects[0]), self.operand(claim.family, n, dialects[1])
+
+    def product(self, claim: Claim, m: int, n: int, dialects: tuple) -> Callable[[str], Dfa]:
+        key = (m, n, dialects)
         product = self.products.get(key)
         if product is None:
-            d1 = self.operand(claim.family, m, claim.dialect1)
-            d2 = self.operand(claim.family, n, dialect2)
-            product = self.products[key] = _boolean_product(d1, d2, claim.mode)
+            product = self.products[key] = _boolean_product(*self.pair(claim, m, n, dialects), claim.mode)
         return product
 
 
@@ -238,55 +263,28 @@ _UNARY = {
 }
 
 
-def _measure(claim: Claim, m: int | None, n: int, memo: _Memo) -> list:
-    """(quantity, expected, measured, status, reason) for each entry of
-    one row the claim includes."""
-    family = claim.family
-    if claim.tag == "atom":
-        return [
-            ("atom({" + ",".join(str(q) for q in sorted(key)) + "})",
-             formula_v, measured_v, PASS if measured_v == formula_v else FAIL, "")
-            for key, measured_v, formula_v in _atom_items(memo.operand(family, n, None), claim, n)
-        ]
-    if claim.tag == "semigroup":
-        measured_v, truncated = memo.semigroup(family, n)
-        if truncated:
-            reason = "semigroup enumeration truncated at the cap"
-            return [(claim.tag, None, measured_v, SKIP, reason)]
-    elif claim.mode is None:
-        measured_v = _UNARY[claim.tag](memo.operand(family, n, claim.dialect1))
-    elif claim.tag == "product":
-        d1 = memo.operand(family, m, claim.dialect1)
-        d2 = memo.operand(family, n, claim.dialect2_at(m, n))
-        measured_v = complexity(concat(d1, d2))
+def _measure(claim: Claim, m: int | None, n: int, dialects: tuple, memo: _Memo) -> list:
+    """(quantity, expected, measured, reason) for each entry of one row
+    the claim includes; reason is "" for an entry that was measured."""
+    tag = claim.tag
+    if claim.mode is None:
+        operand = memo.operand(claim.family, n, dialects[0])
+        if tag == "atom":
+            return [
+                ("atom({" + ",".join(str(q) for q in sorted(key)) + "})", formula_v, measured_v, "")
+                for key, measured_v, formula_v in _atom_items(operand, claim, n)
+            ]
+        if tag == "semigroup":
+            measured_v, truncated = memo.semigroup(operand)
+            if truncated:
+                return [(tag, None, measured_v, "semigroup enumeration truncated at the cap")]
+        else:
+            measured_v = _UNARY[tag](operand)
+    elif tag == "product":
+        measured_v = complexity(concat(*memo.pair(claim, m, n, dialects)))
     else:
-        measured_v = complexity(memo.product(claim, m, n)(claim.tag))
-    expected_v = claim.formula(m, n)
-    return [(claim.tag, expected_v, measured_v, PASS if measured_v == expected_v else FAIL, "")]
-
-
-def _run_claim(claim, n_range, m_range, memo: _Memo) -> list[ReportEntry]:
-    family = claim.family
-    binary = claim.mode is not None
-    entries = []
-    for n, beyond_n in _sizes(n_range, claim.rows, family):
-        ms = list(_sizes(m_range, claim.rows, family)) if binary else [(None, False)]
-        for m, beyond_m in ms:
-            if binary:
-                d2 = claim.dialect2_at(m, n)
-                dialects = (memo.label(family, m, claim.dialect1), memo.label(family, n, d2))
-            else:
-                dialects = (memo.label(family, n, claim.dialect1),)
-            reason = claim.exclude(m, n)
-            if not reason and (beyond_n or beyond_m):
-                reason = "beyond the configured resource range"
-            if reason:
-                results = [(claim.tag, None, None, SKIP, reason)]
-            else:
-                results = _measure(claim, m, n, memo)
-            for quantity, *rest in results:
-                entries.append(ReportEntry(family, quantity, claim.mode, dialects, m, n, *rest))
-    return entries
+        measured_v = complexity(memo.product(claim, m, n, dialects)(tag))
+    return [(tag, claim.formula(m, n), measured_v, "")]
 
 
 def report_json_chunks(report: ComplexityReport) -> Iterator[str]:

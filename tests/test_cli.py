@@ -177,12 +177,22 @@ def test_dot_output(capsys, tmp_path):
     assert '0 -> 0 [label="c"];' in out
 
 
-def test_bad_document_exits_2(capsys, tmp_path):
+# a witness document with one more key, an array nested 100,000 deep: past
+# the recursion guard of the JSON decoder on every supported Python
+DEEP_DOCUMENT = write_dfa(make_witness("left-ideal", 4))[:-2] + ', "x": ' + "[" * 100_000 + "]" * 100_000 + "}"
+
+
+@pytest.mark.parametrize(
+    "text,fragment",
+    [('{"states": 2}', "missing field"), (DEEP_DOCUMENT, "nested too deeply")],
+    ids=["missing-field", "nested-too-deeply"],
+)
+def test_bad_document_exits_2(capsys, tmp_path, text, fragment):
     path = tmp_path / "bad.json"
-    path.write_text('{"states": 2}')
+    path.write_text(text)
     code, _, err = run_cli(capsys, "measure", "complexity", str(path))
     assert code == 2
-    assert "missing field" in err
+    assert fragment in err and "Traceback" not in err
 
 
 def test_missing_file_exits_2(capsys, tmp_path):

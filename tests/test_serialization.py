@@ -83,6 +83,12 @@ def test_read_without_notation():
             lambda doc: json.dumps(doc).replace('"transitions": {', '"transitions": {"e": [0, 0, 0, 0], '),
             "repeated key 'e'",
         ),
+        # a key the reader ignores is still decoded: an array nested 100,000
+        # deep, past the decoder's recursion guard, is malformed, not a crash
+        (
+            lambda doc: json.dumps(doc)[:-1] + ', "x": ' + "[" * 100_000 + "]" * 100_000 + "}",
+            "document: nested too deeply",
+        ),
     ],
 )
 def test_read_rejects_bad_documents(mutation, fragment):

@@ -187,6 +187,33 @@ def test_reverse_rows_count_what_the_reversal_minimizes_to(monkeypatch):
         assert count(d) == complexity(reverse(d))
 
 
+def test_every_record_one_size_past_its_range(monkeypatch):
+    # every formula checked one size past the default profile, through the
+    # same row source and row measure: the top of each record's rows is
+    # raised by one, so no row is beyond its range
+    widened = tuple(c if c.rows is None else replace(c, rows=(c.rows[0], c.rows[1] + 1))
+                    for c in CLAIMS)
+    monkeypatch.setattr(verify, "CLAIMS", widened)
+    report = run_verification()
+    assert report.failed == 0
+    claims = {(c.family, c.tag, c.mode): c for c in widened}
+
+    def claim_of(e):
+        return claims[e.family, "atom" if e.quantity.startswith("atom(") else e.quantity, e.mode]
+
+    for e in report.entries:
+        if e.status == "SKIP":
+            # the record's own exclusion, or the semigroups of the ideal
+            # streams at n=8, whose n^(n-1) + n-1 exceeds the default cap
+            reasons = {claim_of(e).exclude(e.m, e.n), "semigroup enumeration truncated at the cap"}
+            assert e.reason and e.reason in reasons, e
+    passed_at_top = {
+        claim_of(e).tag for e in report.entries
+        if e.status == "PASS" and {e.m, e.n} <= {None, claim_of(e).rows[1]}
+    }
+    assert passed_at_top == {c.tag for c in widened if c.rows is not None}
+
+
 def test_truncated_semigroup_is_a_skip_row():
     report = run_verification(
         families=["left-ideal"], quantities=["semigroup"], n_range=(5, 5), semigroup_cap=50
