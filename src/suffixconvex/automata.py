@@ -19,14 +19,14 @@ useful part and its occurring letters, for Suff(L),
 one full subset construction: its callers (reversal, star,
 concatenation, ``suffix_language``, atoms) hand it the nondeterministic
 moves as bitmask steps, one mask per (letter, state), with any epsilon
-moves already folded in.  ``_subset_union`` is the one packing step:
-it packs each state's masks under every letter into one int, so a
-subset's successors under all letters are one OR per member, and each
-letter's is cut out with a shift and a mask.  A caller that only counts
-the subsets gets no rows.  The classify search in ``classifiers`` takes
-``_subset_union`` without ``_subsets``, to expand the subsets of Σ⁺L
-and Suff(L) only as far as it reaches, and the atom quotient search in
-``measures`` steps its pairs through ``_subset_union`` the same way.
+moves already folded in.  ``_subset_union`` is the one member walk: it
+packs each state's masks under every letter into one int, so a subset's
+successors under all letters are one OR per member, and each letter's is
+cut out with a shift and a mask.  A caller that only counts the subsets
+gets no rows.  The classify search in ``classifiers`` takes
+``_subset_union`` without ``_subsets``, to expand the subsets of Σ⁺L and
+Suff(L) only as far as it reaches, and the atom quotient search in
+``measures`` takes it both to step its pairs and to name them.
 ``_hopcroft`` is the one refinement: Hopcroft's algorithm with a
 worklist of blocks, each popped block splitting the partition by its
 preimage under every letter, and an early exit once every class is a
@@ -176,14 +176,14 @@ def _coreachable(n: int, rows: Sequence[Sequence[int]], finals: Iterable[int]) -
 def _subset_union(
     steps: Sequence[Sequence[int]], start: int
 ) -> tuple[Callable[[int], int], list[int], int]:
-    """The step of a subset construction from start, as (union, shifts,
-    mask): union(subset) is the OR of its members' packed steps, and its
-    successor under letter c is ``union(subset) >> shifts[c] & mask``.
+    """The one walk over a subset's members, as (union, shifts, mask):
+    union(subset) ORs its members' packed masks, whatever they stand
+    for; its successor under c is ``union(subset) >> shifts[c] & mask``.
 
     Each state's masks under every letter are packed into one int, letter
     c at bits c·width to c·width+width-1, width the length of a letter's
-    steps, so a subset's successors under all letters are one OR per
-    member.
+    steps (a single letter's masks may be wider), so a subset's successors
+    under all letters are one OR per member.
     """
     # with no letters only start is ever expanded, so its bits size the packing
     width = len(steps[0]) if steps else start.bit_length()

@@ -53,8 +53,8 @@ refinement.  ``_atom_quotients`` is one breadth-first search over the
 pairs (Sw, S'w) that expands each name once; a pair's successors under
 every letter are one OR of its members' packed steps, taken by
 ``automata._subset_union`` as the subset construction takes them.  A
-name is the AND of one atom mask per member, and the masks are read off
-one bit string per state.
+name is the AND of one atom mask per member, each read off one bit
+string per state, taken as the complement of one OR by the same walk.
 
 ``atom_complexities`` seeds the search with every atom, so atoms that
 reach the same quotient share it and all after it, and counts once how
@@ -403,7 +403,8 @@ def _atom_quotients(
     The quotient of A_S by w is coded by its pair (Sw, S'w) as the int
     X | Y << n, and named by the AND of held[q], the atoms holding q, over
     q in X and of their complement over q in Y: an overlapping pair gets
-    the empty name by itself.  The k-th seed is class k, named
+    the empty name by itself.  By De Morgan it is the complement of one
+    OR, taken by ``_subset_union``.  The k-th seed is class k, named
     1 << seeds[k]; new names follow in BFS order, letters in alphabet
     order, each expanded once from the first pair found with it.  A code
     is looked up in a code -> class cache first, and named only on a miss.
@@ -415,8 +416,8 @@ def _atom_quotients(
     # binary forms, the last atom's bit first
     forms = [format(atom, f"0{n}b") for atom in reversed(atoms)]
     held = [int("".join(column), 2) for column in zip(*forms)][::-1]
-    # factor[p]: the mask a code's bit p ANDs into its name
-    factor = held + [full ^ h for h in held]
+    # missing_of(code): the atoms outside the code's name
+    missing_of = _subset_union([[full ^ h for h in held] + held], 0)[0]
     # steps[c][p]: the bit of p's image, in the X half for p < n, else in Y
     images = [m.delta[letter].image for letter in m.alphabet]
     steps = [[1 << q for q in image] + [1 << q + n for q in image] for image in images]
@@ -433,12 +434,9 @@ def _atom_quotients(
             target = union >> shift & mask
             j = cache.get(target)
             if j is None:
-                name = full
-                rest = target
-                while rest:
-                    low = rest & -rest
-                    name &= factor[low.bit_length() - 1]
-                    rest ^= low
+                # CPython allocates full ^ x at full's width, and names are
+                # kept: | 0 copies the name into an int of its own width
+                name = (full ^ missing_of(target)) | 0
                 j = index.get(name)
                 if j is None:
                     j = index[name] = len(codes)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import reprlib
 
 from .automata import Dfa
 from .errors import DocumentError, NotationError
@@ -40,7 +41,7 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     if len(doc) < len(pairs):
         seen = set()
         for key, _ in pairs:
-            _require(key not in seen, "document", f"repeated key {key!r}")
+            _require(key not in seen, "document", f"repeated key {reprlib.repr(key)}")
             seen.add(key)
     return doc
 
@@ -73,29 +74,24 @@ def read_dfa(text: str) -> Dfa:
 
     transitions = doc["transitions"]
     _require(isinstance(transitions, dict), "transitions", "must be an object")
-    _require(
-        set(transitions) == set(alphabet),
-        "transitions",
-        f"keys {sorted(transitions)} must match the alphabet {sorted(alphabet)}",
-    )
+    # a message quoting the keys, a state or a row is built only for a bad one
+    if set(transitions) != set(alphabet):
+        keys, letters = reprlib.repr(sorted(transitions)), reprlib.repr(sorted(alphabet))
+        _require(False, "transitions", f"keys {keys} must match the alphabet {letters}")
     delta = {}
     for letter in alphabet:
         row = transitions[letter]
-        where = f"transitions[{letter!r}]"
+        where = f"transitions[{reprlib.repr(letter)}]"
         _require(isinstance(row, list), where, "must be a list")
         _require(len(row) == n, where, f"has length {len(row)}, expected {n}")
         for q, target in enumerate(row):
-            # the message is built only for a bad entry
             if not (_is_int(target) and 0 <= target < n):
-                _require(False, f"{where}[{q}]", f"state {target!r} outside 0..{n - 1}")
+                _require(False, f"{where}[{q}]", f"state {reprlib.repr(target)} outside 0..{n - 1}")
         delta[letter] = Transformation(tuple(row))
 
     initial = doc["initial"]
-    _require(
-        _is_int(initial) and 0 <= initial < n,
-        "initial",
-        f"state {initial!r} outside 0..{n - 1}",
-    )
+    if not (_is_int(initial) and 0 <= initial < n):
+        _require(False, "initial", f"state {reprlib.repr(initial)} outside 0..{n - 1}")
 
     finals = doc["finals"]
     _require(
@@ -109,18 +105,16 @@ def read_dfa(text: str) -> Dfa:
     if notation is not None:
         _require(isinstance(notation, dict), "notation", "must be an object")
         for letter, text_form in notation.items():
-            where = f"notation[{letter!r}]"
+            where = f"notation[{reprlib.repr(letter)}]"
             _require(letter in delta, where, "letter not in the alphabet")
             _require(isinstance(text_form, str), where, "must be a string")
             try:
                 expanded = parse_notation(n, text_form)
             except NotationError as exc:
                 raise DocumentError(f"{where}: {exc}") from exc
-            _require(
-                expanded == delta[letter],
-                where,
-                f"expands to {list(expanded.image)}, transitions say {list(delta[letter].image)}",
-            )
+            if expanded != delta[letter]:
+                got, said = (reprlib.repr(list(t.image)) for t in (expanded, delta[letter]))
+                _require(False, where, f"expands to {got}, transitions say {said}")
 
     return Dfa(n, tuple(alphabet), delta, initial, frozenset(finals))
 

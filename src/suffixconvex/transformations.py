@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import heapq
 import re
+import reprlib
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -96,34 +97,39 @@ _ATOM_RE = re.compile(r"1|\(([^()]*)\)")
 _INT_RE = re.compile(r"-?\d+")
 
 
-def _parse_int(text: str, n: int, where: str) -> int:
+def _atom_excerpt(body: str) -> str:
+    """The atom (body) as a message quotes it: a bounded excerpt, unquoted."""
+    return reprlib.repr(f"({body})")[1:-1]
+
+
+def _parse_int(text: str, n: int, body: str) -> int:
+    """A state number of the atom (body); a message is built only on failure."""
     if not _INT_RE.fullmatch(text):
-        raise NotationError(f"expected a state number in {where}, got {text!r}")
+        raise NotationError(f"expected a state number in {_atom_excerpt(body)}, got {reprlib.repr(text)}")
     q = int(text)
     if not 0 <= q < n:
-        raise NotationError(f"state {q} in {where} outside 0..{n - 1}")
+        raise NotationError(f"state {reprlib.repr(q)} in {_atom_excerpt(body)} outside 0..{n - 1}")
     return q
 
 
 def _parse_atom(body: str, n: int) -> tuple[list[int] | None, list[int]]:
     """The atom as (points, sources): it moves each points[i] to where
     sources[i] goes next.  A collapse of every state, (Q->r), is (None, [r])."""
-    where = f"({body})"
     if "->" in body:
         lhs, _, rhs = body.partition("->")
-        target = _parse_int(rhs, n, where)
+        target = _parse_int(rhs, n, body)
         if lhs == "Q":
             return None, [target]
         if lhs.startswith("{") and lhs.endswith("}"):
-            members = [_parse_int(p, n, where) for p in lhs[1:-1].split(",")]
+            members = [_parse_int(p, n, body) for p in lhs[1:-1].split(",")]
         else:
-            members = [_parse_int(lhs, n, where)]
+            members = [_parse_int(lhs, n, body)]
         return members, [target] * len(members)
-    states = [_parse_int(p, n, where) for p in body.split(",")]
+    states = [_parse_int(p, n, body) for p in body.split(",")]
     if len(states) < 2:
-        raise NotationError(f"cycle {where} needs at least two states")
+        raise NotationError(f"cycle {_atom_excerpt(body)} needs at least two states")
     if len(set(states)) != len(states):
-        raise NotationError(f"cycle {where} repeats a state")
+        raise NotationError(f"cycle {_atom_excerpt(body)} repeats a state")
     return states, states[1:] + states[:1]
 
 
@@ -148,7 +154,7 @@ def parse_notation(n: int, text: str) -> Transformation:
     while pos < len(text):
         m = _ATOM_RE.match(text, pos)
         if m is None:
-            raise NotationError(f"malformed notation at {text[pos:]!r}")
+            raise NotationError(f"malformed notation at {reprlib.repr(text[pos:])}")
         if m.group(0) != "1":
             atoms.append(_parse_atom(m.group(1), n))
         pos = m.end()

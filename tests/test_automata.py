@@ -42,6 +42,7 @@ from suffixconvex.automata import (
     _occurring,
     _preimages,
     _reach_counts,
+    _subset_union,
     _subsets,
     _walk,
     accepts,
@@ -254,6 +255,46 @@ def test_subsets_edge_cases(steps, start, order, rows):
     assert memberwise_subsets(steps, start) == (order, rows)
     assert _subsets(steps, start) == (order, rows)
     assert _subsets(steps, start, numbered=False) == (order, [[] for _ in steps])
+
+
+def test_subset_union_ors_the_members_packed_masks():
+    # union(subset) against a plain loop over the members: the OR of their
+    # packed masks, and under each letter the OR of their steps
+    rng = Random(44)
+    cases = 0
+    for _ in range(1500):
+        n = rng.randint(1, 12)
+        steps = [[rng.randrange(1 << n) for _ in range(n)] for _ in range(rng.randint(0, 3))]
+        start = rng.randrange(1, 1 << n)
+        union, shifts, mask = _subset_union(steps, start)
+        # with no letters only start's own bits are ever asked for
+        width = n if steps else start.bit_length()
+        assert shifts == [c * width for c in range(len(steps))] and mask == (1 << width) - 1
+        for subset in (0, start, rng.randrange(1 << width), (1 << width) - 1):
+            members = [p for p in range(width) if subset >> p & 1]
+            packed = 0
+            for p in members:
+                for shift, step in zip(shifts, steps):
+                    packed |= step[p] << shift
+            assert union(subset) == packed
+            for c, step in enumerate(steps):
+                successor = 0
+                for p in members:
+                    successor |= step[p]
+                assert union(subset) >> shifts[c] & mask == successor
+        cases += not steps
+    assert cases >= 200
+    # one letter is not shifted, so masks wider than the width come back whole
+    values = [rng.randrange(1 << 60) for _ in range(5)]
+    union, shifts, mask = _subset_union([values], 0)
+    assert (shifts, mask) == ([0], 0b11111)
+    for subset in range(1 << 5):
+        expected = 0
+        for p in range(5):
+            if subset >> p & 1:
+                expected |= values[p]
+        assert union(subset) == expected
+    assert union(0b11111).bit_length() > 5
 
 
 def test_determinize_empty_initial_set_is_a_sink():

@@ -182,17 +182,25 @@ def test_dot_output(capsys, tmp_path):
 DEEP_DOCUMENT = write_dfa(make_witness("left-ideal", 4))[:-2] + ', "x": ' + "[" * 100_000 + "]" * 100_000 + "}"
 
 
+# the same witness with a 100,000-character string as its initial state
+LONG_INITIAL_DOCUMENT = write_dfa(make_witness("left-ideal", 4)).replace('"initial": 0', f'"initial": "{"x" * 100_000}"')
+
+
 @pytest.mark.parametrize(
     "text,fragment",
-    [('{"states": 2}', "missing field"), (DEEP_DOCUMENT, "nested too deeply")],
-    ids=["missing-field", "nested-too-deeply"],
+    [
+        ('{"states": 2}', "missing field"),
+        (DEEP_DOCUMENT, "nested too deeply"),
+        (LONG_INITIAL_DOCUMENT, "initial: state 'xxx"),
+    ],
+    ids=["missing-field", "nested-too-deeply", "long-initial"],
 )
 def test_bad_document_exits_2(capsys, tmp_path, text, fragment):
     path = tmp_path / "bad.json"
     path.write_text(text)
     code, _, err = run_cli(capsys, "measure", "complexity", str(path))
     assert code == 2
-    assert fragment in err and "Traceback" not in err
+    assert fragment in err and "Traceback" not in err and len(err.encode()) < 600
 
 
 def test_missing_file_exits_2(capsys, tmp_path):

@@ -1,4 +1,5 @@
 import json
+from functools import reduce
 
 import pytest
 from helpers import dfa_corpus
@@ -89,6 +90,37 @@ def test_read_without_notation():
             lambda doc: json.dumps(doc)[:-1] + ', "x": ' + "[" * 100_000 + "]" * 100_000 + "}",
             "document: nested too deeply",
         ),
+        # a long value is quoted as a bounded excerpt, never whole
+        (lambda doc: doc.__setitem__("initial", "x" * 100_000), "initial: state 'xxx"),
+        # 900 deep stays under the recursion guard of every decoder
+        (
+            lambda doc: doc["transitions"]["a"].__setitem__(1, reduce(lambda v, _: [v], range(900), 0)),
+            "transitions['a'][1]: state [[[",
+        ),
+        (
+            lambda doc: doc.update(
+                alphabet=[*doc["alphabet"], "z" * 100_000],
+                transitions={**doc["transitions"], "z" * 100_000: [0, 0, 0]},
+            ),
+            "zzz']: has length 3, expected 4",
+        ),
+        (lambda doc: doc["notation"].__setitem__("a", "(1,2)" + "x" * 100_000), "malformed notation at 'xxx"),
+        (
+            lambda doc: json.dumps(
+                {
+                    "states": 10_000,
+                    "alphabet": ["a"],
+                    "transitions": {"a": [*range(1, 10_000), 0]},
+                    "initial": 0,
+                    "finals": [0],
+                    "notation": {"a": "(0,1)"},
+                }
+            ),
+            "notation['a']: expands to [1, 0, 2, 3, 4, 5, ...], transitions say [1, 2, 3, 4, 5, 6, ...]",
+        ),
+        (lambda doc: doc["transitions"].__setitem__("k" * 100_000, [0, 0, 0, 0]), "'e', 'kkk"),
+        (lambda doc: json.dumps(doc)[:-1] + f', "{"f" * 100_000}": 0, "{"f" * 100_000}": 1}}', "repeated key 'fff"),
+        (lambda doc: doc["notation"].__setitem__("a", "(" + ",".join(["1"] * 50_000) + ")"), "repeats a state"),
     ],
 )
 def test_read_rejects_bad_documents(mutation, fragment):
@@ -98,7 +130,7 @@ def test_read_rejects_bad_documents(mutation, fragment):
         text = json.dumps(doc)
     with pytest.raises(DocumentError) as err:
         read_dfa(text)
-    assert fragment in str(err.value)
+    assert fragment in str(err.value) and len(str(err.value)) < 500
 
 
 @pytest.mark.parametrize(
